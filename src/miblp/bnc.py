@@ -71,7 +71,6 @@ class SolverConfig:
     max_cut_rounds: int = MAX_CUT_ROUNDS
     node_limit: int | None = None
     time_limit: float | None = None
-    seed: int = 0
     trace: bool = False
 
     def __post_init__(self):
@@ -207,32 +206,32 @@ class BranchAndCut:
             self.trace_lines.append(
                 f"node {node.id} depth {node.depth} bound {b} {action}")
 
+    def _accept(self, node: _Node, point: Point, bound):
+        """Record a certified bilevel feasible point as incumbent if better."""
+        value = self.inst.leader_value(point)
+        if self.value is None or value < self.value:
+            self.incumbent, self.value, self.value_f = point, value, float(value)
+        self._trace(node, bound, f"incumbent value {value}")
+
     def _prune_value(self) -> float:
         if self.value is None:
             return math.inf
         return self.value_f - max(ABS_GAP, REL_GAP * abs(self.value_f))
 
-    def _oracle(self, point: Point, depth: int):
+    def _oracle(self, point: Point, depth: int, oracle_cfg: OracleConfig | None = None):
         self.stats.oracle_calls += 1
         t0 = time.perf_counter()
         try:
             return oracle_mod.find_improving_direction(
-                self.inst, point, depth, self.cfg.oracle)
+                self.inst, point, depth, oracle_cfg or self.cfg.oracle)
         finally:
             self.stats.oracle_time += time.perf_counter() - t0
 
     def _exact_direction(self, point: Point):
         """Exact (ID), used by legacy mode to source cuts at infeasible points."""
-        exact_cfg = OracleConfig(method=DirectionMethod.EXACT_MILP,
-                                 objective=self.cfg.oracle.objective,
-                                 node_limit=self.cfg.oracle.node_limit,
-                                 time_limit=self.cfg.oracle.time_limit)
-        self.stats.oracle_calls += 1
-        t0 = time.perf_counter()
-        try:
-            return oracle_mod.find_improving_direction(self.inst, point, 0, exact_cfg)
-        finally:
-            self.stats.oracle_time += time.perf_counter() - t0
+        return self._oracle(point, 0, OracleConfig(
+            method=DirectionMethod.EXACT_MILP, objective=self.cfg.oracle.objective,
+            node_limit=self.cfg.oracle.node_limit, time_limit=self.cfg.oracle.time_limit))
 
     def _legacy_check(self, point: Point) -> bool:
         self.stats.phi_calls += 1
@@ -262,8 +261,8 @@ class BranchAndCut:
             return None
         return z if feasible else "infeasible"
 
-    def _cone_is_global(self, cone) -> bool:
-        for j, at_upper in cone.bound_supports:
+    def _cone_is_global(self, bound_supports) -> bool:
+        for j, at_upper in bound_supports:
             if at_upper:
                 if self._current_upper[j] != self.root_upper[j]:
                     return False
@@ -374,11 +373,13 @@ class BranchAndCut:
             # a direction exists: the vertex is not bilevel feasible
             if rounds >= self.cfg.max_cut_rounds or tail >= TAILING_OFF_ROUNDS:
                 return "branch", (point, bound, True)
+            # only a cone on globally valid constraints can feed the pool, so
+            # its rays are computed only after its bound supports pass
             try:
+                if not self._cone_is_global(simplex.tight_bound_supports(prob, sol)):
+                    return "branch", (point, bound, True)
                 cone = simplex.extract_cone(prob, sol)
             except DegenerateConeError:
-                return "branch", (point, bound, True)
-            if not self._cone_is_global(cone):
                 return "branch", (point, bound, True)
             try:
                 added = self._make_cuts(cone, point, outcome.direction)
@@ -424,11 +425,7 @@ class BranchAndCut:
                 continue
             if action == "incumbent":
                 point, bound = payload
-                value = self.inst.leader_value(point)
-                if self.value is None or value < self.value:
-                    self.incumbent, self.value = point, value
-                    self.value_f = float(value)
-                self._trace(node, bound, f"incumbent value {value}")
+                self._accept(node, point, bound)
                 continue
 
             # branch
@@ -457,11 +454,7 @@ class BranchAndCut:
                         self._trace(node, bound, "pruned-exhausted")
                         continue
                     if resolved is not None:
-                        value = self.inst.leader_value(resolved)
-                        if self.value is None or value < self.value:
-                            self.incumbent, self.value = resolved, value
-                            self.value_f = float(value)
-                        self._trace(node, bound, f"incumbent value {value}")
+                        self._accept(node, resolved, bound)
                         continue
                 # cannot split further and cannot certify: give up soundly
                 self._trace(node, bound, "stalled")

@@ -122,7 +122,6 @@ def _solver_config(parser: argparse.ArgumentParser, args) -> SolverConfig:
         else Branching.LINKING_PRIORITY,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        seed=args.seed,
         trace=args.trace is not None,
     )
 
@@ -412,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="fractional")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="PATH", default=None)
 
     p = sub.add_parser("oracle", help="query the improving-direction search")

@@ -9,16 +9,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def gauss_solve(matrix: list[list[Fraction]], rhs_cols: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    """Solve ``A X = B`` exactly for square A.
-
-    ``rhs_cols`` holds the columns of B.  Returns the columns of X, or None
-    when A is singular.
-    """
+def solve_vector(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve ``A x = b`` exactly for square A; None when A is singular."""
     n = len(matrix)
-    k = len(rhs_cols)
     # augmented working copy
-    work = [list(matrix[i]) + [col[i] for col in rhs_cols] for i in range(n)]
+    work = [list(matrix[i]) + [rhs[i]] for i in range(n)]
     for col in range(n):
         piv = None
         best = Fraction(0)
@@ -33,7 +28,7 @@ def gauss_solve(matrix: list[list[Fraction]], rhs_cols: list[list[Fraction]]) ->
             work[col], work[piv] = work[piv], work[col]
         inv = Fraction(1) / work[col][col]
         row = work[col]
-        for j in range(col, n + k):
+        for j in range(col, n + 1):
             row[j] *= inv
         for r in range(n):
             if r == col:
@@ -41,43 +36,9 @@ def gauss_solve(matrix: list[list[Fraction]], rhs_cols: list[list[Fraction]]) ->
             f = work[r][col]
             if f:
                 other = work[r]
-                for j in range(col, n + k):
+                for j in range(col, n + 1):
                     other[j] -= f * row[j]
-    return [[work[i][n + j] for i in range(n)] for j in range(k)]
-
-
-def solve_vector(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    cols = gauss_solve(matrix, [rhs])
-    return None if cols is None else cols[0]
-
-
-def select_independent(rows: list[list[Fraction]], need: int) -> list[int] | None:
-    """Indices of the first ``need`` linearly independent rows, in input order.
-
-    Returns None when fewer than ``need`` independent rows exist.
-    """
-    n = len(rows[0]) if rows else 0
-    chosen: list[int] = []
-    elim: list[list[Fraction]] = []   # reduced copies of chosen rows
-    pivots: list[int] = []
-    for idx, row in enumerate(rows):
-        red = list(row)
-        for e, p in zip(elim, pivots):
-            f = red[p]
-            if f:
-                for j in range(n):
-                    red[j] -= f * e[j]
-        piv = next((j for j in range(n) if red[j]), None)
-        if piv is None:
-            continue
-        inv = Fraction(1) / red[piv]
-        red = [v * inv for v in red]
-        elim.append(red)
-        pivots.append(piv)
-        chosen.append(idx)
-        if len(chosen) == need:
-            return chosen
-    return None
+    return [work[i][n] for i in range(n)]
 
 
 def dot(a, b) -> Fraction:

@@ -40,6 +40,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .exactlin import dot
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -77,9 +79,6 @@ class AssumptionReport:
     var_min: Vec | None
     var_max: Vec | None
     notes: tuple[str, ...] = ()
-
-    def solvable(self) -> bool:
-        return self.bounded and self.integer_linking
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,7 @@ class MiblpInstance:
         if not self.in_box(point):
             return False
         vals = point.joint()
-        return all(_dot(coeffs, vals) >= rhs for coeffs, rhs in self.all_rows())
+        return all(dot(coeffs, vals) >= rhs for coeffs, rhs in self.all_rows())
 
     def in_s(self, point: Point) -> bool:
         return self.is_integral(point) and self.in_relaxation(point)
@@ -182,19 +181,15 @@ class MiblpInstance:
             if y[i] < lo or (hi is not None and y[i] > hi):
                 return False
         for i in range(self.m2):
-            if _dot(self.g2[i], y) < self.b2[i] - _dot(self.a2[i], x):
+            if dot(self.g2[i], y) < self.b2[i] - dot(self.a2[i], x):
                 return False
         return True
 
     def leader_value(self, point: Point) -> Fraction:
-        return _dot(self.c, point.x) + _dot(self.d1, point.y)
+        return dot(self.c, point.x) + dot(self.d1, point.y)
 
     def follower_value(self, y) -> Fraction:
-        return _dot(self.d2, tuple(y))
-
-
-def _dot(a, b) -> Fraction:
-    return sum((p * q for p, q in zip(a, b)), Fraction(0))
+        return dot(self.d2, tuple(y))
 
 
 # ---------------------------------------------------------------------------

@@ -10,23 +10,24 @@ for the rest of the solve.  Ratio-test ties break toward the lowest variable
 index; on a tie with the entering variable's own span, the bound flip wins.
 
 Because problem data arrives as exact rationals, the final basis can be
-re-solved exactly: ``exact_primal`` returns the optimal vertex as Fractions,
-and ``extract_cone`` turns the basis into a simplicial cone (exact vertex,
-one exact ray per nonbasic entity) that provably contains the whole feasible
-region.  Row constraints are preferred over bound constraints when selecting
-the cone's n tight constraints, which matters to cut sharing downstream.
+re-solved exactly by one recovery routine: of its n tight constraints (rows
+preferred over bounds, which matters to cut sharing downstream), bounds fix
+their coordinates and the rows' cached integer image gives the rest by
+fraction-free elimination.  ``exact_primal`` returns that vertex as Fractions
+once every row and bound holds; ``extract_cone`` adds one exact ray per tight
+constraint, a simplicial cone that provably contains the feasible region.
 """
 from __future__ import annotations
 
+import math
 import numpy as np
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .exactlin import dot, gauss_solve, select_independent, solve_vector
+from .exactlin import dot
 
 INF = float("inf")
-FEASIBILITY_TOL = 1e-9
 REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEGENERATE_STEP_TOL = 1e-12
@@ -53,7 +54,8 @@ class LpProblem:
 
     All data is exact (Fractions); ``upper`` entries may be None for +inf.
     Lower bounds must be finite.  Branching never edits rows, so the float
-    image of the row data is cached and shared across ``with_bounds`` copies.
+    and integer images of the row data are cached and shared across
+    ``with_bounds`` copies.
     """
 
     objective: list
@@ -79,6 +81,18 @@ class LpProblem:
             self._cache["r"] = np.array([float(v) for v in self.rhs])
         return self._cache["c"], self._cache["R"], self._cache["r"]
 
+    def integer_rows(self):
+        """(coeffs, rhs, scale) per row: the row and its rhs times ``scale``,
+        the LCM of their denominators, as Python ints."""
+        if "Z" not in self._cache:
+            image = []
+            for row, b in zip(self.rows, self.rhs):
+                scale = math.lcm(b.denominator, *(v.denominator for v in row))
+                image.append(([v.numerator * (scale // v.denominator) for v in row],
+                              b.numerator * (scale // b.denominator), scale))
+            self._cache["Z"] = image
+        return self._cache["Z"]
+
     def with_bounds(self, lower, upper) -> "LpProblem":
         return LpProblem(self.objective, self.rows, self.rhs,
                          list(lower), list(upper), self._cache)
@@ -97,9 +111,9 @@ class LpSolution:
     x: list | None = None              # structural values, floats
     objective: float | None = None
     col_status: list | None = None     # BASIC/AT_LOWER/AT_UPPER per structural+slack
-    basis: list | None = None
-    clean_basis: bool = True           # False if an artificial stayed basic
     iterations: int = 0
+    # (problem, exact recovery) of the last exact_primal/extract_cone call
+    recovery: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -126,7 +140,6 @@ class _Simplex:
         self.status = np.full(self.ncols, AT_LOWER, dtype=int)
         self.vals = self.lo.copy()
         self.iterations = 0
-        self.clean = True
 
         # start: structurals at lower bound, slacks basic where that is
         # feasible, artificials elsewhere
@@ -173,8 +186,6 @@ class _Simplex:
             x=x,
             objective=float(c_f @ self.vals[:n]) if n else 0.0,
             col_status=[int(s) for s in self.status[:n + m]],
-            basis=[int(b) for b in self.basis],
-            clean_basis=self.clean,
             iterations=self.iterations,
         )
 
@@ -283,19 +294,15 @@ class _Simplex:
         return True
 
     def _evict_artificials(self):
-        """Pivot basic artificials out where possible; flag the rest."""
+        """Pivot basic artificials out where possible."""
         n, m = self.n, self.m
         for p in range(m):
             if self.basis[p] < n + m:
                 continue
             row = self.binv[p, :] @ self.A[:, :n + m]
-            candidate = None
-            for j in range(n + m):
-                if self.status[j] != BASIC and abs(row[j]) > 1e-7:
-                    candidate = j
-                    break
+            candidate = next((j for j in range(n + m)
+                              if self.status[j] != BASIC and abs(row[j]) > 1e-7), None)
             if candidate is None:
-                self.clean = False
                 continue
             u = self.binv @ self.A[:, candidate]
             old = int(self.basis[p])
@@ -303,8 +310,7 @@ class _Simplex:
             self.vals[old] = 0.0
             self.status[candidate] = BASIC
             self.basis[p] = candidate
-            if not self._update_binv(u, p):
-                self.clean = False
+            self._update_binv(u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -325,36 +331,98 @@ class SimplicialCone:
     rays: tuple
     bound_supports: tuple
 
-    @property
-    def dim(self) -> int:
-        return len(self.vertex)
 
+def _fraction_free_solve(matrix, cols):
+    """Solve the square integer system ``matrix X = cols`` by fraction-free
+    (Bareiss) Gauss-Jordan elimination, in which every division is exact.
 
-def _tight_constraints(problem: LpProblem, solution: LpSolution):
-    """Active constraints at the basis, rows first, then variable bounds.
-
-    Yields (coeffs, rhs, sigma, kind): the constraint holds with equality at
-    the vertex; relaxing it moves along +sigma * (its relaxation direction).
+    Returns (d, numerators) with X = numerators / d, or None when singular.
     """
-    n, m = problem.n, problem.m
-    zero = Fraction(0)
-    one = Fraction(1)
-    out = []
-    for i in range(m):
-        if solution.col_status[n + i] != BASIC:
-            out.append(([Fraction(v) for v in problem.rows[i]],
-                        Fraction(problem.rhs[i]), 1, ("row", i)))
-    for j in range(n):
-        st = solution.col_status[j]
-        if st == BASIC:
-            continue
-        coeffs = [zero] * n
-        coeffs[j] = one
-        if st == AT_LOWER:
-            out.append((coeffs, Fraction(problem.lower[j]), 1, ("bound", j, False)))
-        else:
-            out.append((coeffs, Fraction(problem.upper[j]), -1, ("bound", j, True)))
-    return out
+    k = len(matrix)
+    work = [list(row) + [c[i] for c in cols] for i, row in enumerate(matrix)]
+    prev = 1
+    for p in range(k):
+        piv = next((r for r in range(p, k) if work[r][p]), None)
+        if piv is None:
+            return None
+        work[p], work[piv] = work[piv], work[p]
+        top = work[p]
+        for row in work:
+            if row is not top:
+                f = row[p]
+                row[p + 1:] = [(top[p] * a - f * b) // prev
+                               for a, b in zip(row[p + 1:], top[p + 1:])]
+        prev = top[p]
+    return prev, [[row[k + c] for row in work] for c in range(len(cols))]
+
+
+def _first_independent(vectors, need):
+    """Positions of the first ``need`` independent integer vectors, or None."""
+    echelon, chosen = [], []
+    for idx, vec in enumerate(vectors):
+        for p, e in echelon:
+            vec = [e[p] * a - vec[p] * b for a, b in zip(vec, e)]
+        piv = next((j for j, v in enumerate(vec) if v), None)
+        if piv is not None:
+            echelon.append((piv, vec))
+            chosen.append(idx)
+            if len(chosen) == need:
+                return chosen
+    return None
+
+
+def _at(problem: LpProblem, j, at_upper):
+    return Fraction(problem.upper[j] if at_upper else problem.lower[j])
+
+
+def _recover(problem: LpProblem, solution: LpSolution):
+    """(rows, bound_supports, vertex) of the basis's n tight constraints.
+
+    The tight set is the nonbasic rows, then the nonbasic bounds; past n
+    members the first n independent ones are kept and the rest must hold
+    with equality.  Coordinates at a kept bound are read off it, the others
+    solve the kept rows' integer image.  Raises DegenerateConeError.
+    """
+    n, st, image = problem.n, solution.col_status, problem.integer_rows()
+    rows = [i for i in range(problem.m) if st[n + i] != BASIC]
+    bounds = [(j, st[j] == AT_UPPER) for j in range(n) if st[j] != BASIC]
+    tight, spare = rows + bounds, []
+    if len(tight) < n:
+        raise DegenerateConeError("fewer tight constraints than dimensions")
+    if len(tight) > n:
+        keep = _first_independent([image[i][0] for i in rows] +
+                                  [[int(i == j) for i in range(n)] for j, _ in bounds], n)
+        if keep is None:
+            raise DegenerateConeError("tight constraints are rank deficient")
+        spare = [t for k, t in enumerate(tight) if k not in keep]
+        nr = len(rows)
+        rows = [tight[k] for k in keep if k < nr]
+        bounds = [tight[k] for k in keep if k >= nr]
+    fixed = {j: _at(problem, j, up) for j, up in bounds}
+    free = [j for j in range(n) if j not in fixed]
+    scale = math.lcm(*(v.denominator for v in fixed.values()))
+    rhs = [image[i][1] * scale - sum(image[i][0][j] * v.numerator * (scale // v.denominator)
+                                     for j, v in fixed.items()) for i in rows]
+    solved = _fraction_free_solve([[image[i][0][j] for j in free] for i in rows], [rhs])
+    if solved is None:
+        raise DegenerateConeError("tight constraints are rank deficient")
+    vertex = [fixed.get(j) for j in range(n)]
+    for j, v in zip(free, solved[1][0]):
+        vertex[j] = Fraction(v, solved[0] * scale)
+    for t in spare:    # a row index or a (variable, at_upper) bound
+        if (vertex[t[0]] != _at(problem, *t) if isinstance(t, tuple)
+                else dot(problem.rows[t], vertex) != problem.rhs[t]):
+            raise DegenerateConeError("inconsistent tight constraints")
+    return rows, tuple(bounds), tuple(vertex)
+
+
+def _recovered(problem: LpProblem, solution: LpSolution):
+    """``_recover`` cached on the solution for this very problem object."""
+    if solution.status is not LpStatus.OPTIMAL:
+        raise DegenerateConeError("exact recovery needs an Optimal solution")
+    if solution.recovery is None or solution.recovery[0] is not problem:
+        solution.recovery = (problem, _recover(problem, solution))
+    return solution.recovery[1]
 
 
 def exact_primal(problem: LpProblem, solution: LpSolution) -> list | None:
@@ -366,34 +434,27 @@ def exact_primal(problem: LpProblem, solution: LpSolution) -> list | None:
     """
     if solution.status is not LpStatus.OPTIMAL:
         raise ValueError("exact recovery needs an Optimal solution")
-    n = problem.n
-    tight = _tight_constraints(problem, solution)
-    if len(tight) < n:
+    try:
+        vertex = _recovered(problem, solution)[2]
+    except DegenerateConeError:
         return None
-    sel = select_independent([t[0] for t in tight], n)
-    if sel is None:
-        return None
-    matrix = [tight[i][0] for i in sel]
-    rhs = [tight[i][1] for i in sel]
-    vertex = solve_vector(matrix, rhs)
-    if vertex is None:
-        return None
-    chosen = set(sel)
-    for idx, (coeffs, b, _, _) in enumerate(tight):
-        if idx not in chosen and dot(coeffs, vertex) != b:
-            return None
     # a mislabelled float basis can place the vertex outside a constraint the
-    # basis claims is slack, so feasibility needs its own exact check
-    for coeffs, b in zip(problem.rows, problem.rhs):
-        if dot(coeffs, vertex) < b:
+    # basis claims is slack: check all in integers over a common denominator
+    denom = math.lcm(*(v.denominator for v in vertex))
+    scaled = [v.numerator * (denom // v.denominator) for v in vertex]
+    for coeffs, b, _ in problem.integer_rows():
+        if sum(a * v for a, v in zip(coeffs, scaled)) < b * denom:
             return None
-    for j in range(n):
-        if vertex[j] < problem.lower[j]:
+    for v, lo, hi in zip(scaled, problem.lower, problem.upper):
+        if v * lo.denominator < lo.numerator * denom or \
+                (hi is not None and v * hi.denominator > hi.numerator * denom):
             return None
-        hi = problem.upper[j]
-        if hi is not None and vertex[j] > hi:
-            return None
-    return vertex
+    return list(vertex)
+
+
+def tight_bound_supports(problem: LpProblem, solution: LpSolution) -> tuple:
+    """The cone's ``bound_supports``, without computing any ray."""
+    return _recovered(problem, solution)[1]
 
 
 def extract_cone(problem: LpProblem, solution: LpSolution) -> SimplicialCone:
@@ -404,29 +465,20 @@ def extract_cone(problem: LpProblem, solution: LpSolution) -> SimplicialCone:
     point z then satisfies z = vertex + sum lambda_q ray_q with lambda >= 0,
     so the cone contains the feasible region regardless of degeneracy.
     """
-    if solution.status is not LpStatus.OPTIMAL:
-        raise DegenerateConeError("cone extraction needs an Optimal solution")
-    n = problem.n
-    tight = _tight_constraints(problem, solution)
-    if len(tight) < n:
-        raise DegenerateConeError("fewer tight constraints than dimensions")
-    sel = select_independent([t[0] for t in tight], n)
-    if sel is None:
-        raise DegenerateConeError("tight constraints are rank deficient")
-    matrix = [tight[i][0] for i in sel]
-    rhs = [tight[i][1] for i in sel]
-    sigmas = [tight[i][2] for i in sel]
-    kinds = [tight[i][3] for i in sel]
-
-    unit = [[Fraction(1) if i == p else Fraction(0) for i in range(n)] for p in range(n)]
-    cols = gauss_solve(matrix, unit + [rhs])
-    if cols is None:
-        raise DegenerateConeError("tight system is singular")
-    vertex = cols[n]
-    chosen = set(sel)
-    for idx, (coeffs, b, _, _) in enumerate(tight):
-        if idx not in chosen and dot(coeffs, vertex) != b:
-            raise DegenerateConeError("inconsistent tight constraints")
-    rays = tuple(tuple(sigmas[p] * v for v in cols[p]) for p in range(n))
-    bounds = tuple((k[1], k[2]) for k in kinds if k[0] == "bound")
-    return SimplicialCone(vertex=tuple(vertex), rays=rays, bound_supports=bounds)
+    rows, bounds, vertex = _recovered(problem, solution)
+    n, image = problem.n, problem.integer_rows()
+    fixed = [j for j, _ in bounds]
+    free = [j for j in range(n) if j not in fixed]
+    # a row's ray meets its scaled row at its scale and the other kept rows
+    # at 0; a bound's ray moves its variable by sigma, which the rows absorb
+    cols = [[image[i][2] * (i == r) for r in rows] for i in rows]
+    cols += [[-image[i][0][j] for i in rows] for j in fixed]
+    det, nums = _fraction_free_solve([[image[i][0][j] for j in free] for i in rows], cols)
+    sigmas = [1] * len(rows) + [-1 if up else 1 for _, up in bounds]
+    rays = []
+    for sigma, own, num in zip(sigmas, [None] * len(rows) + fixed, nums):
+        ray = [Fraction(sigma * (j == own)) for j in range(n)]
+        for j, v in zip(free, num):
+            ray[j] = Fraction(sigma * v, det)
+        rays.append(tuple(ray))
+    return SimplicialCone(vertex=vertex, rays=tuple(rays), bound_supports=bounds)

@@ -1,9 +1,11 @@
 """Independent reference solvers used as ground truth in tests.
 
-Both work by exhaustion with exact rationals and share no code with the
-simplex or branch-and-bound implementations: the LP reference enumerates
-every basis candidate (n tight constraints chosen from rows and bounds), the
-MILP reference scans the full integer grid.  Both require finite boxes.
+The LP and MILP references work by exhaustion with exact rationals and share
+no code with the simplex or branch-and-bound implementations: the LP
+reference enumerates every basis candidate (n tight constraints chosen from
+rows and bounds), the MILP reference scans the full integer grid.  Both
+require finite boxes.  The exact-recovery references re-derive a basis's
+vertex and cone by straightforward ``Fraction`` Gaussian elimination.
 """
 import itertools
 import math
@@ -11,7 +13,8 @@ import random
 from fractions import Fraction
 
 from miblp.exactlin import dot, solve_vector
-from miblp.simplex import LpProblem
+from miblp.simplex import (AT_LOWER, BASIC, DegenerateConeError, LpProblem,
+                           LpStatus, SimplicialCone)
 
 
 def lp_vertex_optimum(problem: LpProblem):
@@ -94,3 +97,92 @@ def random_milp(rng: random.Random):
     """Random all-integer MILP (problem, integer_indices) with a finite box."""
     prob = random_lp(rng)
     return prob, tuple(range(prob.n))
+
+
+# ---------------------------------------------------------------------------
+# exact recovery of a solved basis, by Fraction Gaussian elimination
+
+
+def _select_independent(rows, need):
+    """Indices of the first ``need`` linearly independent rows, in order."""
+    n = len(rows[0]) if rows else 0
+    chosen, elim, pivots = [], [], []
+    for idx, row in enumerate(rows):
+        red = list(row)
+        for e, p in zip(elim, pivots):
+            f = red[p]
+            if f:
+                red = [a - f * b for a, b in zip(red, e)]
+        piv = next((j for j in range(n) if red[j]), None)
+        if piv is None:
+            continue
+        elim.append([v / red[piv] for v in red])
+        pivots.append(piv)
+        chosen.append(idx)
+        if len(chosen) == need:
+            return chosen
+    return None
+
+
+def _reference_tight_system(problem, solution):
+    """(selected (coeffs, rhs, sigma, kind), vertex) or a failure string."""
+    n, m = problem.n, problem.m
+    tight = []
+    for i in range(m):
+        if solution.col_status[n + i] != BASIC:
+            tight.append(([Fraction(v) for v in problem.rows[i]],
+                          Fraction(problem.rhs[i]), 1, ("row", i)))
+    for j in range(n):
+        st = solution.col_status[j]
+        if st == BASIC:
+            continue
+        unit = [Fraction(int(i == j)) for i in range(n)]
+        if st == AT_LOWER:
+            tight.append((unit, Fraction(problem.lower[j]), 1, ("bound", j, False)))
+        else:
+            tight.append((unit, Fraction(problem.upper[j]), -1, ("bound", j, True)))
+    if len(tight) < n:
+        return "fewer tight constraints than dimensions"
+    sel = _select_independent([t[0] for t in tight], n)
+    if sel is None:
+        return "tight constraints are rank deficient"
+    vertex = solve_vector([tight[i][0] for i in sel], [tight[i][1] for i in sel])
+    for idx, (coeffs, b, _, _) in enumerate(tight):
+        if idx not in sel and dot(coeffs, vertex) != b:
+            return "inconsistent tight constraints"
+    return [tight[i] for i in sel], vertex
+
+
+def reference_exact_primal(problem: LpProblem, solution):
+    """``simplex.exact_primal`` by Fraction elimination: the tight system's
+    vertex, or None when it is degenerate or violates a row or bound."""
+    system = _reference_tight_system(problem, solution)
+    if isinstance(system, str):
+        return None
+    vertex = system[1]
+    for coeffs, b in zip(problem.rows, problem.rhs):
+        if dot(coeffs, vertex) < b:
+            return None
+    for j in range(problem.n):
+        hi = problem.upper[j]
+        if vertex[j] < problem.lower[j] or (hi is not None and vertex[j] > hi):
+            return None
+    return vertex
+
+
+def reference_extract_cone(problem: LpProblem, solution) -> SimplicialCone:
+    """``simplex.extract_cone`` by Fraction elimination: ray q solves the
+    tight system with unit right-hand side q, times the constraint's sign."""
+    if solution.status is not LpStatus.OPTIMAL:
+        raise DegenerateConeError("cone extraction needs an Optimal solution")
+    system = _reference_tight_system(problem, solution)
+    if isinstance(system, str):
+        raise DegenerateConeError(system)
+    chosen, vertex = system
+    n = problem.n
+    matrix = [t[0] for t in chosen]
+    rays = tuple(tuple(sigma * v for v in solve_vector(
+        matrix, [Fraction(int(i == q)) for i in range(n)]))
+        for q, (_, _, sigma, _) in enumerate(chosen))
+    bounds = tuple((k[1], k[2]) for _, _, _, k in chosen if k[0] == "bound")
+    return SimplicialCone(vertex=tuple(vertex), rays=rays, bound_supports=bounds)

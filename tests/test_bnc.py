@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from miblp.bnc import (Branching, OracleMode, SolveStatus, SolverConfig,
+from miblp import simplex
+from miblp.bnc import (BranchAndCut, Branching, OracleMode, SolveStatus, SolverConfig,
                        choose_branch_variable, solve)
 from miblp.bruteforce import enumerate_F, optimal_by_enumeration
 from miblp.cuts import cut_violation
@@ -78,6 +79,38 @@ def test_determinism(three_d):
     assert a.trace == b.trace
     assert a.trace and a.trace[0].startswith("node 0 depth 0")
     assert solve(three_d, SolverConfig()).trace == ()
+
+
+@pytest.mark.parametrize("seed, cfg, counts", [
+    (12, SolverConfig(), (79, 2, 1)),
+    (19, SolverConfig(), (79, 4, 2)),
+    (19, SolverConfig(oracle=LS2), (19, 3, 2)),
+])
+def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
+    """A cone's rays are computed only right after its bound supports pass
+    the globality test, and the (nodes, cuts, certificates) counts are those
+    of the driver that built every cone before testing it."""
+    solver = BranchAndCut(generate_random_instance(seed, 2, 3, 2, 4, bound=8), cfg)
+    events = []
+    is_global, extract = solver._cone_is_global, simplex.extract_cone
+
+    def checked_is_global(bound_supports):
+        events.append(is_global(bound_supports))
+        return events[-1]
+
+    def checked_extract(prob, sol):
+        assert events and events[-1] is True
+        cone = extract(prob, sol)
+        assert is_global(cone.bound_supports)
+        events.append("cone")
+        return cone
+
+    monkeypatch.setattr(solver, "_cone_is_global", checked_is_global)
+    monkeypatch.setattr(simplex, "extract_cone", checked_extract)
+    res = solver.run()
+    assert (res.stats.nodes, res.stats.cuts_idic, res.stats.certificates) == counts
+    assert events.count("cone") == events.count(True) > 0
+    assert events.count(False) > 0
 
 
 def test_infeasible_instance(moore_bard):

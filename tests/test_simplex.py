@@ -1,12 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import lp_vertex_optimum, random_lp
+from helpers import (lp_vertex_optimum, random_lp, reference_exact_primal,
+                     reference_extract_cone)
 from miblp.exactlin import dot
-from miblp.simplex import (DegenerateConeError, LpProblem, LpStatus,
-                           exact_primal, extract_cone, solve_lp)
+from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
+                           LpProblem, LpSolution, LpStatus, exact_primal,
+                           extract_cone, solve_lp, tight_bound_supports)
 
 
 def moore_bard_lp(moore_bard):
@@ -134,10 +137,13 @@ def test_extract_cone_random():
 
 
 def test_with_bounds_shares_float_cache():
-    prob = LpProblem([1, 1], [[1, 1]], [1], [0, 0], [5, 5])
+    prob = LpProblem([1, 1], [[1, 1], [Fraction(1, 2), Fraction(-1, 3)]],
+                     [1, Fraction(1, 4)], [0, 0], [5, 5])
     prob.float_data()
     narrowed = prob.with_bounds([0, 0], [2, 2])
     assert narrowed._cache is prob._cache
+    assert narrowed.integer_rows() is prob.integer_rows()
+    assert prob.integer_rows() == [([1, 1], 1, 1), ([6, -4], 3, 12)]
     sol = solve_lp(narrowed)
     assert sol.status is LpStatus.OPTIMAL
 
@@ -145,3 +151,177 @@ def test_with_bounds_shares_float_cache():
 def test_bad_bounds_rejected():
     prob = LpProblem([1], [], [], [3], [2])
     assert solve_lp(prob).status is LpStatus.INFEASIBLE
+
+
+# -- exact recovery against the Fraction-elimination reference ---------------
+
+
+def _outcome(fn, prob, sol):
+    try:
+        return fn(prob, sol)
+    except DegenerateConeError:
+        return "degenerate"
+
+
+def _check_recovery(prob, sol, tally):
+    """exact_primal, extract_cone and tight_bound_supports agree with the
+    reference in both call orders; the outcome kinds go into ``tally``."""
+    vertex = _outcome(reference_exact_primal, prob, sol)
+    cone = _outcome(reference_extract_cone, prob, sol)
+    fresh = LpSolution(sol.status, col_status=sol.col_status)
+    assert exact_primal(prob, fresh) == vertex
+    assert _outcome(extract_cone, prob, fresh) == cone
+    fresh = LpSolution(sol.status, col_status=sol.col_status)
+    assert _outcome(extract_cone, prob, fresh) == cone
+    assert exact_primal(prob, fresh) == vertex
+    if cone == "degenerate":
+        tally["degenerate"] += 1
+    else:
+        assert tight_bound_supports(prob, fresh) == cone.bound_supports
+        tally["bound rays"] += len(cone.bound_supports) > 0
+        tally["infeasible vertex" if vertex is None else "vertex"] += 1
+    tally["more than n tight"] += sum(s != BASIC for s in sol.col_status) > prob.n
+
+
+def _random_basis(rng, prob, tight):
+    """An Optimal solution whose ``tight`` nonbasic members are drawn at
+    random from the rows and the bounds."""
+    n, m = prob.n, prob.m
+    status = [BASIC] * (n + m)
+    for idx in rng.sample(range(n + m), tight):
+        status[idx] = rng.choice((AT_LOWER, AT_UPPER)) if idx < n else AT_LOWER
+    return LpSolution(LpStatus.OPTIMAL, col_status=status)
+
+
+def _check_random_bases(rng, make_lp, trials):
+    tally = Counter()
+    for _ in range(trials):
+        prob = make_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status is LpStatus.OPTIMAL:
+            _check_recovery(prob, sol, tally)
+            tally["solved"] += 1
+        for tight in (prob.n - 1, prob.n, prob.n, prob.n + 1):
+            if tight <= prob.n + prob.m:
+                _check_recovery(prob, _random_basis(rng, prob, tight), tally)
+    return tally
+
+
+def _rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 7))
+
+
+def test_recovery_matches_reference_integer_rows():
+    tally = _check_random_bases(random.Random(3), random_lp, 150)
+    assert tally["solved"] > 30 and tally["vertex"] > 50
+    assert tally["degenerate"] > 50 and tally["infeasible vertex"] > 50
+    assert tally["bound rays"] > 50 and tally["more than n tight"] > 50
+
+
+def test_recovery_matches_reference_rational_rows_and_bounds():
+    def make(rng):
+        n, m = rng.randint(2, 4), rng.randint(2, 4)
+        lower = [_rational(rng, -6, 3) for _ in range(n)]
+        return LpProblem([_rational(rng, -5, 5) for _ in range(n)],
+                         [[_rational(rng, -9, 9) for _ in range(n)] for _ in range(m)],
+                         [_rational(rng, -9, 6) for _ in range(m)],
+                         lower, [lo + _rational(rng, 0, 9) for lo in lower])
+    tally = _check_random_bases(random.Random(5), make, 120)
+    assert tally["solved"] > 20 and tally["vertex"] > 40
+    assert tally["infeasible vertex"] > 50 and tally["more than n tight"] > 50
+
+
+def test_recovery_matches_reference_cut_like_rows():
+    # pooled intersection cuts are integer rows with coefficients up to ~1e11
+    def make(rng):
+        n = rng.randint(2, 4)
+        prob = random_lp(rng, n=n)
+        centre = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            row = [rng.choice((-1, 1)) * rng.randint(10**10, 3 * 10**11) for _ in range(n)]
+            prob = prob.with_extra_rows([row], [dot(row, centre) - rng.randint(0, 10**10)])
+        return prob
+    tally = _check_random_bases(random.Random(18), make, 120)
+    assert tally["solved"] > 20 and tally["vertex"] > 20
+    assert tally["infeasible vertex"] > 50 and tally["more than n tight"] > 50
+
+
+def test_recovery_matches_reference_degenerate_vertices():
+    # several rows and bounds through one point: tight sets larger than n
+    # that are consistent, and rank-deficient choices among them
+    rng = random.Random(36)
+    tally = Counter()
+    for _ in range(150):
+        n = rng.randint(2, 3)
+        point = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(n, n + 2))]
+        rows.append([2 * v for v in rows[0]])
+        prob = LpProblem([rng.randint(-3, 3) for _ in range(n)], rows,
+                         [dot(r, point) for r in rows], [Fraction(0)] * n,
+                         [v if rng.random() < 0.5 else v + 2 for v in point])
+        sol = solve_lp(prob)
+        if sol.status is LpStatus.OPTIMAL:
+            _check_recovery(prob, sol, tally)
+        status = [BASIC] * (n + prob.m)
+        for i in rng.sample(range(prob.m), rng.randint(1, prob.m)):
+            status[n + i] = AT_LOWER
+        for j in range(n):
+            if point[j] == prob.upper[j] and rng.random() < 0.7:
+                status[j] = AT_UPPER
+        _check_recovery(prob, LpSolution(LpStatus.OPTIMAL, col_status=status), tally)
+    assert tally["vertex"] > 80 and tally["degenerate"] > 20
+    assert tally["more than n tight"] > 80
+
+
+def test_recovery_with_an_artificial_left_basic():
+    # x + y >= 2 twice: if the phase-1 artificial of the copy stays basic,
+    # neither copy's slack is basic and the bound x <= 3 is nonbasic too, so
+    # the tight set has n + 1 = 3 members; rows are kept first, and the
+    # vertex (3, -1) they give violates y >= 0
+    prob = LpProblem([1, 1], [[1, 1], [1, 1], [1, -1]], [2, 2, -4], [0, 0], [3, 5])
+    status = [AT_UPPER, BASIC, AT_LOWER, AT_LOWER, BASIC]
+    sol = LpSolution(LpStatus.OPTIMAL, col_status=status)
+    tally = Counter()
+    _check_recovery(prob, sol, tally)
+    assert tally["infeasible vertex"] == 1 and tally["more than n tight"] == 1
+    cone = extract_cone(prob, LpSolution(LpStatus.OPTIMAL, col_status=status))
+    assert cone.vertex == (3, -1) and cone.bound_supports == ((0, True),)
+    assert exact_primal(prob, LpSolution(LpStatus.OPTIMAL, col_status=status)) is None
+    # the same with a consistent third member: both copies and x at 0
+    prob = LpProblem([1, 1], [[1, 1], [1, 1]], [2, 2], [0, 0], [3, 5])
+    sol = LpSolution(LpStatus.OPTIMAL, col_status=[AT_LOWER, BASIC, AT_LOWER, AT_LOWER])
+    _check_recovery(prob, sol, tally)
+    assert tally["vertex"] == 1 and tally["more than n tight"] == 2
+    assert exact_primal(prob, LpSolution(LpStatus.OPTIMAL, col_status=sol.col_status)) == [0, 2]
+
+
+def test_recovery_of_a_basis_whose_vertex_violates_a_row():
+    # x, y at their lower bounds claim (0, 0), which violates the slack-basic
+    # row x + y >= 1: no certified vertex, though the cone is still defined
+    prob = LpProblem([1, 1], [[1, 1], [1, -1]], [1, -5], [0, 0], [4, 4])
+    status = [AT_LOWER, AT_LOWER, BASIC, BASIC]
+    tally = Counter()
+    _check_recovery(prob, LpSolution(LpStatus.OPTIMAL, col_status=status), tally)
+    assert tally["infeasible vertex"] == 1
+    sol = LpSolution(LpStatus.OPTIMAL, col_status=status)
+    assert exact_primal(prob, sol) is None
+    assert extract_cone(prob, sol).vertex == (0, 0)
+
+
+def test_recovery_cache_is_per_problem():
+    prob = LpProblem([1, 1], [[1, 1]], [1], [0, 0], [5, 5])
+    sol = LpSolution(LpStatus.OPTIMAL, col_status=[AT_LOWER, BASIC, AT_LOWER])
+    assert exact_primal(prob, sol) == [0, 1]
+    shifted = prob.with_bounds([Fraction(1, 2), 0], [5, 5])
+    assert exact_primal(shifted, sol) == [Fraction(1, 2), Fraction(1, 2)]
+    assert extract_cone(shifted, sol).vertex == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_non_optimal_solution_is_refused():
+    prob = LpProblem([1], [[1]], [2], [0], [1])
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.INFEASIBLE
+    with pytest.raises(ValueError):
+        exact_primal(prob, sol)
+    with pytest.raises(DegenerateConeError):
+        extract_cone(prob, sol)
