@@ -117,7 +117,8 @@ def solve_milp(problem: MilpProblem,
             continue
 
         nodes += 1
-        sol = simplex.solve_lp(lp.with_bounds(node.lower, node.upper))
+        node_lp = lp.with_bounds(node.lower, node.upper)
+        sol = simplex.solve_lp(node_lp)
         if sol.status is LpStatus.INFEASIBLE:
             continue
         if sol.status is LpStatus.UNBOUNDED:
@@ -131,7 +132,7 @@ def solve_milp(problem: MilpProblem,
 
         branch_j = _most_fractional(sol.x, int_set)
         if branch_j is None:
-            exact = simplex.exact_primal(lp.with_bounds(node.lower, node.upper), sol)
+            exact = simplex.exact_primal(node_lp, sol)
             if exact is None:
                 raise MilpError("could not certify an integral LP vertex exactly")
             frac_j = next((j for j in int_set if exact[j].denominator != 1), None)

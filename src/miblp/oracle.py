@@ -33,7 +33,8 @@ ONE = Fraction(1)
 
 
 class OracleInconclusive(Exception):
-    """A subsolver limit was exhausted; the answer is unknown, not 'no'."""
+    """A subsolver limit was exhausted or the subsolver failed; the answer is
+    unknown, not 'no'."""
 
 
 class DirectionMethod(Enum):
@@ -191,15 +192,24 @@ def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
     return Direction.from_w(inst, w)
 
 
+def _solve(problem: MilpProblem, what: str, cfg: OracleConfig | None = None):
+    """``milp.solve_milp``; a subsolver limit or failure leaves the answer
+    unknown, so both raise OracleInconclusive."""
+    try:
+        sol = milp.solve_milp(problem, node_limit=cfg.node_limit if cfg else None,
+                              time_limit=cfg.time_limit if cfg else None)
+    except milp.MilpError as exc:
+        raise OracleInconclusive(f"{what} failed: {exc}") from exc
+    if sol.status is MilpStatus.LIMIT_REACHED:
+        raise OracleInconclusive(f"{what} hit a subsolver limit")
+    return sol
+
+
 def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem,
                           objective: DirectionObjective,
                           cfg: OracleConfig | None) -> OracleOutcome | None:
     """None encodes infeasible; the caller decides what that certifies."""
-    node_limit = cfg.node_limit if cfg else None
-    time_limit = cfg.time_limit if cfg else None
-    sol = milp.solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
-    if sol.status is MilpStatus.LIMIT_REACHED:
-        raise OracleInconclusive("direction search hit a subsolver limit")
+    sol = _solve(problem, "direction search", cfg)
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return OracleOutcome.found(decode_direction(inst, objective, sol.x))
@@ -335,10 +345,7 @@ def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     if not inst.in_s(point):
         raise ValueError("point not in S")
     problem = _plain_problem(inst, point, [ZERO] * inst.n2, mode="first-feasible")
-    sol = milp.solve_milp(problem)
-    if sol.status is MilpStatus.LIMIT_REACHED:
-        raise OracleInconclusive("certification hit a subsolver limit")
-    return sol.status is MilpStatus.INFEASIBLE
+    return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
 def evaluate_phi(inst: MiblpInstance, x) -> Fraction | None:
@@ -349,9 +356,7 @@ def evaluate_phi(inst: MiblpInstance, x) -> Fraction | None:
     lower = [inst.lower[inst.n1 + i] for i in range(inst.n2)]
     upper = [inst.upper[inst.n1 + i] for i in range(inst.n2)]
     lp = LpProblem(list(inst.d2), rows, rhs, lower, upper)
-    sol = milp.solve_milp(MilpProblem(lp, tuple(range(inst.r2))))
-    if sol.status is MilpStatus.LIMIT_REACHED:
-        raise OracleInconclusive("value function solve hit a subsolver limit")
+    sol = _solve(MilpProblem(lp, tuple(range(inst.r2))), "value function solve")
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return sol.objective

@@ -1,13 +1,16 @@
 """Dense bounded-variable primal simplex.
 
-The pivoting engine runs in floating point (numpy) with a two-phase start:
-artificial columns are introduced only for rows the all-at-lower-bound start
-violates, and are pinned to zero afterwards.  The basis inverse is kept as an
-explicit dense matrix, updated in product form and refactorized from scratch
-every ``REFACTOR_INTERVAL`` pivots.  Dantzig pricing is used until the
-degenerate-pivot budget 3(m+n) is spent, after which Bland's rule takes over
-for the rest of the solve.  Ratio-test ties break toward the lowest variable
-index; on a tie with the entering variable's own span, the bound flip wins.
+The pivoting engine runs in floating point over plain Python lists, which
+at the solver's sizes (a dozen rows or fewer) beats any array library's
+per-call overhead.  Artificial columns are introduced only for rows the
+all-at-lower-bound start violates, and are pinned to zero after phase 1;
+they and the surplus columns are signed unit vectors, never stored.  The
+explicit basis inverse is updated by row operations and rebuilt by
+Gauss-Jordan elimination every ``REFACTOR_INTERVAL`` pivots.  Dantzig
+pricing is used until the degenerate-pivot budget 3(m+n) is spent, after
+which Bland's rule takes over for the rest of the solve.  Ratio-test ties
+break toward the lowest variable index; on a tie with the entering
+variable's own span, the bound flip wins.
 
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (rows
@@ -20,10 +23,10 @@ constraint, a simplicial cone that provably contains the feasible region.
 from __future__ import annotations
 
 import math
-import numpy as np
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .exactlin import dot
 
@@ -74,12 +77,13 @@ class LpProblem:
         return len(self.rows)
 
     def float_data(self):
-        if "c" not in self._cache:
-            self._cache["c"] = np.array([float(v) for v in self.objective])
-            self._cache["R"] = np.array([[float(v) for v in row] for row in self.rows],
-                                        dtype=float).reshape(self.m, self.n)
-            self._cache["r"] = np.array([float(v) for v in self.rhs])
-        return self._cache["c"], self._cache["R"], self._cache["r"]
+        """(objective, rows, their transpose, rhs) as lists of floats."""
+        if "float" not in self._cache:
+            R = [[float(v) for v in row] for row in self.rows]
+            self._cache["float"] = ([float(v) for v in self.objective], R,
+                                    [[row[j] for row in R] for j in range(self.n)],
+                                    [float(v) for v in self.rhs])
+        return self._cache["float"]
 
     def integer_rows(self):
         """(coeffs, rhs, scale) per row: the row and its rhs times ``scale``,
@@ -117,166 +121,187 @@ class LpSolution:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    lo_f = [float(v) for v in problem.lower]
-    hi_f = [INF if v is None else float(v) for v in problem.upper]
+    lo_f = [v.numerator / v.denominator for v in problem.lower]
+    hi_f = [INF if v is None else v.numerator / v.denominator for v in problem.upper]
     if any(l > h + 1e-12 for l, h in zip(lo_f, hi_f)):
         return LpSolution(LpStatus.INFEASIBLE)
     return _Simplex(problem, lo_f, hi_f).run()
 
 
 class _Simplex:
+    """Columns are the n structurals, the m surplus columns -e_i and the m
+    artificial columns +e_i; only the structural ones are ever stored."""
+
     def __init__(self, problem: LpProblem, lo_s, hi_s):
-        c_f, R_f, r_f = problem.float_data()
-        self.problem = problem
-        self.n = problem.n
-        self.m = problem.m
-        m, n = self.m, self.n
+        c_f, self.R, self.RT, self.r = problem.float_data()
+        self.n = n = problem.n
+        self.m = m = problem.m
         self.ncols = n + 2 * m
-        self.A = np.hstack([R_f, -np.eye(m), np.eye(m)]) if m else np.zeros((0, n))
-        self.r = r_f
-        self.lo = np.array(lo_s + [0.0] * (2 * m))
-        self.hi = np.array(hi_s + [INF] * m + [0.0] * m)
-        self.cost = np.concatenate([c_f, np.zeros(2 * m)])
-        self.status = np.full(self.ncols, AT_LOWER, dtype=int)
-        self.vals = self.lo.copy()
+        self.lo = lo_s + [0.0] * (2 * m)
+        self.hi = hi_s + [INF] * m + [0.0] * m
+        self.cost = c_f + [0.0] * (2 * m)
+        self.status = [AT_LOWER] * self.ncols
+        self.vals = list(self.lo)
         self.iterations = 0
 
         # start: structurals at lower bound, slacks basic where that is
         # feasible, artificials elsewhere
-        act = R_f @ self.vals[:n] if m else np.zeros(0)
-        resid = act - r_f
-        self.basis = np.empty(m, dtype=int)
-        self.need_phase1 = False
-        binv_diag = np.ones(m)
-        for i in range(m):
-            if resid[i] >= 0.0:
-                self.basis[i] = n + i
-                binv_diag[i] = -1.0
-            else:
-                col = n + m + i
-                self.basis[i] = col
-                self.hi[col] = INF
-                self.need_phase1 = True
-        self.status[self.basis] = BASIC
-        self.binv = np.diag(binv_diag) if m else np.zeros((0, 0))
+        self.basis = [n + i if sum(map(mul, row, lo_s)) >= b else n + m + i
+                      for i, (row, b) in enumerate(zip(self.R, self.r))]
+        self.binv = [[0.0] * m for _ in range(m)]
+        for i, j in enumerate(self.basis):
+            self.status[j] = BASIC
+            self.binv[i][i] = -1.0 if j < n + m else 1.0
+            if j >= n + m:
+                self.hi[j] = INF
+        self.need_phase1 = any(j >= n + m for j in self.basis)
         self.pivots_since_refactor = 0
 
     def run(self) -> LpSolution:
         m, n = self.m, self.n
         if self.need_phase1:
-            c1 = np.zeros(self.ncols)
-            c1[n + m:] = 1.0
-            status = self._optimize(c1)
+            status = self._optimize([0.0] * (n + m) + [1.0] * m)
             if status is not LpStatus.OPTIMAL:
                 return LpSolution(LpStatus.UNSTABLE, iterations=self.iterations)
             self._recompute_basics()
             infeas = sum(self.vals[j] for j in self.basis if j >= n + m)
             if infeas > 1e-7:
                 return LpSolution(LpStatus.INFEASIBLE, iterations=self.iterations)
-            self.hi[n + m:] = 0.0
+            self.hi[n + m:] = [0.0] * m
             self._evict_artificials()
         status = self._optimize(self.cost)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status, iterations=self.iterations)
         self._recompute_basics()
-        x = [float(v) for v in self.vals[:n]]
-        c_f, _, _ = self.problem.float_data()
-        return LpSolution(
-            status=LpStatus.OPTIMAL,
-            x=x,
-            objective=float(c_f @ self.vals[:n]) if n else 0.0,
-            col_status=[int(s) for s in self.status[:n + m]],
-            iterations=self.iterations,
-        )
+        x = self.vals[:n]
+        return LpSolution(LpStatus.OPTIMAL, x, sum(map(mul, self.cost, x), 0.0),
+                          self.status[:n + m], self.iterations)
 
     # -- pivoting -------------------------------------------------------
 
     def _recompute_basics(self):
-        if self.m == 0:
-            return
-        v = self.vals.copy()
-        v[self.basis] = 0.0
-        self.vals[self.basis] = self.binv @ (self.r - self.A @ v)
+        n, m, vals = self.n, self.m, self.vals
+        v = [0.0 if s == BASIC else x for s, x in zip(self.status, vals)]
+        b = [ri - sum(map(mul, row, v)) + v[n + i] - v[n + m + i]
+             for i, (row, ri) in enumerate(zip(self.R, self.r))]
+        for j, row in zip(self.basis, self.binv):
+            vals[j] = sum(map(mul, row, b))
+
+    def _column(self, j):
+        """Column j of [R | -I | I]."""
+        if j < self.n:
+            return self.RT[j]
+        col = [0.0] * self.m
+        col[(j - self.n) % self.m] = -1.0 if j < self.n + self.m else 1.0
+        return col
+
+    def _ftran(self, j):
+        """B^-1 times column j: a signed column of B^-1 unless j is structural."""
+        n, m = self.n, self.m
+        if j < n:
+            col = self.RT[j]
+            return [sum(map(mul, row, col)) for row in self.binv]
+        if j < n + m:
+            return [-row[j - n] for row in self.binv]
+        return [row[j - n - m] for row in self.binv]
 
     def _refactor(self) -> bool:
-        if self.m == 0:
-            return True
-        try:
-            self.binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError:
-            return False
+        """B^-1 by Gauss-Jordan elimination with partial pivoting; False when
+        a pivot falls below PIVOT_TOL (singular basis)."""
+        m = self.m
+        cols = [self._column(j) for j in self.basis]
+        work = [[col[i] for col in cols] + [float(i == k) for k in range(m)]
+                for i in range(m)]
+        for c in range(m):
+            piv = max(range(c, m), key=lambda i: abs(work[i][c]))
+            if abs(work[piv][c]) < PIVOT_TOL:
+                return False
+            work[c], work[piv] = work[piv], work[c]
+            pv = work[c][c]
+            top = work[c] = [v / pv for v in work[c]]
+            for i in range(m):
+                f = work[i][c]
+                if i != c and f != 0.0:
+                    work[i] = [a - f * b for a, b in zip(work[i], top)]
+        self.binv = [row[m:] for row in work]
         self.pivots_since_refactor = 0
         return True
 
     def _optimize(self, cost) -> LpStatus:
-        m = self.m
+        n, m = self.n, self.m
+        lo, hi, status, vals, basis, RT = (self.lo, self.hi, self.status,
+                                           self.vals, self.basis, self.RT)
         bland = False
         degenerate = 0
-        bland_after = 3 * (m + self.n)
+        bland_after = 3 * (m + n)
         cap = 2000 + 400 * (m + self.ncols)
-        col_ids = np.arange(self.ncols)
         while True:
             self.iterations += 1
             if self.iterations > cap:
                 return LpStatus.UNSTABLE
             self._recompute_basics()
-            xB = self.vals[self.basis] if m else np.zeros(0)
-            if m:
-                y = cost[self.basis] @ self.binv
-                d = cost - y @ self.A
-            else:
-                d = cost.copy()
-            span = self.hi - self.lo
-            nonbasic = self.status != BASIC
-            eligible = nonbasic & (span > 0) & (
-                ((self.status == AT_LOWER) & (d < -REDUCED_COST_TOL))
-                | ((self.status == AT_UPPER) & (d > REDUCED_COST_TOL)))
-            if not eligible.any():
+            cB = [cost[j] for j in basis]
+            y = [sum(map(mul, cB, col)) for col in zip(*self.binv)]
+            # the surplus column -e_i prices at cost + y_i, the artificial
+            # +e_i at cost - y_i
+            j, best = -1, -1.0
+            for k in range(self.ncols):
+                sk = status[k]
+                if sk == BASIC or not hi[k] - lo[k] > 0:
+                    continue
+                if k < n:
+                    dk = cost[k] - sum(map(mul, y, RT[k]))
+                elif k < n + m:
+                    dk = cost[k] + y[k - n]
+                else:
+                    dk = cost[k] - y[k - n - m]
+                if (dk < -REDUCED_COST_TOL) if sk == AT_LOWER else (dk > REDUCED_COST_TOL):
+                    if bland:
+                        j = k
+                        break
+                    if abs(dk) > best:
+                        j, best = k, abs(dk)
+            if j < 0:
                 return LpStatus.OPTIMAL
-            if bland:
-                j = int(col_ids[eligible][0])
-            else:
-                scores = np.where(eligible, np.abs(d), -1.0)
-                j = int(np.argmax(scores))
-            sigma = 1.0 if self.status[j] == AT_LOWER else -1.0
-            u = self.binv @ self.A[:, j] if m else np.zeros(0)
-            g = sigma * u
+            sigma = 1.0 if status[j] == AT_LOWER else -1.0
+            u = self._ftran(j)
+            g = [sigma * v for v in u]
 
-            ratios = np.full(m, INF)
-            if m:
-                lo_b = self.lo[self.basis]
-                hi_b = self.hi[self.basis]
-                dec = g > PIVOT_TOL
-                ratios[dec] = (xB[dec] - lo_b[dec]) / g[dec]
-                inc = (g < -PIVOT_TOL) & np.isfinite(hi_b)
-                ratios[inc] = (xB[inc] - hi_b[inc]) / g[inc]
-                np.maximum(ratios, 0.0, out=ratios)
-            t_rows = ratios.min() if m else INF
-            t_span = span[j]
+            ratios = []
+            for gq, jb in zip(g, basis):
+                if gq > PIVOT_TOL:
+                    ratio = (vals[jb] - lo[jb]) / gq
+                elif gq < -PIVOT_TOL and hi[jb] < INF:
+                    ratio = (vals[jb] - hi[jb]) / gq
+                else:
+                    ratio = INF
+                ratios.append(max(ratio, 0.0))
+            t_rows = min(ratios, default=INF)
+            t_span = hi[j] - lo[j]
 
             if t_span <= t_rows + RATIO_TIE_TOL:
-                if not np.isfinite(t_span):
+                if t_span == INF:
                     return LpStatus.UNBOUNDED
                 # bound flip, no basis change
-                self.status[j] = AT_UPPER if self.status[j] == AT_LOWER else AT_LOWER
-                self.vals[j] = self.hi[j] if self.status[j] == AT_UPPER else self.lo[j]
+                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
+                vals[j] = hi[j] if status[j] == AT_UPPER else lo[j]
                 continue
-            if not np.isfinite(t_rows):
+            if t_rows == INF:
                 return LpStatus.UNBOUNDED
 
-            tied = np.nonzero(ratios <= t_rows + RATIO_TIE_TOL)[0]
-            p = int(tied[np.argmin(self.basis[tied])])
-            leaving = int(self.basis[p])
+            limit = t_rows + RATIO_TIE_TOL
+            p = min((q for q in range(m) if ratios[q] <= limit), key=basis.__getitem__)
+            leaving = basis[p]
             if t_rows <= DEGENERATE_STEP_TOL:
                 degenerate += 1
                 if degenerate >= bland_after:
                     bland = True
 
-            self.vals[j] = self.vals[j] + sigma * t_rows
-            self.status[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
-            self.vals[leaving] = self.lo[leaving] if g[p] > 0 else self.hi[leaving]
-            self.status[j] = BASIC
-            self.basis[p] = j
+            vals[j] = vals[j] + sigma * t_rows
+            status[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
+            vals[leaving] = lo[leaving] if g[p] > 0 else hi[leaving]
+            status[j] = BASIC
+            basis[p] = j
             if not self._update_binv(u, p):
                 return LpStatus.UNSTABLE
 
@@ -284,10 +309,11 @@ class _Simplex:
         pe = u[p]
         if abs(pe) < PIVOT_TOL:
             return self._refactor()
-        self.binv[p, :] /= pe
-        for i in range(self.m):
-            if i != p and u[i] != 0.0:
-                self.binv[i, :] -= u[i] * self.binv[p, :]
+        binv = self.binv
+        top = binv[p] = [v / pe for v in binv[p]]
+        for i, ui in enumerate(u):
+            if i != p and ui != 0.0:
+                binv[i] = [a - ui * b for a, b in zip(binv[i], top)]
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_INTERVAL:
             return self._refactor()
@@ -299,13 +325,13 @@ class _Simplex:
         for p in range(m):
             if self.basis[p] < n + m:
                 continue
-            row = self.binv[p, :] @ self.A[:, :n + m]
-            candidate = next((j for j in range(n + m)
-                              if self.status[j] != BASIC and abs(row[j]) > 1e-7), None)
+            row = self.binv[p]
+            candidate = next((j for j in range(n + m) if self.status[j] != BASIC and abs(
+                sum(map(mul, row, self.RT[j])) if j < n else row[j - n]) > 1e-7), None)
             if candidate is None:
                 continue
-            u = self.binv @ self.A[:, candidate]
-            old = int(self.basis[p])
+            u = self._ftran(candidate)
+            old = self.basis[p]
             self.status[old] = AT_LOWER
             self.vals[old] = 0.0
             self.status[candidate] = BASIC

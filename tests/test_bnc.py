@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from miblp import simplex
+from miblp import milp, simplex
 from miblp.bnc import (BranchAndCut, Branching, OracleMode, SolveStatus, SolverConfig,
                        choose_branch_variable, solve)
 from miblp.bruteforce import enumerate_F, optimal_by_enumeration
@@ -165,6 +165,33 @@ def test_inconclusive_oracle_stalls_soundly(moore_bard):
     res = solve(moore_bard, cfg)
     assert res.status is SolveStatus.LIMIT_REACHED
     assert res.incumbent is None
+
+
+def test_subsolver_failure_costs_one_node(three_d, monkeypatch):
+    """An UNSTABLE LP inside a direction-search MILP makes that query
+    inconclusive; the driver branches and still proves the optimum."""
+    solve_lp, solve_milp = simplex.solve_lp, milp.solve_milp
+    inside, lps = [], []
+
+    def failing_lp(problem):
+        if inside:
+            lps.append(problem)
+            if len(lps) == 5:
+                return simplex.LpSolution(simplex.LpStatus.UNSTABLE)
+        return solve_lp(problem)
+
+    def tracked_milp(*args, **kwargs):
+        inside.append(True)
+        try:
+            return solve_milp(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(simplex, "solve_lp", failing_lp)
+    monkeypatch.setattr(milp, "solve_milp", tracked_milp)
+    res = solve(three_d, SolverConfig())
+    assert len(lps) > 5
+    assert res.status is SolveStatus.OPTIMAL and res.value == -21
 
 
 def test_config_requires_a_cut_family():

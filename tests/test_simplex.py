@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 
 from helpers import (lp_vertex_optimum, random_lp, reference_exact_primal,
                      reference_extract_cone)
-from miblp.exactlin import dot
+from miblp import simplex
+from miblp.exactlin import dot, solve_vector
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
                            LpProblem, LpSolution, LpStatus, exact_primal,
                            extract_cone, solve_lp, tight_bound_supports)
@@ -62,7 +64,7 @@ def test_degenerate_vertex_terminates():
     assert abs(sol.objective - (-4.0)) <= 1e-7
 
 
-def test_against_vertex_enumeration():
+def _check_against_vertex_enumeration():
     rng = random.Random(42)
     for _ in range(120):
         prob = random_lp(rng)
@@ -76,6 +78,10 @@ def test_against_vertex_enumeration():
             assert dot(prob.objective, exact) == value
         else:
             assert sol.status is LpStatus.INFEASIBLE
+
+
+def test_against_vertex_enumeration():
+    _check_against_vertex_enumeration()
 
 
 def test_exact_primal_satisfies_constraints():
@@ -325,3 +331,116 @@ def test_non_optimal_solution_is_refused():
         exact_primal(prob, sol)
     with pytest.raises(DegenerateConeError):
         extract_cone(prob, sol)
+
+
+# -- pivoting paths the corpus barely reaches ---------------------------------
+
+
+def test_beale_cycling_lp_reaches_its_optimum():
+    # Beale's example cycles under largest-coefficient pricing; the solve
+    # spends its 3(m+n) degenerate pivots and Bland's rule finishes it
+    prob = LpProblem([Fraction(-3, 4), 20, Fraction(-1, 2), 6],
+                     [[Fraction(-1, 4), 8, 1, -9], [Fraction(-1, 2), 12, Fraction(1, 2), -3]],
+                     [0, 0], [0, 0, 0, 0], [None, None, 1, None])
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.iterations > 3 * (prob.m + prob.n)
+    assert exact_primal(prob, sol) == [1, 0, 1, 0]
+
+
+def test_refactoring_after_every_pivot(monkeypatch):
+    monkeypatch.setattr(simplex, "REFACTOR_INTERVAL", 1)
+    _check_against_vertex_enumeration()
+
+
+def test_tiny_pivot_refactors(monkeypatch):
+    # a pivot element below PIVOT_TOL rebuilds B^-1 from the new basis
+    update = simplex._Simplex._update_binv
+
+    def tiny_pivot(self, u, p):
+        return update(self, u[:p] + [0.0] + u[p + 1:], p)
+
+    monkeypatch.setattr(simplex._Simplex, "_update_binv", tiny_pivot)
+    _check_against_vertex_enumeration()
+
+
+def test_singular_basis_is_unstable_not_optimal(monkeypatch):
+    prob = LpProblem([1, 1], [[1, 2], [2, 4], [1, -1]], [1, 2, -3], [0, 0], [5, 5])
+    engine = simplex._Simplex(prob, [0.0, 0.0], [5.0, 5.0])
+    engine.basis = [0, 1, 3]
+    assert engine._refactor()
+    assert all(abs(sum(a * b for a, b in zip(row, engine._column(j))) - (i == k)) < 1e-12
+               for i, row in enumerate(engine.binv) for k, j in enumerate(engine.basis))
+    for basis in ([0, 1, 4], [2, 5, 0], [3, 6, 1]):
+        engine.basis = basis
+        assert not engine._refactor()
+    near = LpProblem([1, 1], [[1, 1], [1, 1 + 1e-12]], [1, 1], [0, 0], [5, 5])
+    engine = simplex._Simplex(near, [0.0, 0.0], [5.0, 5.0])
+    engine.basis = [0, 1]
+    assert not engine._refactor()
+    # every pivot lands on a singular basis: an LP that needs one is
+    # Unstable, and only LPs settled by bound flips alone get an answer
+    monkeypatch.setattr(simplex._Simplex, "_refactor", lambda self: False)
+    monkeypatch.setattr(simplex._Simplex, "_update_binv",
+                        lambda self, u, p: self._refactor())
+    rng = random.Random(42)
+    statuses = Counter()
+    for _ in range(60):
+        prob = random_lp(rng)
+        sol = solve_lp(prob)
+        statuses[sol.status] += 1
+        if sol.status is not LpStatus.UNSTABLE:
+            status, value, _ = lp_vertex_optimum(prob)
+            assert sol.status.value == status
+            assert status != "optimal" or dot(prob.objective, exact_primal(prob, sol)) == value
+    assert statuses[LpStatus.UNSTABLE] > 20
+
+
+def _proved_optimal(prob, sol):
+    """Exact vertex and dual multipliers from the basis, checked to satisfy
+    primal feasibility, dual feasibility and complementary slackness."""
+    n = prob.n
+    x = exact_primal(prob, sol)
+    assert x is not None
+    tight = [i for i in range(prob.m) if sol.col_status[n + i] != BASIC]
+    basic = [j for j in range(n) if sol.col_status[j] == BASIC]
+    assert len(tight) == len(basic)
+    lam = solve_vector([[Fraction(prob.rows[i][j]) for i in tight] for j in basic],
+                       [Fraction(prob.objective[j]) for j in basic])
+    assert lam is not None and all(v >= 0 for v in lam)
+    assert all(dot(prob.rows[i], x) == prob.rhs[i] for i, v in zip(tight, lam) if v)
+    for j in range(n):
+        d = prob.objective[j] - sum(v * prob.rows[i][j] for i, v in zip(tight, lam))
+        assert d <= 0 or x[j] == prob.lower[j]
+        assert d >= 0 or x[j] == prob.upper[j]
+    return x
+
+
+@pytest.mark.parametrize("m, n", [(15, 10), (12, 8), (6, 12), (14, 3)])
+def test_larger_lps_than_the_corpus(m, n):
+    # feasible by construction around an integer point, or made infeasible
+    # by a contradictory pair of rows; optimality is proved by duality, and
+    # by vertex enumeration where the C(m + 2n, n) candidate bases are few
+    rng = random.Random(m * n)
+    enumerate_bases = math.comb(m + 2 * n, n) <= 2000
+    for trial in range(12):
+        lower = [rng.randint(-3, 1) for _ in range(n)]
+        upper = [lo + rng.randint(1, 6) for lo in lower]
+        point = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+        rhs = [dot(row, point) - rng.randint(0, 6) for row in rows]
+        infeasible = trial % 3 == 0
+        if infeasible:
+            rows[-1], rhs[-1] = [-v for v in rows[0]], 1 - rhs[0]
+        prob = LpProblem([rng.randint(-5, 5) for _ in range(n)], rows, rhs, lower, upper)
+        sol = solve_lp(prob)
+        if enumerate_bases:
+            status, value, _ = lp_vertex_optimum(prob)
+            assert status == ("infeasible" if infeasible else "optimal")
+        if infeasible:
+            assert sol.status is LpStatus.INFEASIBLE
+            continue
+        assert sol.status is LpStatus.OPTIMAL
+        x = _proved_optimal(prob, sol)
+        assert abs(sol.objective - float(dot(prob.objective, x))) <= 1e-7
+        assert not enumerate_bases or dot(prob.objective, x) == value
