@@ -12,9 +12,9 @@ from .bruteforce import (EnumerationBudgetError, enumerate_F, enumerate_S,
 from .cuts import (BilevelFreeSet, ConeContainedError, Cut, NotSeparableError,
                    bfs_from_direction, bfs_from_solution, cut_violation,
                    intersection_cut)
-from .instance import (AssumptionReport, InstanceError, MiblpInstance,
-                       ParseError, Point, generate_random_instance,
-                       parse_instance, validate_assumptions, write_instance)
+from .instance import (InstanceError, MiblpInstance, ParseError, Point,
+                       generate_random_instance, parse_instance,
+                       validate_assumptions, write_instance)
 from .kopt import (KoptContext, compute_k_bar, enumerate_Fk, make_context,
                    min_ifd_norm, minimal_ifds, reaction_set, reaction_set_k)
 from .oracle import (Direction, DirectionMethod, DirectionObjective,

@@ -1,8 +1,8 @@
 """Configuration-matrix benchmark runner and profile curves.
 
-``run_matrix`` solves every (instance, configuration) pair in worker threads
-and funnels finished records through a single CSV writer, flushing after each
-row so a crash loses at most the in-flight run.  The profile functions turn a
+``run_matrix`` solves every (instance, configuration) pair sequentially and
+appends each record to the CSV as it finishes, flushing after each row so a
+crash loses at most the in-flight run.  The profile functions turn a
 pile of records into step curves: classic performance profiles (ratio to the
 virtual best), baseline profiles (ratio to one named configuration), and
 cumulative curves (fraction solved over time on the left, fraction within a
@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -80,7 +79,7 @@ def read_records(path) -> list[RunRecord]:
 def _run_one(name: str, inst: MiblpInstance, config_name: str,
              cfg: SolverConfig) -> RunRecord:
     t_wall = time.perf_counter()
-    t_cpu = time.thread_time()
+    t_cpu = time.process_time()
     try:
         res = solve(inst, cfg)
         status = _STATUS_NAMES[res.status]
@@ -89,23 +88,20 @@ def _run_one(name: str, inst: MiblpInstance, config_name: str,
     except Exception:
         status, nodes, gap, ifd, calls = "Error", 0, math.inf, 0.0, 0
     wall = time.perf_counter() - t_wall
-    cpu = time.thread_time() - t_cpu
+    cpu = time.process_time() - t_cpu
     return RunRecord(name, config_name, status, wall, cpu, nodes,
                      ifd, ifd / max(1, calls), gap)
 
 
-def run_matrix(instances, configurations, csv_path=None,
-               workers: int | None = None) -> list[RunRecord]:
-    """Solve every instance under every configuration.
+def run_matrix(instances, configurations, csv_path=None) -> list[RunRecord]:
+    """Solve every instance under every configuration, one run at a time.
 
     ``instances`` is a sequence of (name, MiblpInstance) pairs and
     ``configurations`` of (name, SolverConfig) pairs.  A failing run becomes
-    an Error record rather than aborting the matrix.  Records return in job
-    order; the CSV receives them in completion order, flushed row by row.
+    an Error record rather than aborting the matrix.  Records return, and
+    reach the CSV, in job order.
     """
-    jobs = [(iname, inst, cname, cfg)
-            for iname, inst in instances for cname, cfg in configurations]
-    results: dict[int, RunRecord] = {}
+    records = []
     writer = fh = None
     if csv_path is not None:
         path = Path(csv_path)
@@ -116,18 +112,17 @@ def run_matrix(instances, configurations, csv_path=None,
             writer.writerow(CSV_HEADER)
             fh.flush()
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_run_one, *job): i for i, job in enumerate(jobs)}
-            for fut in as_completed(futures):
-                rec = fut.result()
-                results[futures[fut]] = rec
+        for iname, inst in instances:
+            for cname, cfg in configurations:
+                rec = _run_one(iname, inst, cname, cfg)
+                records.append(rec)
                 if writer is not None:
                     writer.writerow(record_to_row(rec))
                     fh.flush()
     finally:
         if fh is not None:
             fh.close()
-    return [results[i] for i in range(len(jobs))]
+    return records
 
 
 @dataclass

@@ -278,7 +278,7 @@ class BranchAndCut:
             free_sets.append(("idic", cuts_mod.bfs_from_direction(self.inst, direction)))
         if self.cfg.use_isic:
             y_star = tuple(a + b for a, b in zip(point.y, direction.w))
-            if all(y_star[i].denominator == 1 for i in range(self.inst.r2)):
+            if all(v.denominator == 1 for v in y_star):
                 free_sets.append(("isic", cuts_mod.bfs_from_solution(self.inst, y_star)))
         for family, fs in free_sets:
             try:

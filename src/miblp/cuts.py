@@ -4,10 +4,10 @@ A bilevel-free set is a polyhedron whose interior contains no bilevel
 feasible point.  Two families are built here: from an improving direction w
 (any point interiorly inside has w as an improving feasible direction, hence
 cannot be bilevel feasible) and from an improving solution y* (any point
-interiorly inside sees y* as a strictly better feasible response).  On
-integer data the right-hand sides are relaxed by a full unit, which makes the
-sets as large as possible while still excluding no integral feasible point;
-otherwise a small epsilon is used.
+interiorly inside sees y* as a strictly better feasible response).  Parsing
+scales the follower data to integers, so the right-hand sides are relaxed by
+a full unit, which makes the sets as large as possible while still excluding
+no integral feasible point.
 
 The intersection cut of a free set with a simplicial cone containing the
 feasible region is the hyperplane through the points where the cone's rays
@@ -25,7 +25,6 @@ from .exactlin import dot, solve_vector
 from .instance import MiblpInstance, Point
 from .simplex import SimplicialCone
 
-EPSILON = Fraction(1, 10000)
 INTERIOR_MARGIN = 1e-7
 
 
@@ -58,15 +57,6 @@ class BilevelFreeSet:
                    for row, b in self.rows)
 
 
-def _relaxation_unit(inst: MiblpInstance) -> Fraction:
-    data = list(inst.d2) + list(inst.b2) + [v for r in inst.a2 for v in r] + \
-        [v for r in inst.g2 for v in r] + list(inst.lower) + \
-        [v for v in inst.upper if v is not None]
-    if all(v.denominator == 1 for v in data):
-        return Fraction(1)
-    return EPSILON
-
-
 def bfs_from_direction(inst: MiblpInstance, w) -> BilevelFreeSet:
     """Free set of an improving direction: everywhere inside, w is an IFD.
 
@@ -79,21 +69,20 @@ def bfs_from_direction(inst: MiblpInstance, w) -> BilevelFreeSet:
         raise ValueError("direction length does not match the follower space")
     if dot(inst.d2, w) > -1:
         raise ValueError("not an improving direction (needs d2 w <= -1)")
-    if any(w[i].denominator != 1 for i in range(inst.r2)):
-        raise ValueError("direction must be integral on integer coordinates")
-    eps = _relaxation_unit(inst)
+    if any(v.denominator != 1 for v in w):
+        raise ValueError("direction must be integral")
     n1, n2 = inst.n1, inst.n2
     zero = Fraction(0)
     rows = []
     for a, g, b in zip(inst.a2, inst.g2, inst.b2):
-        rows.append((tuple(a) + tuple(g), b - eps - dot(g, w)))
+        rows.append((tuple(a) + tuple(g), b - 1 - dot(g, w)))
     for j in range(n2):
         coeffs = tuple(zero if i != n1 + j else Fraction(1) for i in range(n1 + n2))
-        rows.append((coeffs, inst.lower[n1 + j] - eps - w[j]))
+        rows.append((coeffs, inst.lower[n1 + j] - 1 - w[j]))
     for j in range(n2):
-        if w[j] > 0 and inst.upper[n1 + j] is not None:
+        if w[j] > 0:
             coeffs = tuple(zero if i != n1 + j else Fraction(-1) for i in range(n1 + n2))
-            rows.append((coeffs, -inst.upper[n1 + j] - eps + w[j]))
+            rows.append((coeffs, -inst.upper[n1 + j] - 1 + w[j]))
     return BilevelFreeSet(rows=tuple(rows), origin=("direction", w))
 
 
@@ -102,19 +91,17 @@ def bfs_from_solution(inst: MiblpInstance, y_star) -> BilevelFreeSet:
     y_star = tuple(Fraction(v) for v in y_star)
     if len(y_star) != inst.n2:
         raise ValueError("solution length does not match the follower space")
-    if any(y_star[i].denominator != 1 for i in range(inst.r2)):
+    if any(v.denominator != 1 for v in y_star):
         raise ValueError("improving solution must satisfy follower integrality")
     for j in range(inst.n2):
-        lo, hi = inst.lower[inst.n1 + j], inst.upper[inst.n1 + j]
-        if y_star[j] < lo or (hi is not None and y_star[j] > hi):
+        if not inst.lower[inst.n1 + j] <= y_star[j] <= inst.upper[inst.n1 + j]:
             raise ValueError("improving solution must lie inside the follower box")
-    eps = _relaxation_unit(inst)
     zero = Fraction(0)
     rows = [(tuple(zero for _ in range(inst.n1)) + tuple(inst.d2),
              dot(inst.d2, y_star))]
     for a, g, b in zip(inst.a2, inst.g2, inst.b2):
         rows.append((tuple(a) + tuple(zero for _ in range(inst.n2)),
-                     b - dot(g, y_star) - eps))
+                     b - dot(g, y_star) - 1))
     return BilevelFreeSet(rows=tuple(rows), origin=("solution", y_star))
 
 

@@ -6,9 +6,10 @@ A problem instance is
     s.t. A1 x + G1 y >= b1          (leader rows)
          x in Z^r1_+ x R^(n1-r1)_+, lower <= (x, y) <= upper
          y solves:  min { d2 y : A2 x + G2 y >= b2,
-                          y in Z^r2_+ x R^(n2-r2)_+, within its bounds }
+                          y integer, within its bounds }
 
-under optimistic tie-breaking.  Every constraint row is stored in ">="
+under optimistic tie-breaking, with every leader variable that appears in a
+follower row integer.  Every constraint row is stored in ">="
 orientation and every number is an exact ``fractions.Fraction``; "<=" rows
 are negated at parse time and "=" rows are split into a ">=" pair, so no
 downstream consumer ever sees a sense flag.
@@ -26,12 +27,11 @@ ignored)::
     LOWER m2
     <m2 rows, same layout; column blocks are A2 then G2>
 
-Numbers are decimals or p/q rationals.  Parsing validates three structural
-requirements and attaches the report to the instance: the linear relaxation
-is bounded (infinite declared bounds are tightened to exact LP extrema),
-every leader variable appearing in the follower rows is integer, and the
-follower data A2, G2, b2, d2 is integral (this last one is advisory; cut
-generation falls back to an epsilon relaxation when it fails).
+Numbers are decimals or p/q rationals.  Parsing ends in
+``validate_assumptions``, the solver's one scope gate: it refuses continuous
+follower variables, continuous leader variables in follower rows and an
+unbounded relaxation, scales the follower data to integers and makes every
+bound finite, so no downstream module re-checks any of this.
 """
 from __future__ import annotations
 
@@ -62,23 +62,6 @@ class ParseError(InstanceError):
 
 class GenerationError(InstanceError):
     """Random generation exhausted its resampling budget."""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Validation outcome for one instance.
-
-    ``var_min``/``var_max`` are exact extrema of each variable over the
-    linear relaxation; None when the relaxation is unbounded or empty.
-    """
-
-    bounded: bool
-    integer_linking: bool
-    integer_follower_data: bool
-    relaxation_empty: bool
-    var_min: Vec | None
-    var_max: Vec | None
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -114,7 +97,6 @@ class MiblpInstance:
     lower: Vec
     upper: tuple[Fraction | None, ...]   # None = +inf (only before validation)
     name: str = ""
-    assumptions: AssumptionReport | None = None
 
     # -- shape helpers -------------------------------------------------
 
@@ -265,9 +247,7 @@ def _parse_row(tokens, lineno, width):
 
 def parse_instance(text: str, name: str = "") -> MiblpInstance:
     """Parse, normalize and validate an instance from its text form."""
-    inst = _parse_raw(text, name)
-    report = validate_assumptions(inst)
-    return _apply_report(inst, report)
+    return validate_assumptions(_parse_raw(text, name))
 
 
 def _parse_raw(text: str, name: str) -> MiblpInstance:
@@ -374,93 +354,83 @@ def write_instance(inst: MiblpInstance) -> str:
 # validation
 
 
-def validate_assumptions(inst: MiblpInstance) -> AssumptionReport:
-    """Check boundedness, linking integrality and follower-data integrality.
+def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
+    """Refuse what the solver's theory does not cover; normalize the rest.
 
-    Report only; solver entry points refuse instances whose report fails one
-    of the first two checks.
+    Raises InstanceError for continuous follower variables (r2 < n2), for
+    continuous leader variables in follower rows, and for a relaxation that
+    is unbounded in a variable declared ``inf``.  Each follower row
+    (A2|G2, b2) and d2 are scaled by the LCM of their denominators, which
+    keeps the follower's feasible set and argmin and makes every follower
+    value change an integer: "no step improves by >= 1" then certifies a
+    best response, and free sets relax by one unit.  Bounds of integer
+    variables are rounded inward, and a bound declared ``inf`` becomes the
+    variable's exact maximum over the relaxation (collapsing to the lower
+    bound when the relaxation is empty).
     """
+    if inst.r2 < inst.n2:
+        raise InstanceError(f"continuous follower variables are not supported "
+                            f"(r2 = {inst.r2} < n2 = {inst.n2})")
+    bad_link = [j for j in inst.linking_indices() if j >= inst.r1]
+    if bad_link:
+        raise InstanceError("continuous leader variable(s) appear in follower rows: "
+                            + ", ".join(f"x{j}" for j in bad_link))
+    rows2 = [_integral(a + g + (b,)) for a, g, b in zip(inst.a2, inst.g2, inst.b2)]
+    integer = set(inst.integer_indices())
+    lower, upper = list(inst.lower), list(inst.upper)
+    for j in integer:
+        lower[j] = Fraction(math.ceil(lower[j]))
+        if upper[j] is not None:
+            upper[j] = Fraction(math.floor(upper[j]))
+            if upper[j] < lower[j]:
+                raise InstanceError(f"integer variable {j} has no value within its bounds")
+    inst = replace(inst, d2=_integral(inst.d2),
+                   a2=tuple(row[:inst.n1] for row in rows2),
+                   g2=tuple(row[inst.n1:-1] for row in rows2),
+                   b2=tuple(row[-1] for row in rows2),
+                   lower=tuple(lower), upper=tuple(upper))
+    if None in upper:
+        inst = replace(inst, upper=_tightened_upper(inst, integer))
+    return inst
+
+
+def _integral(vec) -> Vec:
+    """vec times the LCM of its denominators."""
+    scale = math.lcm(*(v.denominator for v in vec))
+    return tuple(v * scale for v in vec)
+
+
+def _tightened_upper(inst: MiblpInstance, integer) -> tuple:
+    """Each ``inf`` upper bound replaced by its exact maximum over the
+    relaxation, one max-LP per such bound; every bound collapses to its lower
+    one when the relaxation is empty."""
     from . import simplex
 
-    notes: list[str] = []
-
-    bad_link = [j for j in inst.linking_indices() if j >= inst.r1]
-    integer_linking = not bad_link
-    if bad_link:
-        notes.append("continuous leader variable(s) appear in follower rows: "
-                     + ", ".join(f"x{j}" for j in bad_link))
-
-    follower_data = [v for row in inst.a2 for v in row]
-    follower_data += [v for row in inst.g2 for v in row]
-    follower_data += list(inst.b2) + list(inst.d2)
-    integer_follower_data = all(v.denominator == 1 for v in follower_data)
-    if not integer_follower_data:
-        notes.append("follower data is not integral; cut relaxation falls back to epsilon")
-
-    rows = [list(coeffs) for coeffs, _ in inst.all_rows()]
-    rhs = [r for _, r in inst.all_rows()]
-    bounded = True
-    empty = False
-    mins: list[Fraction | None] = [None] * inst.num_vars
-    maxs: list[Fraction | None] = [None] * inst.num_vars
-    for j in range(inst.num_vars):
-        for sign, store in ((1, mins), (-1, maxs)):
-            obj = [Fraction(0)] * inst.num_vars
-            obj[j] = Fraction(sign)
-            prob = simplex.LpProblem(obj, rows, rhs, list(inst.lower), list(inst.upper))
-            sol = simplex.solve_lp(prob)
-            if sol.status is simplex.LpStatus.INFEASIBLE:
-                empty = True
-                break
-            if sol.status is simplex.LpStatus.UNBOUNDED:
-                bounded = False
-                notes.append(f"variable {j} is unbounded over the relaxation")
-                continue
-            if sol.status is not simplex.LpStatus.OPTIMAL:
-                bounded = False
-                notes.append(f"extremum LP for variable {j} failed: {sol.status.value}")
-                continue
-            exact = simplex.exact_primal(prob, sol)
-            store[j] = exact[j] if exact is not None else Fraction(repr(sol.x[j]))
-        if empty:
-            notes.append("linear relaxation is empty")
-            break
-
-    if empty or not bounded:
-        var_min = var_max = None
-    else:
-        var_min = tuple(v for v in mins)   # type: ignore[misc]
-        var_max = tuple(v for v in maxs)   # type: ignore[misc]
-
-    return AssumptionReport(
-        bounded=bounded,
-        integer_linking=integer_linking,
-        integer_follower_data=integer_follower_data,
-        relaxation_empty=empty,
-        var_min=var_min,
-        var_max=var_max,
-        notes=tuple(notes),
-    )
-
-
-def _apply_report(inst: MiblpInstance, report: AssumptionReport) -> MiblpInstance:
-    """Attach the report; replace infinite declared bounds with exact extrema."""
-    if any(hi is None for hi in inst.upper) and report.bounded and not report.relaxation_empty:
-        integer = set(inst.integer_indices())
-        new_upper = []
-        for j, hi in enumerate(inst.upper):
-            if hi is not None:
-                new_upper.append(hi)
-                continue
-            tight = report.var_max[j]  # type: ignore[index]
-            if j in integer:
-                tight = Fraction(math.floor(tight))
-            new_upper.append(tight)
-        inst = replace(inst, upper=tuple(new_upper))
-    elif any(hi is None for hi in inst.upper) and report.relaxation_empty:
-        inst = replace(inst, upper=tuple(lo if hi is None else hi
-                                         for lo, hi in zip(inst.lower, inst.upper)))
-    return replace(inst, assumptions=report)
+    zero = [Fraction(0)] * inst.num_vars
+    base = simplex.LpProblem(zero, [list(coeffs) for coeffs, _ in inst.all_rows()],
+                             [rhs for _, rhs in inst.all_rows()],
+                             list(inst.lower), list(inst.upper))
+    upper = list(inst.upper)
+    for j, hi in enumerate(inst.upper):
+        if hi is not None:
+            continue
+        obj = list(zero)
+        obj[j] = Fraction(-1)
+        prob = base.with_objective(obj)
+        sol = simplex.solve_lp(prob)
+        if sol.status is simplex.LpStatus.INFEASIBLE:
+            return tuple(lo if hi is None else hi
+                         for lo, hi in zip(inst.lower, inst.upper))
+        if sol.status is simplex.LpStatus.UNBOUNDED:
+            raise InstanceError(f"variable {j} is unbounded over the relaxation")
+        vertex = None
+        if sol.status is simplex.LpStatus.OPTIMAL:
+            vertex = simplex.exact_primal(prob, sol)
+        if vertex is None:
+            raise InstanceError(f"cannot recover an exact upper bound for variable {j} "
+                                f"(LP status {sol.status.name})")
+        upper[j] = Fraction(math.floor(vertex[j])) if j in integer else vertex[j]
+    return tuple(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -512,5 +482,5 @@ def generate_random_instance(seed: int, n1: int, n2: int, m1: int, m2: int,
             upper=tuple(frac(bound) for _ in range(n)),
             name=f"rand-{seed}-{n1}x{n2}",
         )
-        return _apply_report(inst, validate_assumptions(inst))
+        return validate_assumptions(inst)
     raise GenerationError("resampling exhausted: could not orient follower rows in 100 draws")

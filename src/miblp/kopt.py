@@ -14,7 +14,9 @@ those are exact rationals recovered from vertex solves over the follower
 rows.  Leader rows are deliberately left out of those solves: follower
 improvement steps only respect the follower's own constraints, so a cap
 taken over the jointly-feasible region can undershoot when leader rows
-pinch the follower variables.
+pinch the follower variables.  Parsing has already made every follower
+variable integer and every bound finite, so the cap is the sum of the
+integer widths of those extrema.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bruteforce
-from .instance import InstanceError, MiblpInstance, Point, validate_assumptions
+from .instance import InstanceError, MiblpInstance, Point
 from .simplex import LpProblem, LpStatus, exact_primal, solve_lp
 
 
@@ -40,8 +42,9 @@ class KoptContext:
 
 def _follower_extrema(inst: MiblpInstance):
     """Exact per-variable extrema over {boxes : follower rows hold}, via 2*n2
-    vertex solves.  Falls back to the declared box bound when a vertex cannot
-    be recovered exactly (a wider cap stays valid)."""
+    vertex solves; None when that region is empty.  Falls back to the
+    declared box bound when a vertex cannot be recovered exactly (a wider cap
+    stays valid)."""
     rows = [list(a) + list(g) for a, g in zip(inst.a2, inst.g2)]
     zero = [Fraction(0)] * inst.num_vars
     base = LpProblem(zero, rows, list(inst.b2), list(inst.lower), list(inst.upper))
@@ -53,6 +56,8 @@ def _follower_extrema(inst: MiblpInstance):
             obj[j] = Fraction(sign)
             problem = base.with_objective(obj)
             sol = solve_lp(problem)
+            if sol.status is LpStatus.INFEASIBLE:
+                return None
             if sol.status is not LpStatus.OPTIMAL:
                 raise InstanceError(
                     "follower region extrema are undefined "
@@ -61,29 +66,16 @@ def _follower_extrema(inst: MiblpInstance):
             if vertex is not None:
                 out.append(vertex[j])
             else:
-                box = inst.lower[j] if sign > 0 else inst.upper[j]
-                if box is None:
-                    raise InstanceError("cannot recover an exact follower extremum")
-                out.append(box)
+                out.append(inst.lower[j] if sign > 0 else inst.upper[j])
     return tuple(fmin), tuple(fmax)
 
 
 def make_context(inst: MiblpInstance) -> KoptContext:
-    report = inst.assumptions
-    if report is None or report.var_min is None:
-        report = validate_assumptions(inst)
-    if not report.bounded:
-        raise InstanceError("relaxation is unbounded; the radius cap is undefined")
-    if report.relaxation_empty:
+    extrema = _follower_extrema(inst)
+    if extrema is None:
         return KoptContext(inst, 0, (), ())
-    fmin, fmax = _follower_extrema(inst)
-    k_bar = 0
-    for i in range(inst.n2):
-        if i < inst.r2:
-            width = math.floor(fmax[i]) - math.ceil(fmin[i])
-        else:
-            width = math.ceil(fmax[i] - fmin[i])
-        k_bar += max(0, width)
+    fmin, fmax = extrema
+    k_bar = sum(max(0, math.floor(hi) - math.ceil(lo)) for lo, hi in zip(fmin, fmax))
     return KoptContext(inst, k_bar, fmin, fmax)
 
 

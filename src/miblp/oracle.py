@@ -1,12 +1,12 @@
 """Improving-direction oracle.
 
-Given a point (x̂, ŷ) of the relaxation, an improving feasible direction is a
-follower-space step w, integral on the integer coordinates, that keeps
-ŷ + w inside the follower's feasible set for x̂ and improves the follower
-objective by at least one unit (the scaled-integer convention; the follower
-objective is assumed integral on integer data).  A point of S is bilevel
-feasible exactly when no such w exists, which turns feasibility checking and
-cut separation into the same search problem.
+Given a point (x̂, ŷ) of the relaxation, an improving feasible direction is an
+integer follower-space step w that keeps ŷ + w inside the follower's feasible
+set for x̂ and improves the follower objective by at least one unit.  Parsing
+makes every follower variable integer and scales d2 to integers, so any
+improvement is at least one unit and a point of S is bilevel feasible exactly
+when no such w exists, which turns feasibility checking and cut separation
+into the same search problem.
 
 Three searches are provided: the exact MILP over all directions, the exact
 MILP restricted to 1-norm radius k, and a direct enumeration of the integer
@@ -152,9 +152,8 @@ def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
         obj = [Fraction(d) for d in inst.d2] + [-Fraction(d) for d in inst.d2]
     else:
         obj = [ONE] * (2 * n2) + ([ONE] * ns if with_s else [])
-    integers = tuple(range(inst.r2)) + tuple(n2 + i for i in range(inst.r2))
     lp = LpProblem(obj, rows, rhs, lower, upper)
-    return MilpProblem(lp, integers)
+    return MilpProblem(lp, tuple(range(2 * n2)))
 
 
 def _plain_problem(inst: MiblpInstance, point: Point, objective,
@@ -162,7 +161,7 @@ def _plain_problem(inst: MiblpInstance, point: Point, objective,
     rows, rhs = _direction_rows(inst, point)
     w_lo, w_hi = _w_bounds(inst, point)
     lp = LpProblem(list(objective), [list(r) for r in rows], rhs, w_lo, w_hi)
-    return MilpProblem(lp, tuple(range(inst.r2)), mode=mode)
+    return MilpProblem(lp, tuple(range(inst.n2)), mode=mode)
 
 
 def build_id_milp(inst: MiblpInstance, point: Point,
@@ -237,19 +236,15 @@ def _shell_vectors(r: int, k: int):
 
 def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
                            objective=DirectionObjective.NORM1) -> OracleOutcome:
-    """Enumerate integer directions of 1-norm <= k on the integer coordinates.
+    """Enumerate integer directions of 1-norm <= k.
 
-    Continuous follower coordinates stay at zero.  Vectors are visited by
-    increasing 1-norm, lexicographically within a shell, so under the Norm1
-    objective the first survivor is already optimal and stops the scan.
-    ``objective`` may also be a callable scoring a w tuple.
+    Vectors are visited by increasing 1-norm, lexicographically within a
+    shell, so under the Norm1 objective the first survivor is already optimal
+    and stops the scan.  ``objective`` may also be a callable scoring a w
+    tuple.
     """
     if k < 1:
         raise ValueError("radius k must be at least 1")
-    r2, n2 = inst.r2, inst.n2
-    if r2 == 0:
-        return OracleOutcome.exhausted()
-
     rows, rhs = _direction_rows(inst, point)
     w_lo, w_hi = _w_bounds(inst, point)
     pure_int = all(v.denominator == 1 for v in rhs) and \
@@ -257,42 +252,35 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
         all(v.denominator == 1 for v in w_lo) and \
         all(v is None or v.denominator == 1 for v in w_hi)
     if pure_int:
-        rows_n = [[int(v) for v in row[:r2]] for row in rows]
-        rhs_n = [int(v) for v in rhs]
-        lo_n = [int(v) for v in w_lo[:r2]]
-        hi_n = [None if v is None else int(v) for v in w_hi[:r2]]
-    else:
-        rows_n = [row[:r2] for row in rows]
-        rhs_n = rhs
-        lo_n = w_lo[:r2]
-        hi_n = w_hi[:r2]
+        rows = [[int(v) for v in row] for row in rows]
+        rhs = [int(v) for v in rhs]
+        w_lo = [int(v) for v in w_lo]
+        w_hi = [None if v is None else int(v) for v in w_hi]
 
     if callable(objective):
-        score = lambda w: objective(tuple(Fraction(v) for v in w) + (ZERO,) * (n2 - r2))
+        score = lambda w: objective(tuple(Fraction(v) for v in w))
         short_circuit = False
     elif objective is DirectionObjective.NORM1:
         score = lambda w: sum(abs(v) for v in w)
         short_circuit = True
     elif objective is DirectionObjective.STEEPEST:
-        d2 = [inst.d2[i] for i in range(r2)]
-        score = lambda w: dot(d2, [Fraction(v) for v in w])
+        score = lambda w: dot(inst.d2, [Fraction(v) for v in w])
         short_circuit = False
     else:
-        g2 = [row[:r2] for row in inst.g2]
-        score = lambda w: sum(max(ZERO, dot(g, [Fraction(v) for v in w])) for g in g2) \
+        score = lambda w: sum(max(ZERO, dot(g, [Fraction(v) for v in w])) for g in inst.g2) \
             + sum(abs(v) for v in w)
         short_circuit = False
 
     best_w, best_score = None, None
-    for w in _shell_vectors(r2, k):
+    for w in _shell_vectors(inst.n2, k):
         ok = True
         for j, v in enumerate(w):
-            if v < lo_n[j] or (hi_n[j] is not None and v > hi_n[j]):
+            if v < w_lo[j] or (w_hi[j] is not None and v > w_hi[j]):
                 ok = False
                 break
         if not ok:
             continue
-        for row, b in zip(rows_n, rhs_n):
+        for row, b in zip(rows, rhs):
             if sum(a * v for a, v in zip(row, w)) < b:
                 ok = False
                 break
@@ -305,8 +293,7 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
                 break
     if best_w is None:
         return OracleOutcome.exhausted()
-    full = tuple(Fraction(v) for v in best_w) + (ZERO,) * (n2 - r2)
-    return OracleOutcome.found(Direction.from_w(inst, full))
+    return OracleOutcome.found(Direction.from_w(inst, best_w))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +343,7 @@ def evaluate_phi(inst: MiblpInstance, x) -> Fraction | None:
     lower = [inst.lower[inst.n1 + i] for i in range(inst.n2)]
     upper = [inst.upper[inst.n1 + i] for i in range(inst.n2)]
     lp = LpProblem(list(inst.d2), rows, rhs, lower, upper)
-    sol = _solve(MilpProblem(lp, tuple(range(inst.r2))), "value function solve")
+    sol = _solve(MilpProblem(lp, tuple(range(inst.n2))), "value function solve")
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return sol.objective

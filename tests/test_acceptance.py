@@ -334,8 +334,7 @@ def test_criterion_9_bench_harness_completes_desk_scale_matrix_with_well_formed_
     configurations = [(name, SolverConfig(oracle_mode=mode, oracle=oracle_cfg))
                       for name, mode, oracle_cfg in presets]
     csv_path = tmp_path / "matrix.csv"
-    records = run_matrix(instances, configurations, csv_path=csv_path,
-                         workers=4)
+    records = run_matrix(instances, configurations, csv_path=csv_path)
     assert len(records) == 120
     assert len(read_records(csv_path)) == 120
     assert {r.status for r in records} <= {"Optimal", "Infeasible",

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -115,13 +117,13 @@ def test_run_matrix(moore_bard, tmp_path):
     csv_path = tmp_path / "runs.csv"
     instances = [("mb", moore_bard)]
     configs = [("a", SolverConfig()), ("b", SolverConfig(use_isic=True))]
-    records = run_matrix(instances, configs, csv_path=csv_path, workers=2)
+    records = run_matrix(instances, configs, csv_path=csv_path)
     assert [(r.instance, r.config) for r in records] == [("mb", "a"), ("mb", "b")]
     assert all(r.solved() and r.gap == 0.0 and r.nodes > 0 for r in records)
     assert all(r.wall_s > 0 and r.cpu_s >= 0 and r.ifd_total_s >= 0
                for r in records)
     # appending a second matrix keeps a single header and all eight rows
-    run_matrix(instances, configs, csv_path=csv_path, workers=1)
+    run_matrix(instances, configs, csv_path=csv_path)
     text = csv_path.read_text().strip().splitlines()
     assert sum(1 for line in text if line == ",".join(CSV_HEADER)) == 1
     assert len(read_records(csv_path)) == 4
@@ -135,15 +137,16 @@ def test_run_matrix_limit_and_error(moore_bard, tmp_path):
     assert records[0].status == "LimitReached"
     assert not records[0].solved()
     assert records[0].gap == math.inf
-    unbounded = parse_instance("""MIBLP 1
+    # parsing refuses an unbounded relaxation, so build one past the gate
+    unbounded = replace(parse_instance("""MIBLP 1
 VARS 1 1 1 1
 OBJ_UPPER 0 -1
 OBJ_LOWER 1
-BOUNDS 0 3 0 inf
+BOUNDS 0 3 0 9
 UPPER 0
 LOWER 1
 1 1 >= 4
-""")
+"""), upper=(Fraction(3), None))
     records = run_matrix([("ub", unbounded)], [("a", SolverConfig())])
     assert records[0].status == "Error"
     assert math.isinf(records[0].gap)

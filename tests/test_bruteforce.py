@@ -83,14 +83,16 @@ LOWER 1
 
 
 def test_pure_integer_guard():
+    # the continuous leader stays out of the follower rows, which parsing allows
     text = """MIBLP 1
 VARS 1 0 1 1
 OBJ_UPPER 0 1
 OBJ_LOWER 1
 BOUNDS 0 2 0 2
-UPPER 0
-LOWER 1
+UPPER 1
 1 1 >= 1
+LOWER 1
+0 1 >= 1
 """
     inst = parse_instance(text)
     assert not inst.is_pure_integer()

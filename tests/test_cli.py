@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA, MOORE_BARD
-from miblp import kopt
+from conftest import DATA, MOORE_BARD, THREE_D
+from miblp import cli, kopt
+from miblp.bnc import OracleMode
 from miblp.bench import read_records
 from miblp.cli import agreement_failures, main
-from miblp.instance import parse_instance
+from miblp.instance import InstanceError, parse_instance
 
 MB = str(DATA / "moore_bard.miblp")
 TD = str(DATA / "three_d.miblp")
@@ -123,13 +124,42 @@ def test_verify_rejects_mixed(tmp_path, capsys):
     mixed = tmp_path / "mixed.miblp"
     mixed.write_text(MOORE_BARD.replace("VARS 1 1 1 1", "VARS 1 1 1 0"))
     assert main(["verify", str(mixed)]) == 2
+    # fractional follower data is scaled to integers at parse time
     frac = tmp_path / "frac.miblp"
     frac.write_text(MOORE_BARD.replace("2 10 >= 15", "2 10 >= 31/2"))
-    assert main(["verify", str(frac)]) == 2
+    assert main(["verify", str(frac)]) == 0
 
 
 def test_agreement_failures_clean(moore_bard):
     assert agreement_failures(moore_bard, ks=(1, 2)) == []
+
+
+def test_agreement_failures_check_legacy_mode(monkeypatch, moore_bard):
+    real_solve = cli.solve
+
+    def legacy_off_by_one(inst, cfg):
+        res = real_solve(inst, cfg)
+        if cfg.oracle_mode is OracleMode.LEGACY:
+            res.value += 1
+        return res
+
+    monkeypatch.setattr(cli, "solve", legacy_off_by_one)
+    assert agreement_failures(moore_bard, check_hierarchy=False) == [
+        "legacy solver value -21 differs from enumerated optimum -22"]
+
+
+@pytest.mark.parametrize("text, cause", [
+    (MOORE_BARD.replace("VARS 1 1 1 1", "VARS 1 1 1 0"), "continuous follower"),
+    (MOORE_BARD.replace("VARS 1 1 1 1", "VARS 1 0 1 1"), "continuous leader"),
+    (THREE_D.replace("VARS 1 1 2 2", "VARS 1 1 2 1"), "continuous follower"),
+])
+def test_solve_refuses_out_of_scope(tmp_path, capsys, text, cause):
+    with pytest.raises(InstanceError, match=cause):
+        parse_instance(text)
+    path = tmp_path / "bad.miblp"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_gen_deterministic(tmp_path, capsys):

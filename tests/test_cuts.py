@@ -56,16 +56,13 @@ LOWER 1
     )
 
 
-def test_epsilon_relaxation_for_fractional_data(moore_bard):
+def test_fractional_row_scaled_to_unit_relaxation(moore_bard):
     from conftest import MOORE_BARD
-    text = MOORE_BARD
-    inst = parse_instance(text.replace("OBJ_LOWER 1", "OBJ_LOWER 2/2"))
-    assert inst.assumptions.integer_follower_data
-    frac = parse_instance(text.replace("2 10 >= 15", "2 10 >= 31/2"))
-    assert not frac.assumptions.integer_follower_data
+    frac = parse_instance(MOORE_BARD.replace("2 10 >= 15", "2 10 >= 31/2"))
+    assert (frac.a2[3], frac.g2[3], frac.b2[3]) == ((4,), (20,), 31)
     fs = bfs_from_direction(frac, (-1,))
-    lower_rhs = fs.rows[4][1]
-    assert lower_rhs == 0 - Fraction(1, 10000) - (-1)
+    assert fs.rows[3] == ((4, 20), 31 - 1 - 20 * (-1))
+    assert fs.rows[4] == ((0, 1), 0 - 1 - (-1))
 
 
 def test_root_intersection_cut(moore_bard):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from miblp.bnc import OracleMode, SolverConfig, SolveStatus, solve
+from miblp.bruteforce import optimal_by_enumeration
 from miblp.instance import (InstanceError, MiblpInstance, ParseError, Point,
                             generate_random_instance, parse_instance,
                             validate_assumptions, write_instance)
@@ -100,7 +103,6 @@ LOWER 1
     inst = parse_instance(text)
     # y <= 4 - x <= 4 over the relaxation
     assert inst.upper == (3, 4)
-    assert inst.assumptions is not None and inst.assumptions.bounded
 
 
 def test_validation_flags_unbounded():
@@ -113,9 +115,8 @@ UPPER 0
 LOWER 1
 1 1 >= 4
 """
-    inst = parse_instance(text)
-    assert not inst.assumptions.bounded
-    assert inst.upper[1] is None
+    with pytest.raises(InstanceError, match="unbounded"):
+        parse_instance(text)
 
 
 def test_empty_relaxation_report():
@@ -129,7 +130,7 @@ LOWER 1
 1 1 >= 99
 """
     inst = parse_instance(text)
-    assert inst.assumptions.relaxation_empty
+    assert solve(inst).status is SolveStatus.INFEASIBLE
 
 
 def test_generator_deterministic_and_valid():
@@ -146,5 +147,56 @@ def test_generator_deterministic_and_valid():
 def test_fractional_coefficients_parse():
     text = MOORE_BARD.replace("OBJ_LOWER 1", "OBJ_LOWER 1/2")
     inst = parse_instance(text)
-    assert inst.d2 == (Fraction(1, 2),)
-    assert not inst.assumptions.integer_follower_data
+    assert inst.d2 == (Fraction(1),)
+
+
+# -- the scope gate ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", list(OracleMode))
+def test_fractional_follower_objective_is_scaled(mode):
+    # d2 = 1/2 has the argmin of d2 = 1; without scaling, a half-unit follower
+    # improvement escapes the unit-step certificate
+    inst = parse_instance(MOORE_BARD.replace("OBJ_LOWER 1", "OBJ_LOWER 1/2"))
+    res = solve(inst, SolverConfig(oracle_mode=mode))
+    assert res.status is SolveStatus.OPTIMAL and res.value == -22
+    assert (res.incumbent.x, res.incumbent.y) == ((2,), (2,))
+
+
+def test_integer_bounds_rounded():
+    inst = parse_instance(MOORE_BARD.replace("BOUNDS 0 8 0 5", "BOUNDS 1/2 8 0 11/2"))
+    assert inst.lower == (1, 0) and inst.upper == (8, 5)
+    with pytest.raises(InstanceError, match="no value"):
+        parse_instance(MOORE_BARD.replace("BOUNDS 0 8 0 5", "BOUNDS 0 8 1/3 1/2"))
+
+
+def test_unrecoverable_bound_refused(monkeypatch):
+    from miblp import simplex
+    text = MOORE_BARD.replace("BOUNDS 0 8 0 5", "BOUNDS 0 8 0 inf")
+    assert parse_instance(text).upper == (8, 4)
+    monkeypatch.setattr(simplex, "exact_primal", lambda problem, sol: None)
+    with pytest.raises(InstanceError, match="exact upper bound"):
+        parse_instance(text)
+
+
+def test_scaled_follower_rows_give_back_integral_data():
+    # primes above the coefficient range are coprime to every row's content,
+    # so scaling by the LCM of the denominators undoes the division exactly
+    primes = (7, 11, 13, 17)
+    for seed in range(20):
+        inst = generate_random_instance(seed, 2, 2, 0, 3, bound=4)
+        divided = replace(
+            inst, d2=tuple(v / 2 for v in inst.d2),
+            a2=tuple(tuple(v / p for v in row) for row, p in zip(inst.a2, primes)),
+            g2=tuple(tuple(v / p for v in row) for row, p in zip(inst.g2, primes)),
+            b2=tuple(v / p for v, p in zip(inst.b2, primes)))
+        again = parse_instance(write_instance(divided))
+        content = math.gcd(*(int(v) for v in inst.d2))
+        assert again.d2 == tuple(v / math.gcd(2, content) for v in inst.d2)
+        assert (again.a2, again.g2, again.b2) == (inst.a2, inst.g2, inst.b2)
+        best = optimal_by_enumeration(inst)
+        res = solve(again)
+        if best is None:
+            assert res.status is SolveStatus.INFEASIBLE
+        else:
+            assert res.status is SolveStatus.OPTIMAL and res.value == best[1]
