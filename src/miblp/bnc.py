@@ -2,14 +2,18 @@
 
 The search keeps a best-first queue ordered by parent dual bound (FIFO on
 ties).  Each node solves its LP over the instance rows, the global cut pool,
-and the node's own bounds, then runs a cut loop: the improving-direction
-oracle is queried at the exact LP vertex, a certificate of "no improving
-direction" at an integral point makes that vertex the incumbent, and a found
-direction feeds intersection-cut generation; anything else branches.
+and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
+improving-direction oracle is queried only where its answer can change the
+tree: where a found direction can still become a cut (cut rounds remain and
+the vertex's cone rests on root bounds, see below), or at an integral vertex
+that no direction from the solve's pool refutes.  A certificate of "no
+improving direction" at an integral vertex makes it the incumbent, a found
+direction feeds intersection-cut generation where it can, and anything else
+branches.
 
 In legacy mode integral vertices are instead checked by comparing the
 follower value against the value function, before any separation; a failed
-check escalates to the exact direction search purely to source cuts.
+check escalates to the exact direction search only where a cut can follow.
 
 Cuts are pooled globally, so a cut is only generated from cones resting on
 globally valid constraints: when the cone's tight set uses a variable bound
@@ -22,8 +26,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -87,6 +92,8 @@ class SolveStats:
     cuts_isic: int = 0
     oracle_calls: int = 0
     oracle_time: float = 0.0
+    oracle_skipped: int = 0     # fractional vertices branched without a query
+    pool_refutations: int = 0   # integral vertices refuted by a pooled direction
     phi_calls: int = 0
     certificates: int = 0
 
@@ -119,6 +126,42 @@ class _Node:
     lower: list
     upper: list
     retried: bool = False
+
+
+class DirectionPool:
+    """Improving directions found earlier in the solve, most recently used
+    first.  A step w improves the follower at (x, y) when y + w stays in the
+    follower box, G2 w >= rho = b2 - A2 x - G2 y, and d2 w <= -1; the last
+    holds wherever w was found, so a pooled w is re-checked against the rows
+    and the box only, in ints (parsing makes the follower data integral)."""
+
+    def __init__(self, inst: MiblpInstance):
+        self.linking = inst.linking_indices()
+        self.rows = [([int(a) for a in a2], [int(g) for g in g2], int(b))
+                     for a2, g2, b in zip(inst.a2, inst.g2, inst.b2)]
+        self.box = [(int(lo), None if hi is None else int(hi))
+                    for lo, hi in zip(inst.lower[inst.n1:], inst.upper[inst.n1:])]
+        self.entries = []            # (w, G2 w), move-to-front
+
+    def add(self, w):
+        w = tuple(int(v) for v in w)
+        if all(w != e[0] for e in self.entries):
+            self.entries.insert(0, (w, tuple(sum(map(operator.mul, g, w))
+                                             for _, g, _ in self.rows)))
+
+    def refute(self, point: Point):
+        """A pooled w improving the follower at the integral point, or None."""
+        x, y = point.x, [int(v) for v in point.y]
+        rho = [b - sum(a[j] * int(x[j]) for j in self.linking)
+               - sum(map(operator.mul, g, y)) for a, g, b in self.rows]
+        box = [(lo - v, None if hi is None else hi - v)
+               for (lo, hi), v in zip(self.box, y)]
+        for i, (w, gw) in enumerate(self.entries):
+            if all(r <= s for r, s in zip(rho, gw)) and \
+                    all(lo <= v and (hi is None or v <= hi) for v, (lo, hi) in zip(w, box)):
+                self.entries.insert(0, self.entries.pop(i))
+                return w
+        return None
 
 
 def solve(inst: MiblpInstance, cfg: SolverConfig | None = None) -> SolveResult:
@@ -189,6 +232,8 @@ class BranchAndCut:
         self.value: Fraction | None = None
         self.value_f = math.inf
         self.phi_cache: dict = {}
+        self.directions = DirectionPool(inst)
+        self._deadline = None
 
     # -- plumbing -------------------------------------------------------
 
@@ -219,19 +264,27 @@ class BranchAndCut:
         return self.value_f - max(ABS_GAP, REL_GAP * abs(self.value_f))
 
     def _oracle(self, point: Point, depth: int, oracle_cfg: OracleConfig | None = None):
+        """The direction search, held to the solve's deadline; every direction
+        it finds joins the pool."""
+        cfg = oracle_cfg or self.cfg.oracle
+        if self._deadline is not None:
+            left = max(0.0, self._deadline - time.monotonic())
+            if cfg.time_limit is None or left < cfg.time_limit:
+                cfg = replace(cfg, time_limit=left)
         self.stats.oracle_calls += 1
         t0 = time.perf_counter()
         try:
-            return oracle_mod.find_improving_direction(
-                self.inst, point, depth, oracle_cfg or self.cfg.oracle)
+            outcome = oracle_mod.find_improving_direction(self.inst, point, depth, cfg)
         finally:
             self.stats.oracle_time += time.perf_counter() - t0
+        if outcome.kind is OutcomeKind.FOUND:
+            self.directions.add(outcome.direction.w)
+        return outcome
 
     def _exact_direction(self, point: Point):
         """Exact (ID), used by legacy mode to source cuts at infeasible points."""
-        return self._oracle(point, 0, OracleConfig(
-            method=DirectionMethod.EXACT_MILP, objective=self.cfg.oracle.objective,
-            node_limit=self.cfg.oracle.node_limit, time_limit=self.cfg.oracle.time_limit))
+        return self._oracle(point, 0, replace(self.cfg.oracle,
+                                              method=DirectionMethod.EXACT_MILP))
 
     def _legacy_check(self, point: Point) -> bool:
         self.stats.phi_calls += 1
@@ -269,6 +322,12 @@ class BranchAndCut:
             elif self._current_lower[j] != self.root_lower[j]:
                 return False
         return True
+
+    def _can_cut(self, prob: LpProblem, sol, rounds: int, tail: int) -> bool:
+        """Whether a direction found at the solved vertex could become a
+        pooled cut; uses the cached recovery, so computes no ray."""
+        return (rounds < self.cfg.max_cut_rounds and tail < TAILING_OFF_ROUNDS
+                and self._cone_is_global(simplex.tight_bound_supports(prob, sol)))
 
     def _make_cuts(self, cone, point: Point, direction) -> int:
         """Generate enabled cuts from the direction; returns cuts added."""
@@ -338,6 +397,7 @@ class BranchAndCut:
                 return ("retry", None) if not node.retried else ("branch", (None, bound, False))
             point = Point(tuple(exact[:self.inst.n1]), tuple(exact[self.inst.n1:]))
             integral = self.inst.is_integral(point)
+            can_cut = self._can_cut(prob, sol, rounds, tail)
 
             if self.cfg.oracle_mode is OracleMode.LEGACY:
                 if not integral:
@@ -349,15 +409,26 @@ class BranchAndCut:
                 if feasible:
                     self.stats.certificates += 1
                     return "incumbent", (point, bound)
+                # the value function already proved infeasibility; a direction
+                # is needed only to build cuts from
+                if not can_cut:
+                    return "branch", (point, bound, True)
                 try:
                     outcome = self._exact_direction(point)
                 except OracleInconclusive:
                     return "branch", (point, bound, True)
                 if outcome.kind is not OutcomeKind.FOUND:
-                    # the value function already proved infeasibility; with no
-                    # direction to build cuts from, only branching remains
                     return "branch", (point, bound, True)
             else:
+                if not can_cut:
+                    # every oracle outcome at a fractional vertex branches; at
+                    # an integral one any exactly checked direction refutes it
+                    if not integral:
+                        self.stats.oracle_skipped += 1
+                        return "branch", (point, bound, False)
+                    if self.directions.refute(point) is not None:
+                        self.stats.pool_refutations += 1
+                        return "branch", (point, bound, True)
                 try:
                     outcome = self._oracle(point, node.depth)
                 except OracleInconclusive:
@@ -371,13 +442,9 @@ class BranchAndCut:
                     return "branch", (point, bound, False)
 
             # a direction exists: the vertex is not bilevel feasible
-            if rounds >= self.cfg.max_cut_rounds or tail >= TAILING_OFF_ROUNDS:
+            if not can_cut:
                 return "branch", (point, bound, True)
-            # only a cone on globally valid constraints can feed the pool, so
-            # its rays are computed only after its bound supports pass
             try:
-                if not self._cone_is_global(simplex.tight_bound_supports(prob, sol)):
-                    return "branch", (point, bound, True)
                 cone = simplex.extract_cone(prob, sol)
             except DegenerateConeError:
                 return "branch", (point, bound, True)
@@ -394,7 +461,8 @@ class BranchAndCut:
 
     def run(self) -> SolveResult:
         cfg = self.cfg
-        deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
+        deadline = self._deadline = \
+            None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         next_id = itertools.count()
         seq = itertools.count()
         root = _Node(next(next_id), 0, -math.inf,

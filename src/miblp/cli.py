@@ -143,7 +143,9 @@ def _cmd_solve(parser, args) -> int:
     print(f"nodes: {res.stats.nodes}  cuts: {res.stats.cuts_idic} idic, "
           f"{res.stats.cuts_isic} isic")
     print(f"oracle: {res.stats.oracle_calls} calls, "
-          f"{res.stats.oracle_time:.3f}s finding directions")
+          f"{res.stats.oracle_time:.3f}s finding directions, "
+          f"{res.stats.oracle_skipped} skipped, "
+          f"{res.stats.pool_refutations} refuted from pool")
     if args.trace is not None:
         Path(args.trace).write_text("\n".join(res.trace) + "\n")
         print(f"trace written to {args.trace}")
@@ -154,6 +156,8 @@ def _cmd_solve(parser, args) -> int:
                  nodes=res.stats.nodes,
                  cuts=res.stats.cuts_idic + res.stats.cuts_isic,
                  oracle_calls=res.stats.oracle_calls,
+                 oracle_skipped=res.stats.oracle_skipped,
+                 pool_refutations=res.stats.pool_refutations,
                  ifd_time=f"{res.stats.oracle_time:.6f}",
                  wall=f"{wall:.6f}")
     return 0 if res.status is not SolveStatus.LIMIT_REACHED else 1

@@ -28,6 +28,15 @@ def test_solve_reports_optimum(capsys):
     assert int(kv["nodes"]) < 100
 
 
+def test_solve_reports_oracle_savings(capsys):
+    assert main(["solve", TD]) == 0
+    out = capsys.readouterr().out
+    kv = result_kv(out, "solve")
+    skipped, refuted = int(kv["oracle_skipped"]), int(kv["pool_refutations"])
+    assert skipped > 0 and refuted > 0
+    assert f"{skipped} skipped, {refuted} refuted from pool" in out
+
+
 def test_solve_flags_and_trace(capsys, tmp_path):
     trace = tmp_path / "trace.txt"
     rc = main(["solve", MB, "--oracle", "legacy", "--cuts", "idic,isic",
