@@ -130,35 +130,26 @@ class _Node:
 
 class DirectionPool:
     """Improving directions found earlier in the solve, most recently used
-    first.  A step w improves the follower at (x, y) when y + w stays in the
-    follower box, G2 w >= rho = b2 - A2 x - G2 y, and d2 w <= -1; the last
-    holds wherever w was found, so a pooled w is re-checked against the rows
-    and the box only, in ints (parsing makes the follower data integral)."""
+    first, each with its activity on the rows of the oracle's integer step
+    image, so that re-checking a pooled w at a point is exact and needs
+    only the image's right-hand side and box there."""
 
     def __init__(self, inst: MiblpInstance):
-        self.linking = inst.linking_indices()
-        self.rows = [([int(a) for a in a2], [int(g) for g in g2], int(b))
-                     for a2, g2, b in zip(inst.a2, inst.g2, inst.b2)]
-        self.box = [(int(lo), None if hi is None else int(hi))
-                    for lo, hi in zip(inst.lower[inst.n1:], inst.upper[inst.n1:])]
-        self.entries = []            # (w, G2 w), move-to-front
+        self.inst = inst
+        self.rows = oracle_mod.step_rows(inst)
+        self.entries = []            # (w, rows . w), move-to-front
 
     def add(self, w):
         w = tuple(int(v) for v in w)
         if all(w != e[0] for e in self.entries):
-            self.entries.insert(0, (w, tuple(sum(map(operator.mul, g, w))
-                                             for _, g, _ in self.rows)))
+            self.entries.insert(0, (w, tuple(sum(map(operator.mul, row, w))
+                                             for row in self.rows)))
 
     def refute(self, point: Point):
-        """A pooled w improving the follower at the integral point, or None."""
-        x, y = point.x, [int(v) for v in point.y]
-        rho = [b - sum(a[j] * int(x[j]) for j in self.linking)
-               - sum(map(operator.mul, g, y)) for a, g, b in self.rows]
-        box = [(lo - v, None if hi is None else hi - v)
-               for (lo, hi), v in zip(self.box, y)]
-        for i, (w, gw) in enumerate(self.entries):
-            if all(r <= s for r, s in zip(rho, gw)) and \
-                    all(lo <= v and (hi is None or v <= hi) for v, (lo, hi) in zip(w, box)):
+        """A pooled w improving the follower at the point, or None."""
+        image = oracle_mod.step_image(self.inst, point)
+        for i, (w, activity) in enumerate(self.entries):
+            if image.admits(w, activity):
                 self.entries.insert(0, self.entries.pop(i))
                 return w
         return None
@@ -178,10 +169,9 @@ def choose_branch_variable(inst: MiblpInstance, point: Point, node, strategy):
     values allowed), falling back to Fractional when all linking are fixed.
     """
     z = point.joint()
-    half = Fraction(1, 2)
 
     def unfixed(j):
-        return node.upper[j] is None or node.lower[j] < node.upper[j]
+        return node.lower[j] < node.upper[j]
 
     if strategy is Branching.LINKING_PRIORITY:
         best = None
@@ -263,14 +253,19 @@ class BranchAndCut:
             return math.inf
         return self.value_f - max(ABS_GAP, REL_GAP * abs(self.value_f))
 
+    def _time_limit(self, cfg: OracleConfig) -> float | None:
+        """The time left in the solve, or the oracle's own limit when that is
+        smaller."""
+        if self._deadline is None:
+            return cfg.time_limit
+        left = max(0.0, self._deadline - time.monotonic())
+        return left if cfg.time_limit is None else min(left, cfg.time_limit)
+
     def _oracle(self, point: Point, depth: int, oracle_cfg: OracleConfig | None = None):
         """The direction search, held to the solve's deadline; every direction
         it finds joins the pool."""
         cfg = oracle_cfg or self.cfg.oracle
-        if self._deadline is not None:
-            left = max(0.0, self._deadline - time.monotonic())
-            if cfg.time_limit is None or left < cfg.time_limit:
-                cfg = replace(cfg, time_limit=left)
+        cfg = replace(cfg, time_limit=self._time_limit(cfg))
         self.stats.oracle_calls += 1
         t0 = time.perf_counter()
         try:
@@ -290,7 +285,8 @@ class BranchAndCut:
         self.stats.phi_calls += 1
         x = point.x
         if x not in self.phi_cache:
-            self.phi_cache[x] = oracle_mod.evaluate_phi(self.inst, x)
+            self.phi_cache[x] = oracle_mod.evaluate_phi(
+                self.inst, x, self._time_limit(self.cfg.oracle))
         phi = self.phi_cache[x]
         return phi is not None and self.inst.follower_value(point.y) <= phi
 
@@ -502,11 +498,8 @@ class BranchAndCut:
                 self.inst, point, node, cfg.branching)
             if decision is None and point is None:
                 for j in self.inst.integer_indices():
-                    if node.upper[j] is None or node.lower[j] < node.upper[j]:
-                        hi = node.upper[j]
-                        mid = node.lower[j] + 1 if hi is None else \
-                            node.lower[j] + (hi - node.lower[j]) // 2
-                        decision = (j, mid)
+                    if node.lower[j] < node.upper[j]:
+                        decision = (j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
                         break
             if decision is None:
                 if proven and self.inst.is_pure_integer():
@@ -532,19 +525,9 @@ class BranchAndCut:
                 break
             j, v = decision
             child_bound = node.parent_bound if bound is None else bound
-            floor_v = Fraction(math.floor(v))
-            if v.denominator == 1 and node.upper[j] is not None and v == node.upper[j]:
-                down_hi = v - 1
-            elif v.denominator == 1:
-                down_hi = v
-            else:
-                down_hi = floor_v
             # clamp the split inside the box so both children strictly shrink;
             # otherwise a child repeats its parent and the search cycles
-            if node.upper[j] is not None and down_hi > node.upper[j] - 1:
-                down_hi = node.upper[j] - 1
-            if down_hi < node.lower[j]:
-                down_hi = node.lower[j]
+            down_hi = max(node.lower[j], min(Fraction(math.floor(v)), node.upper[j] - 1))
             up_lo = down_hi + 1
             for lo_j, hi_j in ((None, down_hi), (up_lo, None)):
                 lo = list(node.lower)

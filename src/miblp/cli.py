@@ -284,9 +284,10 @@ def agreement_failures(inst: MiblpInstance, ks=(1, 2, 3), *,
                             f"enumeration {enum_f}")
         level = tables[point.x].get(point.y)
         for k in k_list:
-            prob = replace(oracle_mod.build_k_id_milp(inst, point, k),
-                           mode="first-feasible")
-            sol = solve_milp(prob)
+            # a feasibility question: with no objective the first integral
+            # vertex closes the tree
+            prob = oracle_mod.build_k_id_milp(inst, point, k)
+            sol = solve_milp(replace(prob, lp=prob.lp.with_objective([0] * prob.lp.n)))
             kid_feasible = sol.x is not None
             norm_le = level is not None and level <= k
             not_in_fk = not (level is None or level > k)

@@ -11,9 +11,12 @@ no integral feasible point.
 
 The intersection cut of a free set with a simplicial cone containing the
 feasible region is the hyperplane through the points where the cone's rays
-leave the free set.  With the exact rational cones produced by the simplex
-module, the cut is computed exactly and normalized to coprime integer
-coefficients, so identical cuts deduplicate by equality.
+leave the free set.  The cone's facets meet its rays in the identity, so the
+cut is Balas's closed form: the sum over rays q of facet_q (z - vertex) /
+lambda_q >= 1, with lambda_q the step at which ray q leaves the set.  With
+the exact rational cones produced by the simplex module it needs no linear
+solve, and it is normalized to coprime integer coefficients, so identical
+cuts deduplicate by equality.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import dot, solve_vector
+from .exactlin import dot
 from .instance import MiblpInstance, Point
 from .simplex import SimplicialCone
 
@@ -50,11 +53,6 @@ class BilevelFreeSet:
     def strictly_contains(self, point: Point) -> bool:
         z = point.joint()
         return all(dot(a, z) > b for a, b in self.rows)
-
-    def interior_margin(self, z) -> float:
-        zf = [float(v) for v in z]
-        return min(sum(float(a) * v for a, v in zip(row, zf)) - float(b)
-                   for row, b in self.rows)
 
 
 def bfs_from_direction(inst: MiblpInstance, w) -> BilevelFreeSet:
@@ -148,28 +146,19 @@ def intersection_cut(cone: SimplicialCone, free_set: BilevelFreeSet,
     leaves the set, which certifies the cone holds no feasible point.
     """
     v = list(cone.vertex)
-    slacks = []
-    for coeffs, b in free_set.rows:
-        slacks.append(dot(coeffs, v) - b)
+    slacks = [dot(coeffs, v) - b for coeffs, b in free_set.rows]
     if min(float(s) for s in slacks) < INTERIOR_MARGIN:
         raise NotSeparableError("cone vertex is not strictly interior to the free set")
 
-    inv_lambda = []
-    for ray in cone.rays:
-        best = None
-        for (coeffs, _), slack in zip(free_set.rows, slacks):
-            d = dot(coeffs, ray)
-            if d < 0:
-                lam = -slack / d
-                if best is None or lam < best:
-                    best = lam
-        inv_lambda.append(Fraction(0) if best is None else 1 / best)
+    # ray q leaves the set at the step lambda_q where a row it decreases
+    # first loses its slack; 1/lambda_q is 0 when the ray never leaves
+    inv_lambda = [max([Fraction(0)] + [-dot(coeffs, ray) / slack for (coeffs, _), slack
+                                       in zip(free_set.rows, slacks)])
+                  for ray in cone.rays]
     if all(u == 0 for u in inv_lambda):
         raise ConeContainedError("free set contains the whole cone")
 
-    alpha = solve_vector([list(r) for r in cone.rays], inv_lambda)
-    if alpha is None:
-        raise NotSeparableError("cone rays are numerically dependent")
+    alpha = [dot(inv_lambda, column) for column in zip(*cone.facets)]
     beta = 1 + dot(alpha, v)
     alpha, beta = _normalize(alpha, beta)
     return Cut(alpha_x=alpha[:n1], alpha_y=alpha[n1:],

@@ -1,9 +1,11 @@
 """Branch-and-bound MILP subsolver on top of the bounded-variable simplex.
 
 Node selection is best-first on the parent LP bound, after an initial
-depth-first dive that hunts down a first incumbent quickly (which is what
-makes first-feasible mode cheap).  Branching picks the integer variable whose
-fractional part is closest to 1/2, ties broken by lowest index.
+depth-first dive that hunts down a first incumbent quickly.  A feasibility
+question is asked with a zero objective: the first integral vertex then
+matches every open node's bound, so the bound prune closes the tree at once.
+Branching picks the integer variable whose fractional part is closest to
+1/2, ties broken by lowest index.
 
 Candidate incumbents are re-derived exactly from the final LP basis, so the
 reported optimum is a rational point that satisfies every row exactly; the
@@ -36,7 +38,6 @@ class MilpError(Exception):
 class MilpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    FEASIBLE_FOUND = "feasible found"
     LIMIT_REACHED = "limit reached"
 
 
@@ -44,15 +45,11 @@ class MilpStatus(Enum):
 class MilpProblem:
     lp: LpProblem
     integer_indices: tuple
-    cutoff: Fraction | None = None      # accept only points with objective <= cutoff
-    mode: str = "optimize"              # "optimize" | "first-feasible"
 
     def __post_init__(self):
         n = self.lp.n
         if any(j < 0 or j >= n for j in self.integer_indices):
             raise ValueError("integer index out of range")
-        if self.mode not in ("optimize", "first-feasible"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -76,7 +73,6 @@ def solve_milp(problem: MilpProblem,
                time_limit: float | None = None) -> MilpSolution:
     lp = problem.lp
     int_set = tuple(sorted(set(problem.integer_indices)))
-    cutoff_f = None if problem.cutoff is None else float(problem.cutoff)
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     best_x = None
@@ -113,8 +109,6 @@ def solve_milp(problem: MilpProblem,
             node = heapq.heappop(frontier)
         if node.bound >= best_obj_f - PRUNE_TOL:
             continue
-        if cutoff_f is not None and node.bound > cutoff_f + PRUNE_TOL:
-            continue
 
         nodes += 1
         node_lp = lp.with_bounds(node.lower, node.upper)
@@ -126,8 +120,6 @@ def solve_milp(problem: MilpProblem,
         if sol.status is LpStatus.UNSTABLE:
             raise MilpError("LP subsolver numerically unstable")
         if sol.objective >= best_obj_f - PRUNE_TOL:
-            continue
-        if cutoff_f is not None and sol.objective > cutoff_f + PRUNE_TOL:
             continue
 
         branch_j = _most_fractional(sol.x, int_set)
@@ -142,13 +134,9 @@ def solve_milp(problem: MilpProblem,
                                frac_j, exact[frac_j], sol.objective, next_seq)
                 continue
             obj = dot([Fraction(v) for v in lp.objective], exact)
-            if problem.cutoff is not None and obj > problem.cutoff:
-                continue
             if best_obj is None or obj < best_obj:
                 best_x, best_obj, best_obj_f = exact, obj, float(obj)
                 diving = False
-                if problem.mode == "first-feasible":
-                    return MilpSolution(MilpStatus.FEASIBLE_FOUND, best_x, best_obj, nodes)
             continue
 
         v = sol.x[branch_j]
@@ -173,12 +161,8 @@ def _most_fractional(x, int_set):
 
 
 def _push_children(store, diving, node, j, value, bound, next_seq):
-    if isinstance(value, Fraction):
-        fl = value.numerator // value.denominator
-        prefer_down = (value - fl) < Fraction(1, 2)
-    else:
-        fl = math.floor(value)
-        prefer_down = (value - fl) < 0.5
+    fl = math.floor(value)          # exact for a float and for a Fraction
+    prefer_down = value - fl < 0.5
     down_upper = list(node.upper)
     down_upper[j] = Fraction(fl)
     down = _Node(bound, next_seq(), list(node.lower), down_upper)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import ge, mul
 
 from . import milp
 from .exactlin import dot
@@ -116,9 +117,46 @@ def _direction_rows(inst: MiblpInstance, point: Point):
 
 def _w_bounds(inst: MiblpInstance, point: Point):
     lo = [inst.lower[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
-    hi = [None if inst.upper[inst.n1 + i] is None
-          else inst.upper[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
+    hi = [inst.upper[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
     return lo, hi
+
+
+def step_rows(inst: MiblpInstance) -> tuple:
+    """The rows [-d2; G2] of the step conditions, as ints."""
+    return tuple(tuple(int(v) for v in row)
+                 for row in [[-d for d in inst.d2]] + list(inst.g2))
+
+
+@dataclass(frozen=True)
+class StepImage:
+    """The conditions on an integer step w at a point, in ints.
+
+    w improves the follower at (x, y) when d2 w <= -1, G2 w >= rho =
+    b2 - A2 x - G2 y and lower <= y + w <= upper.  Parsing makes d2 and G2
+    integral, so for an integer w these hold exactly when ``rows`` w >=
+    ``rhs`` = [1; ceil(rho)] and w lies in ``box`` = [ceil(lower - y),
+    floor(upper - y)], whether or not the point is integral.
+    """
+
+    rows: tuple
+    rhs: tuple
+    box: tuple      # (lo, hi) per follower variable
+
+    def admits(self, w, activity=None) -> bool:
+        """Whether w passes; ``activity`` may give ``rows`` w precomputed."""
+        if any(v < lo or v > hi for v, (lo, hi) in zip(w, self.box)):
+            return False
+        if activity is None:
+            activity = (sum(map(mul, row, w)) for row in self.rows)
+        return all(map(ge, activity, self.rhs))
+
+
+def step_image(inst: MiblpInstance, point: Point) -> StepImage:
+    """The step conditions at the point, as a ``StepImage``."""
+    _, rhs = _direction_rows(inst, point)
+    lo, hi = _w_bounds(inst, point)
+    return StepImage(step_rows(inst), tuple(math.ceil(v) for v in rhs),
+                     tuple((math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)))
 
 
 def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
@@ -146,8 +184,7 @@ def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
             rhs = rhs + [ZERO]
 
     lower = [ZERO] * (2 * n2 + ns)
-    upper = [max(ZERO, h) if h is not None else None for h in w_hi] + \
-            [max(ZERO, -l) for l in w_lo] + [None] * ns
+    upper = [max(ZERO, h) for h in w_hi] + [max(ZERO, -l) for l in w_lo] + [None] * ns
     if objective is DirectionObjective.STEEPEST:
         obj = [Fraction(d) for d in inst.d2] + [-Fraction(d) for d in inst.d2]
     else:
@@ -156,12 +193,11 @@ def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
     return MilpProblem(lp, tuple(range(2 * n2)))
 
 
-def _plain_problem(inst: MiblpInstance, point: Point, objective,
-                   mode: str = "optimize") -> MilpProblem:
+def _plain_problem(inst: MiblpInstance, point: Point, objective) -> MilpProblem:
     rows, rhs = _direction_rows(inst, point)
     w_lo, w_hi = _w_bounds(inst, point)
     lp = LpProblem(list(objective), [list(r) for r in rows], rhs, w_lo, w_hi)
-    return MilpProblem(lp, tuple(range(inst.n2)), mode=mode)
+    return MilpProblem(lp, tuple(range(inst.n2)))
 
 
 def build_id_milp(inst: MiblpInstance, point: Point,
@@ -191,12 +227,12 @@ def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
     return Direction.from_w(inst, w)
 
 
-def _solve(problem: MilpProblem, what: str, cfg: OracleConfig | None = None):
+def _solve(problem: MilpProblem, what: str, node_limit: int | None = None,
+           time_limit: float | None = None):
     """``milp.solve_milp``; a subsolver limit or failure leaves the answer
     unknown, so both raise OracleInconclusive."""
     try:
-        sol = milp.solve_milp(problem, node_limit=cfg.node_limit if cfg else None,
-                              time_limit=cfg.time_limit if cfg else None)
+        sol = milp.solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
     except milp.MilpError as exc:
         raise OracleInconclusive(f"{what} failed: {exc}") from exc
     if sol.status is MilpStatus.LIMIT_REACHED:
@@ -206,9 +242,9 @@ def _solve(problem: MilpProblem, what: str, cfg: OracleConfig | None = None):
 
 def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem,
                           objective: DirectionObjective,
-                          cfg: OracleConfig | None) -> OracleOutcome | None:
+                          cfg: OracleConfig) -> OracleOutcome | None:
     """None encodes infeasible; the caller decides what that certifies."""
-    sol = _solve(problem, "direction search", cfg)
+    sol = _solve(problem, "direction search", cfg.node_limit, cfg.time_limit)
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return OracleOutcome.found(decode_direction(inst, objective, sol.x))
@@ -236,7 +272,8 @@ def _shell_vectors(r: int, k: int):
 
 def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
                            objective=DirectionObjective.NORM1) -> OracleOutcome:
-    """Enumerate integer directions of 1-norm <= k.
+    """Enumerate integer directions of 1-norm <= k, each checked against the
+    point's integer step image.
 
     Vectors are visited by increasing 1-norm, lexicographically within a
     shell, so under the Norm1 objective the first survivor is already optimal
@@ -245,17 +282,7 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
     """
     if k < 1:
         raise ValueError("radius k must be at least 1")
-    rows, rhs = _direction_rows(inst, point)
-    w_lo, w_hi = _w_bounds(inst, point)
-    pure_int = all(v.denominator == 1 for v in rhs) and \
-        all(v.denominator == 1 for row in rows for v in row) and \
-        all(v.denominator == 1 for v in w_lo) and \
-        all(v is None or v.denominator == 1 for v in w_hi)
-    if pure_int:
-        rows = [[int(v) for v in row] for row in rows]
-        rhs = [int(v) for v in rhs]
-        w_lo = [int(v) for v in w_lo]
-        w_hi = [None if v is None else int(v) for v in w_hi]
+    image = step_image(inst, point)
 
     if callable(objective):
         score = lambda w: objective(tuple(Fraction(v) for v in w))
@@ -273,18 +300,7 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
 
     best_w, best_score = None, None
     for w in _shell_vectors(inst.n2, k):
-        ok = True
-        for j, v in enumerate(w):
-            if v < w_lo[j] or (w_hi[j] is not None and v > w_hi[j]):
-                ok = False
-                break
-        if not ok:
-            continue
-        for row, b in zip(rows, rhs):
-            if sum(a * v for a, v in zip(row, w)) < b:
-                ok = False
-                break
-        if not ok:
+        if not image.admits(w):
             continue
         s = score(w)
         if best_score is None or s < best_score:
@@ -331,11 +347,12 @@ def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     """True iff no improving feasible direction exists (exact search)."""
     if not inst.in_s(point):
         raise ValueError("point not in S")
-    problem = _plain_problem(inst, point, [ZERO] * inst.n2, mode="first-feasible")
+    problem = _plain_problem(inst, point, [ZERO] * inst.n2)
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
-def evaluate_phi(inst: MiblpInstance, x) -> Fraction | None:
+def evaluate_phi(inst: MiblpInstance, x,
+                 time_limit: float | None = None) -> Fraction | None:
     """Follower's optimal value at x; None encodes +infinity."""
     x = tuple(Fraction(v) for v in x)
     rows = [list(g) for g in inst.g2]
@@ -343,7 +360,8 @@ def evaluate_phi(inst: MiblpInstance, x) -> Fraction | None:
     lower = [inst.lower[inst.n1 + i] for i in range(inst.n2)]
     upper = [inst.upper[inst.n1 + i] for i in range(inst.n2)]
     lp = LpProblem(list(inst.d2), rows, rhs, lower, upper)
-    sol = _solve(MilpProblem(lp, tuple(range(inst.n2))), "value function solve")
+    sol = _solve(MilpProblem(lp, tuple(range(inst.n2))), "value function solve",
+                 time_limit=time_limit)
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return sol.objective

@@ -18,7 +18,8 @@ preferred over bounds, which matters to cut sharing downstream), bounds fix
 their coordinates and the rows' cached integer image gives the rest by
 fraction-free elimination.  ``exact_primal`` returns that vertex as Fractions
 once every row and bound holds; ``extract_cone`` adds one exact ray per tight
-constraint, a simplicial cone that provably contains the feasible region.
+constraint, a simplicial cone that provably contains the feasible region,
+together with the tight constraints themselves as the cone's facets.
 """
 from __future__ import annotations
 
@@ -348,14 +349,19 @@ class SimplicialCone:
     """Exact translated simplicial cone vertex + cone(rays) containing the
     LP's feasible region.
 
+    ``facets`` are the cone's n tight constraints, normalized so that
+    facet p meets ray q at exactly [p == q]: the problem row itself for a
+    row, sigma e_j for a bound (sigma = -1 at an upper bound).  The cone is
+    then {z : facet_p (z - vertex) >= 0 for every p}.
     ``bound_supports`` lists the (variable index, at_upper) bound constraints
-    among the cone's n tight constraints; callers that share cuts across a
-    search tree use it to reject cones resting on node-local bounds.
+    among them; callers that share cuts across a search tree use it to
+    reject cones resting on node-local bounds.
     """
 
     vertex: tuple
     rays: tuple
     bound_supports: tuple
+    facets: tuple
 
 
 def _fraction_free_solve(matrix, cols):
@@ -501,10 +507,13 @@ def extract_cone(problem: LpProblem, solution: LpSolution) -> SimplicialCone:
     cols += [[-image[i][0][j] for i in rows] for j in fixed]
     det, nums = _fraction_free_solve([[image[i][0][j] for j in free] for i in rows], cols)
     sigmas = [1] * len(rows) + [-1 if up else 1 for _, up in bounds]
-    rays = []
+    rays, facets = [], [tuple(map(Fraction, problem.rows[i])) for i in rows]
     for sigma, own, num in zip(sigmas, [None] * len(rows) + fixed, nums):
         ray = [Fraction(sigma * (j == own)) for j in range(n)]
+        if own is not None:
+            facets.append(tuple(ray))       # sigma e_own
         for j, v in zip(free, num):
             ray[j] = Fraction(sigma * v, det)
         rays.append(tuple(ray))
-    return SimplicialCone(vertex=vertex, rays=tuple(rays), bound_supports=bounds)
+    return SimplicialCone(vertex=vertex, rays=tuple(rays), bound_supports=bounds,
+                          facets=tuple(facets))

@@ -5,16 +5,36 @@ no code with the simplex or branch-and-bound implementations: the LP
 reference enumerates every basis candidate (n tight constraints chosen from
 rows and bounds), the MILP reference scans the full integer grid.  Both
 require finite boxes.  The exact-recovery references re-derive a basis's
-vertex and cone by straightforward ``Fraction`` Gaussian elimination.
+vertex and cone, and an intersection cut, by straightforward ``Fraction``
+Gauss-Jordan elimination (``solve_vector``), a kernel the package does not
+have, so the references share no linear algebra with it.
 """
 import itertools
 import math
 import random
 from fractions import Fraction
 
-from miblp.exactlin import dot, solve_vector
+from miblp.exactlin import dot
 from miblp.simplex import (AT_LOWER, BASIC, DegenerateConeError, LpProblem,
                            LpStatus, SimplicialCone)
+
+
+def solve_vector(matrix, rhs):
+    """Solve ``A x = b`` exactly for square A by Fraction Gauss-Jordan
+    elimination with partial pivoting; None when A is singular."""
+    n = len(matrix)
+    work = [[Fraction(v) for v in matrix[i]] + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(work[r][col]))
+        if work[piv][col] == 0:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        top = work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], top)]
+    return [work[i][n] for i in range(n)]
 
 
 def lp_vertex_optimum(problem: LpProblem):
@@ -185,4 +205,29 @@ def reference_extract_cone(problem: LpProblem, solution) -> SimplicialCone:
         matrix, [Fraction(int(i == q)) for i in range(n)]))
         for q, (_, _, sigma, _) in enumerate(chosen))
     bounds = tuple((k[1], k[2]) for _, _, _, k in chosen if k[0] == "bound")
-    return SimplicialCone(vertex=tuple(vertex), rays=rays, bound_supports=bounds)
+    facets = tuple(tuple(sigma * v for v in coeffs) for coeffs, _, sigma, _ in chosen)
+    return SimplicialCone(vertex=tuple(vertex), rays=rays, bound_supports=bounds,
+                          facets=facets)
+
+
+def reference_intersection_cut(cone: SimplicialCone, free_set, n1: int):
+    """``cuts.intersection_cut`` by solving rays . alpha = 1 / lambda: the
+    hyperplane through the points where the rays leave the free set, as
+    (alpha_x, alpha_y, beta) scaled to coprime integers; None when no ray
+    leaves the set.  The vertex must be strictly interior to the set."""
+    slacks = [dot(coeffs, cone.vertex) - b for coeffs, b in free_set.rows]
+    assert min(slacks) > 0, "vertex not strictly interior"
+    inv_lambda = []
+    for ray in cone.rays:
+        steps = [-s / dot(coeffs, ray) for (coeffs, _), s in zip(free_set.rows, slacks)
+                 if dot(coeffs, ray) < 0]
+        inv_lambda.append(1 / min(steps) if steps else Fraction(0))
+    if not any(inv_lambda):
+        return None
+    alpha = solve_vector([list(r) for r in cone.rays], inv_lambda)
+    coeffs = alpha + [1 + dot(alpha, cone.vertex)]
+    scale = math.lcm(*(v.denominator for v in coeffs))
+    ints = [int(v * scale) for v in coeffs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    return tuple(ints[:n1]), tuple(ints[n1:-1]), ints[-1]

@@ -173,8 +173,9 @@ def test_criterion_3_oracle_value_function_and_enumeration_agree_on_200_instance
                                    cert, legacy, member))
             norm = kopt.min_ifd_norm(ctx, point)
             for k in radii:
-                problem = replace(build_k_id_milp(inst, point, k),
-                                  mode="first-feasible")
+                problem = build_k_id_milp(inst, point, k)
+                # a feasibility question: no objective
+                problem = replace(problem, lp=problem.lp.with_objective([0] * problem.lp.n))
                 search_found = solve_milp(problem).x is not None
                 within_k = norm is not None and norm <= k
                 outside_fk = point not in _fk(entry, k)

@@ -251,8 +251,10 @@ def test_pool_moves_hits_to_front_and_deduplicates():
     (SolverConfig(), None),
 ])
 def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
-    """Every direction MILP gets the time left in the solve, or the oracle's
-    own limit when that is smaller; with no solve limit nothing changes."""
+    """Every direction MILP, and in legacy mode every MILP the solve runs,
+    value-function MILPs included, gets the time left in the solve, or the
+    oracle's own limit when that is smaller; with no solve limit nothing
+    changes."""
     # seed 19 is the corpus seed where legacy mode sources a cut
     solver = BranchAndCut(generate_random_instance(19, 2, 3, 2, 4, bound=8), cfg)
     direction_search, solve_milp = solver._oracle, milp.solve_milp
@@ -266,7 +268,7 @@ def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
             inside.pop()
 
     def recording_milp(problem, node_limit=None, time_limit=None):
-        if inside:
+        if inside or cfg.oracle_mode is OracleMode.LEGACY:
             limits.append(time_limit)
         return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
 

@@ -25,7 +25,6 @@ def test_direction_free_set_rows(moore_bard):
         [(5, -4), (-1, -2), (-2, 1), (2, 10), (0, 1)]
     assert [b for _, b in fs.rows] == [-11, -13, -15, 24, 0]
     assert fs.strictly_contains(Point.make((2,), (4,)))
-    assert abs(fs.interior_margin((2, 4)) - 3.0) < 1e-12
 
 
 def test_direction_free_set_rejects_bad_w(moore_bard):
@@ -116,7 +115,9 @@ def test_not_separable_on_boundary_vertex():
     cone = SimplicialCone(vertex=(Fraction(0), Fraction(0)),
                           rays=((Fraction(1), Fraction(0)),
                                 (Fraction(0), Fraction(1))),
-                          bound_supports=())
+                          bound_supports=(),
+                          facets=((Fraction(1), Fraction(0)),
+                                  (Fraction(0), Fraction(1))))
     with pytest.raises(NotSeparableError):
         intersection_cut(cone, fs, 1)
 
@@ -127,7 +128,9 @@ def test_cone_contained_detected():
     cone = SimplicialCone(vertex=(Fraction(0), Fraction(1)),
                           rays=((Fraction(1), Fraction(0)),
                                 (Fraction(0), Fraction(1))),
-                          bound_supports=())
+                          bound_supports=(),
+                          facets=((Fraction(1), Fraction(0)),
+                                  (Fraction(0), Fraction(1))))
     with pytest.raises(ConeContainedError):
         intersection_cut(cone, fs, 1)
 

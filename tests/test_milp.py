@@ -47,23 +47,19 @@ def test_exact_objective_with_fractional_data():
     assert sol.objective == Fraction(2, 3)
 
 
-def test_cutoff_prunes():
-    prob = MilpProblem(LpProblem([1], [[1]], [2], [0], [9]), (0,),
-                       cutoff=Fraction(1))
-    # optimum is 2 > cutoff 1, so nothing is acceptable
-    assert solve_milp(prob).status is MilpStatus.INFEASIBLE
-    ok = MilpProblem(LpProblem([1], [[1]], [2], [0], [9]), (0,),
-                     cutoff=Fraction(2))
-    assert solve_milp(ok).status is MilpStatus.OPTIMAL
-
-
-def test_first_feasible_mode():
-    lp = LpProblem([-1, -1], [[1, 1], [-1, -1]], [1, -6], [0, 0], [5, 5])
-    sol = solve_milp(MilpProblem(lp, (0, 1), mode="first-feasible"))
-    assert sol.status is MilpStatus.FEASIBLE_FOUND
+def test_zero_objective_stops_at_the_first_integral_vertex():
+    lp = LpProblem([0, 0], [[1, 1], [-1, -1]], [1, -6], [0, 0], [5, 5])
+    sol = solve_milp(MilpProblem(lp, (0, 1)))
+    assert sol.status is MilpStatus.OPTIMAL and sol.objective == 0
     x = sol.x
     assert all(v.denominator == 1 for v in x)
     assert 1 <= x[0] + x[1] <= 6
+    # the root vertex (3/2, 0, 0) dives up to the integral (2, 0, 0); the
+    # down child left open has bound 0 too, so it is pruned unsolved
+    lp = LpProblem([0, 0, 0], [[2, 2, 2]], [3], [0, 0, 0], [9, 9, 9])
+    sol = solve_milp(MilpProblem(lp, (0, 1, 2)))
+    assert sol.status is MilpStatus.OPTIMAL and sol.nodes == 2
+    assert tuple(sol.x) == (2, 0, 0)
 
 
 def test_node_limit():
@@ -78,8 +74,6 @@ def test_validation():
     lp = LpProblem([1], [[1]], [0], [0], [1])
     with pytest.raises(ValueError):
         MilpProblem(lp, (2,))          # index out of range
-    with pytest.raises(ValueError):
-        MilpProblem(lp, (0,), mode="nope")
 
 
 def test_against_grid_enumeration():

@@ -1,8 +1,12 @@
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from miblp.instance import Point
+from miblp.exactlin import dot
+from miblp.instance import Point, generate_random_instance
 from miblp.milp import MilpStatus, solve_milp
 from miblp.oracle import (DirectionMethod, DirectionObjective, OracleConfig,
                           OracleInconclusive, OutcomeKind, build_id_milp,
@@ -10,6 +14,7 @@ from miblp.oracle import (DirectionMethod, DirectionObjective, OracleConfig,
                           decode_direction, evaluate_phi,
                           find_improving_direction, legacy_feasibility_check,
                           local_search_neighbors)
+from miblp.simplex import LpProblem, LpStatus, exact_primal, solve_lp
 
 EXACT = OracleConfig(method=DirectionMethod.EXACT_MILP)
 
@@ -82,6 +87,70 @@ def test_local_search_finds_and_exhausts(moore_bard):
     assert out.kind is OutcomeKind.HEURISTIC_EXHAUSTED
     with pytest.raises(ValueError):
         local_search_neighbors(moore_bard, 0, Point.make((2,), (4,)))
+
+
+def _fractional_vertices(inst, rng, want):
+    """Fractional exact vertices of the relaxation, under random objectives
+    and boxes narrowed as branching would."""
+    rows = [list(co) for co, _ in inst.all_rows()]
+    rhs = [b for _, b in inst.all_rows()]
+    found = []
+    for _ in range(20 * want):
+        lower, upper = list(inst.lower), list(inst.upper)
+        for j in rng.sample(range(inst.num_vars), 2):
+            cut = Fraction(rng.randint(int(lower[j]), int(upper[j])))
+            if rng.random() < 0.5:
+                lower[j] = cut
+            else:
+                upper[j] = cut
+        prob = LpProblem([rng.randint(-5, 5) for _ in range(inst.num_vars)],
+                         rows, rhs, lower, upper)
+        sol = solve_lp(prob)
+        z = exact_primal(prob, sol) if sol.status is LpStatus.OPTIMAL else None
+        if z is None:
+            continue
+        point = Point(tuple(z[:inst.n1]), tuple(z[inst.n1:]))
+        if not inst.is_integral(point) and point not in found:
+            found.append(point)
+            if len(found) == want:
+                break
+    return found
+
+
+def _reference_local_search(inst, k, point):
+    """The first improving step of least 1-norm, lexicographically, among
+    the Fraction steps of 1-norm <= k, checked on the follower's problem."""
+    best = None
+    for w in itertools.product(range(-k, k + 1), repeat=inst.n2):
+        norm = sum(map(abs, w))
+        w = tuple(Fraction(v) for v in w)
+        if 1 <= norm <= k and dot(inst.d2, w) <= -1 and inst.follower_feasible(
+                point.x, [a + b for a, b in zip(point.y, w)]):
+            best = min(best or (norm, w), (norm, w))
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1, 2, 4), (2, 3, 2, 4, 8)])
+def test_local_search_at_fractional_vertices(shape):
+    """The integer step check rounds the row right-hand sides up and the box
+    inward, which at a fractional point is exact for integer steps."""
+    rng = random.Random(7)
+    tally = Counter()
+    for seed in range(12):
+        inst = generate_random_instance(seed, *shape[:4], bound=shape[4])
+        for point in _fractional_vertices(inst, rng, 6):
+            tally["fractional y"] += any(v.denominator != 1 for v in point.y)
+            for k in (1, 2, 3):
+                want = _reference_local_search(inst, k, point)
+                out = local_search_neighbors(inst, k, point)
+                if want is None:
+                    assert out.kind is OutcomeKind.HEURISTIC_EXHAUSTED, (seed, point, k)
+                else:
+                    assert out.kind is OutcomeKind.FOUND, (seed, point, k)
+                    assert out.direction.w == want, (seed, point, k)
+                tally["found" if want else "exhausted"] += 1
+    assert tally["found"] > 50 and tally["exhausted"] > 20
+    assert tally["fractional y"] > 20
 
 
 def test_local_search_prefers_smallest_norm(moore_bard):

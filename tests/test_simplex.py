@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (lp_vertex_optimum, random_lp, reference_exact_primal,
-                     reference_extract_cone)
+                     reference_extract_cone, reference_intersection_cut,
+                     solve_vector)
 from miblp import simplex
-from miblp.exactlin import dot, solve_vector
+from miblp.cuts import ConeContainedError, bfs_from_direction, intersection_cut
+from miblp.exactlin import dot
+from miblp.instance import MiblpInstance
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
                            LpProblem, LpSolution, LpStatus, exact_primal,
                            extract_cone, solve_lp, tight_bound_supports)
@@ -169,22 +172,66 @@ def _outcome(fn, prob, sol):
         return "degenerate"
 
 
+def _free_set_around(vertex, rng):
+    """``bfs_from_direction`` of a random instance whose follower rows, box
+    and direction are placed so that the vertex is strictly interior."""
+    n = len(vertex)
+    n1 = rng.randint(1, n - 1)
+    w = [rng.randint(-2, 2) for _ in range(n - n1)]
+    w[rng.randrange(n - n1)] = rng.choice((-1, 1))
+    y_step = [v + s for v, s in zip(vertex[n1:], w)]
+    rows = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    b2 = [math.floor(dot(r, vertex) + dot(r[n1:], w)) - rng.randint(0, 2) for r in rows]
+    zero = (Fraction(0),) * n1
+    inst = MiblpInstance(
+        n1=n1, r1=n1, n2=n - n1, r2=n - n1, c=zero, d1=(Fraction(0),) * (n - n1),
+        d2=tuple(Fraction(-s) for s in w), a1=(), g1=(), b1=(),
+        a2=tuple(tuple(r[:n1]) for r in rows), g2=tuple(tuple(r[n1:]) for r in rows),
+        b2=tuple(Fraction(b) for b in b2),
+        lower=zero + tuple(Fraction(math.floor(v) - rng.randint(0, 2)) for v in y_step),
+        upper=zero + tuple(Fraction(math.ceil(v) + rng.randint(0, 2)) for v in y_step))
+    return bfs_from_direction(inst, w), n1
+
+
+def _check_cut(cone, tally):
+    """The closed-form intersection cut equals the one the reference gets by
+    solving the rays for it, on a free set around the cone's vertex."""
+    rng = random.Random(repr(cone))        # a fixed free set per cone
+    free_set, n1 = _free_set_around(cone.vertex, rng)
+    want = reference_intersection_cut(cone, free_set, n1)
+    try:
+        cut = intersection_cut(cone, free_set, n1)
+    except ConeContainedError:
+        assert want is None
+        tally["cone contained"] += 1
+        return
+    assert (cut.alpha_x, cut.alpha_y, cut.beta) == want
+    tally["cuts"] += 1
+
+
 def _check_recovery(prob, sol, tally):
     """exact_primal, extract_cone and tight_bound_supports agree with the
-    reference in both call orders; the outcome kinds go into ``tally``."""
+    reference in both call orders, facets included; facet p meets ray q at
+    exactly [p == q]; and the cone's intersection cut matches the reference.
+    The outcome kinds go into ``tally``."""
     vertex = _outcome(reference_exact_primal, prob, sol)
     cone = _outcome(reference_extract_cone, prob, sol)
     fresh = LpSolution(sol.status, col_status=sol.col_status)
     assert exact_primal(prob, fresh) == vertex
     assert _outcome(extract_cone, prob, fresh) == cone
     fresh = LpSolution(sol.status, col_status=sol.col_status)
-    assert _outcome(extract_cone, prob, fresh) == cone
+    got = _outcome(extract_cone, prob, fresh)
+    assert got == cone
     assert exact_primal(prob, fresh) == vertex
     if cone == "degenerate":
         tally["degenerate"] += 1
     else:
         assert tight_bound_supports(prob, fresh) == cone.bound_supports
+        assert [[dot(f, r) for r in got.rays] for f in got.facets] == \
+            [[int(p == q) for q in range(prob.n)] for p in range(prob.n)]
+        _check_cut(got, tally)
         tally["bound rays"] += len(cone.bound_supports) > 0
+        tally["upper bound rays"] += any(up for _, up in cone.bound_supports)
         tally["infeasible vertex" if vertex is None else "vertex"] += 1
     tally["more than n tight"] += sum(s != BASIC for s in sol.col_status) > prob.n
 
@@ -222,6 +269,7 @@ def test_recovery_matches_reference_integer_rows():
     assert tally["solved"] > 30 and tally["vertex"] > 50
     assert tally["degenerate"] > 50 and tally["infeasible vertex"] > 50
     assert tally["bound rays"] > 50 and tally["more than n tight"] > 50
+    assert tally["upper bound rays"] > 50 and tally["cuts"] > 200
 
 
 def test_recovery_matches_reference_rational_rows_and_bounds():
@@ -235,6 +283,7 @@ def test_recovery_matches_reference_rational_rows_and_bounds():
     tally = _check_random_bases(random.Random(5), make, 120)
     assert tally["solved"] > 20 and tally["vertex"] > 40
     assert tally["infeasible vertex"] > 50 and tally["more than n tight"] > 50
+    assert tally["upper bound rays"] > 50 and tally["cuts"] > 200
 
 
 def test_recovery_matches_reference_cut_like_rows():
@@ -250,6 +299,7 @@ def test_recovery_matches_reference_cut_like_rows():
     tally = _check_random_bases(random.Random(18), make, 120)
     assert tally["solved"] > 20 and tally["vertex"] > 20
     assert tally["infeasible vertex"] > 50 and tally["more than n tight"] > 50
+    assert tally["upper bound rays"] > 50 and tally["cuts"] > 200
 
 
 def test_recovery_matches_reference_degenerate_vertices():
@@ -277,6 +327,7 @@ def test_recovery_matches_reference_degenerate_vertices():
         _check_recovery(prob, LpSolution(LpStatus.OPTIMAL, col_status=status), tally)
     assert tally["vertex"] > 80 and tally["degenerate"] > 20
     assert tally["more than n tight"] > 80
+    assert tally["upper bound rays"] > 50 and tally["cuts"] > 200
 
 
 def test_recovery_with_an_artificial_left_basic():
