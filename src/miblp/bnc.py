@@ -3,10 +3,15 @@
 The search keeps a best-first queue ordered by parent dual bound (FIFO on
 ties).  Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
-improving-direction oracle is queried only where its answer can change the
-tree: where a found direction can still become a cut (cut rounds remain and
-the vertex's cone rests on root bounds, see below), or at an integral vertex
-that no direction from the solve's pool refutes.  A certificate of "no
+LP starts from the parent's final basis, and cold at the root, on a retry
+and once the pool has grown.  An "infeasible" prune rests on the simplex's
+exact Farkas certificate; an unproven verdict is a numerical failure, which
+retries the node once and then branches.
+
+The improving-direction oracle is queried only where its answer can change
+the tree: where a found direction can still become a cut (cut rounds remain
+and the vertex's cone rests on root bounds, see below), or at an integral
+vertex that no direction from the solve's pool refutes.  A certificate of "no
 improving direction" at an integral vertex makes it the incumbent, a found
 direction feeds intersection-cut generation where it can, and anything else
 branches.
@@ -126,6 +131,7 @@ class _Node:
     lower: list
     upper: list
     retried: bool = False
+    start: simplex.Basis | None = None     # the parent's final LP basis
 
 
 class DirectionPool:
@@ -136,7 +142,7 @@ class DirectionPool:
 
     def __init__(self, inst: MiblpInstance):
         self.inst = inst
-        self.rows = oracle_mod.step_rows(inst)
+        self.rows = inst.step_rows
         self.entries = []            # (w, rows . w), move-to-front
 
     def add(self, w):
@@ -374,7 +380,8 @@ class BranchAndCut:
         bound = None
         while True:
             prob = self._node_lp(node)
-            sol = simplex.solve_lp(prob)
+            sol = simplex.solve_lp(prob, node.start)
+            node.start = sol.basis      # the children's start
             self.stats.lp_solves += 1
             if sol.status is LpStatus.INFEASIBLE:
                 return "prune", "infeasible"
@@ -480,7 +487,7 @@ class BranchAndCut:
             action, payload = self.bound_node(node)
 
             if action == "retry":
-                node.retried = True
+                node.retried, node.start = True, None
                 heapq.heappush(queue, (node.parent_bound, next(seq), node))
                 self._trace(node, None, "requeued")
                 continue
@@ -536,7 +543,8 @@ class BranchAndCut:
                     lo[j] = lo_j
                 if hi_j is not None:
                     hi[j] = hi_j
-                child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi)
+                child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi,
+                              start=node.start)
                 heapq.heappush(queue, (child_bound, next(seq), child))
             self._trace(node, bound, f"branched on {j}")
 

@@ -39,6 +39,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import dot
 
@@ -131,6 +132,20 @@ class MiblpInstance:
 
     def all_rows(self) -> list[tuple[Vec, Fraction]]:
         return self.leader_rows() + self.follower_rows()
+
+    # -- integer images of the follower data, built once per instance --
+
+    @cached_property
+    def follower_ints(self) -> tuple:
+        """(rows A2|G2, b2) as Python ints; ``validate_assumptions`` scales
+        every follower row to integers."""
+        return (tuple(tuple(map(_as_int, a + g)) for a, g in zip(self.a2, self.g2)),
+                tuple(map(_as_int, self.b2)))
+
+    @cached_property
+    def step_rows(self) -> tuple:
+        """The rows [-d2; G2] of the follower's step conditions, as ints."""
+        return tuple(tuple(map(_as_int, row)) for row in ((-d for d in self.d2), *self.g2))
 
     # -- exact membership tests ---------------------------------------
 
@@ -392,6 +407,13 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
     if None in upper:
         inst = replace(inst, upper=_tightened_upper(inst, integer))
     return inst
+
+
+def _as_int(v) -> int:
+    if v.denominator != 1:
+        raise InstanceError("follower data must be integral: parse the instance, "
+                            "which scales it")
+    return v.numerator
 
 
 def _integral(vec) -> Vec:

@@ -7,6 +7,10 @@ matches every open node's bound, so the bound prune closes the tree at once.
 Branching picks the integer variable whose fractional part is closest to
 1/2, ties broken by lowest index.
 
+Each child's LP starts from its parent's final basis.  A node is pruned as
+infeasible only on the simplex's exact Farkas certificate; an LP the
+simplex cannot settle raises MilpError.
+
 Candidate incumbents are re-derived exactly from the final LP basis, so the
 reported optimum is a rational point that satisfies every row exactly; the
 float tolerances only steer the search.  A coordinate that looks integral in
@@ -66,6 +70,7 @@ class _Node:
     seq: int
     lower: list = field(compare=False)
     upper: list = field(compare=False)
+    start: simplex.Basis | None = field(default=None, compare=False)  # the parent's basis
 
 
 def solve_milp(problem: MilpProblem,
@@ -112,7 +117,7 @@ def solve_milp(problem: MilpProblem,
 
         nodes += 1
         node_lp = lp.with_bounds(node.lower, node.upper)
-        sol = simplex.solve_lp(node_lp)
+        sol = simplex.solve_lp(node_lp, node.start)
         if sol.status is LpStatus.INFEASIBLE:
             continue
         if sol.status is LpStatus.UNBOUNDED:
@@ -131,7 +136,7 @@ def solve_milp(problem: MilpProblem,
             if frac_j is not None:
                 # integral only in floating point; branch on the exact value
                 _push_children(dive if diving else frontier, diving, node,
-                               frac_j, exact[frac_j], sol.objective, next_seq)
+                               frac_j, exact[frac_j], sol, next_seq)
                 continue
             obj = dot([Fraction(v) for v in lp.objective], exact)
             if best_obj is None or obj < best_obj:
@@ -141,7 +146,7 @@ def solve_milp(problem: MilpProblem,
 
         v = sol.x[branch_j]
         _push_children(dive if diving else frontier, diving, node,
-                       branch_j, v, sol.objective, next_seq)
+                       branch_j, v, sol, next_seq)
 
     if limited:
         return MilpSolution(MilpStatus.LIMIT_REACHED, best_x, best_obj, nodes)
@@ -160,15 +165,16 @@ def _most_fractional(x, int_set):
     return best_j
 
 
-def _push_children(store, diving, node, j, value, bound, next_seq):
+def _push_children(store, diving, node, j, value, sol, next_seq):
+    """Split at floor(value); both children start from the node's basis."""
     fl = math.floor(value)          # exact for a float and for a Fraction
     prefer_down = value - fl < 0.5
     down_upper = list(node.upper)
     down_upper[j] = Fraction(fl)
-    down = _Node(bound, next_seq(), list(node.lower), down_upper)
+    down = _Node(sol.objective, next_seq(), list(node.lower), down_upper, sol.basis)
     up_lower = list(node.lower)
     up_lower[j] = Fraction(fl + 1)
-    up = _Node(bound, next_seq(), up_lower, list(node.upper))
+    up = _Node(sol.objective, next_seq(), up_lower, list(node.upper), sol.basis)
     first, second = (down, up) if prefer_down else (up, down)
     if diving:
         store.append(second)

@@ -106,25 +106,26 @@ class OracleConfig:
             raise ValueError("radius k must be at least 1")
 
 
+def _rho(inst: MiblpInstance, point: Point):
+    """(numerators, D) with rho = b2 - A2 x - G2 y = numerators / D, in ints
+    over the point's common denominator D."""
+    rows, b2 = inst.follower_ints
+    z = point.joint()
+    den = math.lcm(*(v.denominator for v in z))
+    scaled = [v.numerator * (den // v.denominator) for v in z]
+    return [b * den - sum(map(mul, row, scaled)) for row, b in zip(rows, b2)], den
+
+
 def _direction_rows(inst: MiblpInstance, point: Point):
     """Feasibility system in w space: improvement row, then follower rows."""
-    rho = [b - dot(a, point.x) - dot(g, point.y)
-           for a, g, b in zip(inst.a2, inst.g2, inst.b2)]
-    rows = [[-d for d in inst.d2]] + [list(g) for g in inst.g2]
-    rhs = [ONE] + rho
-    return rows, rhs
+    nums, den = _rho(inst, point)
+    return [list(row) for row in inst.step_rows], [ONE] + [Fraction(v, den) for v in nums]
 
 
 def _w_bounds(inst: MiblpInstance, point: Point):
     lo = [inst.lower[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
     hi = [inst.upper[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
     return lo, hi
-
-
-def step_rows(inst: MiblpInstance) -> tuple:
-    """The rows [-d2; G2] of the step conditions, as ints."""
-    return tuple(tuple(int(v) for v in row)
-                 for row in [[-d for d in inst.d2]] + list(inst.g2))
 
 
 @dataclass(frozen=True)
@@ -153,10 +154,13 @@ class StepImage:
 
 def step_image(inst: MiblpInstance, point: Point) -> StepImage:
     """The step conditions at the point, as a ``StepImage``."""
-    _, rhs = _direction_rows(inst, point)
-    lo, hi = _w_bounds(inst, point)
-    return StepImage(step_rows(inst), tuple(math.ceil(v) for v in rhs),
-                     tuple((math.ceil(a), math.floor(b)) for a, b in zip(lo, hi)))
+    nums, den = _rho(inst, point)
+    box = []
+    for lo, hi, y in zip(inst.lower[inst.n1:], inst.upper[inst.n1:], point.y):
+        p, q = y.numerator, y.denominator    # ceil(lo - y), floor(hi - y)
+        box.append((-((p * lo.denominator - lo.numerator * q) // (lo.denominator * q)),
+                    (hi.numerator * q - p * hi.denominator) // (hi.denominator * q)))
+    return StepImage(inst.step_rows, (1,) + tuple(-(-v // den) for v in nums), tuple(box))
 
 
 def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
@@ -168,20 +172,14 @@ def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
     with_s = objective is DirectionObjective.IDIC_FRIENDLY
     ns = inst.m2 if with_s else 0
 
-    def split(row):
-        return [Fraction(v) for v in row] + [-Fraction(v) for v in row] + [ZERO] * ns
-
-    rows = [split(r) for r in rows_w]
+    rows = [row + [-v for v in row] + [0] * ns for row in rows_w]
     if k is not None:
-        rows.append([-ONE] * (2 * n2) + [ZERO] * ns)
+        rows.append([-1] * (2 * n2) + [0] * ns)
         rhs = rhs + [Fraction(-k)]
     if with_s:
-        for i in range(inst.m2):
-            g = inst.g2[i]
-            row = [-Fraction(v) for v in g] + [Fraction(v) for v in g] + \
-                  [ONE if j == i else ZERO for j in range(ns)]
-            rows.append(row)
-            rhs = rhs + [ZERO]
+        for i, g in enumerate(rows_w[1:]):
+            rows.append([-v for v in g] + g + [int(j == i) for j in range(ns)])
+        rhs = rhs + [ZERO] * ns
 
     lower = [ZERO] * (2 * n2 + ns)
     upper = [max(ZERO, h) for h in w_hi] + [max(ZERO, -l) for l in w_lo] + [None] * ns
@@ -196,7 +194,7 @@ def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
 def _plain_problem(inst: MiblpInstance, point: Point, objective) -> MilpProblem:
     rows, rhs = _direction_rows(inst, point)
     w_lo, w_hi = _w_bounds(inst, point)
-    lp = LpProblem(list(objective), [list(r) for r in rows], rhs, w_lo, w_hi)
+    lp = LpProblem(list(objective), rows, rhs, w_lo, w_hi)
     return MilpProblem(lp, tuple(range(inst.n2)))
 
 

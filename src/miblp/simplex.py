@@ -1,4 +1,4 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal simplex, with a dual simplex for warm starts.
 
 The pivoting engine runs in floating point over plain Python lists, which
 at the solver's sizes (a dozen rows or fewer) beats any array library's
@@ -11,6 +11,21 @@ pricing is used until the degenerate-pivot budget 3(m+n) is spent, after
 which Bland's rule takes over for the rest of the solve.  Ratio-test ties
 break toward the lowest variable index; on a tie with the entering
 variable's own span, the bound flip wins.
+
+Warm path: an Optimal solution carries its final ``Basis``.  A problem with
+the same rows and tightened bounds (a branch-and-bound child) starts from
+it: the parent's basis stays dual feasible, so a bounded dual simplex
+restores primal feasibility and the primal loop then confirms optimality.
+A start of another shape, a failed pivot or the iteration cap falls back to
+the cold solve.  A nonbasic structural with lower = upper is reported at
+its lower bound, as the cold start leaves it, so the tight set names the
+bound a branch did not move.
+
+No "infeasible" rests on a float verdict.  The dual loop's blocked row of
+B^-1 and the phase-1 duals c_B B^-1 both give row multipliers y; clipped at
+0, ``farkas`` checks in integers that max over the box of (y R) z < y r.
+Where it does not, a warm solve falls back to the cold one and a cold solve
+reports UNSTABLE.
 
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (rows
@@ -36,6 +51,7 @@ REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
 DEGENERATE_STEP_TOL = 1e-12
 RATIO_TIE_TOL = 1e-12
+FEASIBILITY_TOL = 1e-9
 REFACTOR_INTERVAL = 50
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
@@ -110,6 +126,22 @@ class LpProblem:
         return LpProblem(list(objective), self.rows, self.rhs, self.lower, self.upper)
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A final basis, to warm-start an LP that differs only in its bounds.
+
+    ``header`` names the basic column of each row, ``status`` is the
+    solution's ``col_status`` and ``binv`` holds the rows of B^-1, which
+    every warm start shares and none modifies; ``age`` counts the pivots
+    since B^-1 was last rebuilt.
+    """
+
+    header: tuple
+    status: list
+    binv: list
+    age: int
+
+
 @dataclass
 class LpSolution:
     status: LpStatus
@@ -117,23 +149,62 @@ class LpSolution:
     objective: float | None = None
     col_status: list | None = None     # BASIC/AT_LOWER/AT_UPPER per structural+slack
     iterations: int = 0
+    basis: Basis | None = field(default=None, repr=False, compare=False)
     # (problem, exact recovery) of the last exact_primal/extract_cone call
     recovery: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem, start: Basis | None = None) -> LpSolution:
+    """Solve cold, or warm from ``start`` when it has the problem's shape;
+    a warm solve that cannot settle the LP falls back to a cold one."""
     lo_f = [v.numerator / v.denominator for v in problem.lower]
     hi_f = [INF if v is None else v.numerator / v.denominator for v in problem.upper]
     if any(l > h + 1e-12 for l, h in zip(lo_f, hi_f)):
         return LpSolution(LpStatus.INFEASIBLE)
-    return _Simplex(problem, lo_f, hi_f).run()
+    spent = 0
+    if start is not None and len(start.header) == problem.m \
+            and len(start.status) == problem.n + problem.m:
+        warm = _Simplex(problem, lo_f, hi_f, start)
+        sol = warm.run_warm()
+        if sol is not None:
+            return sol
+        spent = warm.iterations
+    sol = _Simplex(problem, lo_f, hi_f).run()
+    sol.iterations += spent
+    return sol
+
+
+def farkas(problem: LpProblem, y) -> bool:
+    """Whether the row multipliers y >= 0 prove the problem infeasible.
+
+    Every z with rows . z >= rhs has (y R) z >= y r, so max over the box of
+    (y R) z < y r leaves no feasible z.  The floats of y are exact binary
+    fractions, so the check runs in integers over the rows' integer image.
+    """
+    terms = [(v.as_integer_ratio(), row) for v, row in zip(y, problem.integer_rows()) if v]
+    if any(p < 0 for (p, _), _ in terms):
+        return False
+    den = math.lcm(*(q * scale for (_, q), (_, _, scale) in terms))
+    g, h = [0] * problem.n, 0
+    for (p, q), (coeffs, b, scale) in terms:
+        f = p * (den // (q * scale))
+        g = [gj + f * a for gj, a in zip(g, coeffs)]
+        h += f * b
+    # the box maximum of g z takes each z_j at the bound g_j points to
+    ends = [(gj, hi if gj > 0 else lo)
+            for gj, lo, hi in zip(g, problem.lower, problem.upper) if gj]
+    if any(v is None for _, v in ends):
+        return False
+    scale = math.lcm(*(v.denominator for _, v in ends))
+    return sum(gj * v.numerator * (scale // v.denominator) for gj, v in ends) < h * scale
 
 
 class _Simplex:
     """Columns are the n structurals, the m surplus columns -e_i and the m
     artificial columns +e_i; only the structural ones are ever stored."""
 
-    def __init__(self, problem: LpProblem, lo_s, hi_s):
+    def __init__(self, problem: LpProblem, lo_s, hi_s, start: Basis | None = None):
+        self.problem = problem
         c_f, self.R, self.RT, self.r = problem.float_data()
         self.n = n = problem.n
         self.m = m = problem.m
@@ -141,9 +212,19 @@ class _Simplex:
         self.lo = lo_s + [0.0] * (2 * m)
         self.hi = hi_s + [INF] * m + [0.0] * m
         self.cost = c_f + [0.0] * (2 * m)
+        self.iterations = 0
+        if start is not None:
+            # the parent's basis and bound statuses; B^-1 rows are replaced,
+            # never edited, so copying the outer list keeps the parent's intact
+            self.basis = list(start.header)
+            self.binv = list(start.binv)
+            self.pivots_since_refactor = start.age
+            self.status = list(start.status) + [AT_LOWER] * m
+            self.vals = [h if s == AT_UPPER else lo
+                         for s, lo, h in zip(self.status, self.lo, self.hi)]
+            return
         self.status = [AT_LOWER] * self.ncols
         self.vals = list(self.lo)
-        self.iterations = 0
 
         # start: structurals at lower bound, slacks basic where that is
         # feasible, artificials elsewhere
@@ -167,16 +248,51 @@ class _Simplex:
             self._recompute_basics()
             infeas = sum(self.vals[j] for j in self.basis if j >= n + m)
             if infeas > 1e-7:
-                return LpSolution(LpStatus.INFEASIBLE, iterations=self.iterations)
+                # the phase-1 duals c_B B^-1 are the Farkas multipliers
+                y = [sum(row[i] for row, j in zip(self.binv, self.basis) if j >= n + m)
+                     for i in range(m)]
+                return LpSolution(self._certified(y), iterations=self.iterations)
             self.hi[n + m:] = [0.0] * m
             self._evict_artificials()
         status = self._optimize(self.cost)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status, iterations=self.iterations)
-        self._recompute_basics()
+        return self._solution()
+
+    def run_warm(self) -> LpSolution | None:
+        """The dual simplex from the start's basis, then the primal loop to
+        confirm optimality; None where only a cold solve can settle the LP."""
+        if INF in self.vals:        # a start at an upper bound that is now +inf
+            return None
+        status = self._dual()
+        if status is LpStatus.INFEASIBLE:
+            return LpSolution(status, iterations=self.iterations)
+        if status is not LpStatus.OPTIMAL or self._optimize(self.cost) is not LpStatus.OPTIMAL:
+            return None
+        return self._solution()
+
+    def _certified(self, y) -> LpStatus:
+        """INFEASIBLE when ``farkas`` proves it with y clipped at 0, else
+        UNSTABLE: a float verdict alone never declares an LP infeasible."""
+        y = [v if v > 0.0 else 0.0 for v in y]
+        return LpStatus.INFEASIBLE if farkas(self.problem, y) else LpStatus.UNSTABLE
+
+    def _solution(self) -> LpSolution:
+        """The Optimal solution at the basis ``_optimize`` just priced.  A
+        nonbasic structural with lower = upper is reported at its lower
+        bound, as a cold start leaves it, so the tight set names the bound
+        that was not tightened."""
+        n, m = self.n, self.m
         x = self.vals[:n]
+        lower, upper = self.problem.lower, self.problem.upper
+        col_status = [AT_LOWER if s == AT_UPPER and j < n and lower[j] == upper[j] else s
+                      for j, s in enumerate(self.status[:n + m])]
+        basis = None
+        if all(j < n + m for j in self.basis):
+            basis = Basis(tuple(self.basis), col_status, self.binv,
+                          self.pivots_since_refactor)
         return LpSolution(LpStatus.OPTIMAL, x, sum(map(mul, self.cost, x), 0.0),
-                          self.status[:n + m], self.iterations)
+                          col_status, self.iterations, basis)
 
     # -- pivoting -------------------------------------------------------
 
@@ -301,6 +417,68 @@ class _Simplex:
             vals[j] = vals[j] + sigma * t_rows
             status[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
             vals[leaving] = lo[leaving] if g[p] > 0 else hi[leaving]
+            status[j] = BASIC
+            basis[p] = j
+            if not self._update_binv(u, p):
+                return LpStatus.UNSTABLE
+
+    def _dual(self) -> LpStatus:
+        """Bounded dual simplex until every basic value is within its bounds.
+
+        The leaving row is the one furthest outside; the entering column
+        keeps the reduced costs' signs (smallest ratio, then the largest
+        pivot, then the lowest index).  OPTIMAL once primal feasible.  When
+        the leaving row has no entering column, that row of B^-1, signed to
+        the side the basic value must move, is the Farkas candidate:
+        INFEASIBLE if it passes, UNSTABLE if not, as on a failed pivot or
+        past the iteration cap.
+        """
+        n, m = self.n, self.m
+        lo, hi, status, vals, basis, RT, cost = (self.lo, self.hi, self.status, self.vals,
+                                                 self.basis, self.RT, self.cost)
+        cap = 3 * (m + n)
+        while True:
+            self._recompute_basics()
+            p, worst, below = -1, FEASIBILITY_TOL, False
+            for q, jb in enumerate(basis):
+                if lo[jb] - vals[jb] > worst:
+                    p, worst, below = q, lo[jb] - vals[jb], True
+                elif vals[jb] - hi[jb] > worst:
+                    p, worst, below = q, vals[jb] - hi[jb], False
+            if p < 0:
+                return LpStatus.OPTIMAL
+            self.iterations += 1
+            if self.iterations > cap:
+                return LpStatus.UNSTABLE
+            # a below-lower basic rises as a column at lower with a negative
+            # alpha increases or one at upper with a positive alpha decreases
+            row = self.binv[p]
+            sign = 1.0 if below else -1.0
+            eligible = []
+            for k in range(n + m):
+                sk = status[k]
+                if sk == BASIC or not hi[k] - lo[k] > 0:
+                    continue
+                alpha = sign * (sum(map(mul, row, RT[k])) if k < n else -row[k - n])
+                if (alpha < -PIVOT_TOL) if sk == AT_LOWER else (alpha > PIVOT_TOL):
+                    eligible.append((k, abs(alpha)))
+            if not eligible:
+                return self._certified([-sign * v for v in row])
+            cB = [cost[j] for j in basis]
+            y = [sum(map(mul, cB, col)) for col in zip(*self.binv)]
+            candidates = []
+            for k, a in eligible:
+                dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
+                candidates.append((max(dk if status[k] == AT_LOWER else -dk, 0.0) / a, a, k))
+            limit = min(candidates)[0] + RATIO_TIE_TOL
+            j = max((c for c in candidates if c[0] <= limit),
+                    key=lambda c: (c[1], -c[2]))[2]
+            u = self._ftran(j)
+            if abs(u[p]) < PIVOT_TOL:
+                return LpStatus.UNSTABLE
+            leaving = basis[p]
+            status[leaving] = AT_LOWER if below else AT_UPPER
+            vals[leaving] = lo[leaving] if below else hi[leaving]
             status[j] = BASIC
             basis[p] = j
             if not self._update_binv(u, p):

@@ -282,12 +282,12 @@ def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
         assert all(t is not None and t <= cap for t in limits)
 
 
-# ROADMAP item 1: the driver prunes these trees on float "infeasible" LP
-# verdicts that no exact certificate backs, and loses the optimum; integer
-# enumeration gives the optima below
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: uncertified infeasible prune")
+# With cuts of coefficients near 1e11 pooled, a float phase 1 calls node LPs
+# of these trees infeasible that are not; pruning on those verdicts lost the
+# optimum, and the Farkas check refuses them.  Integer enumeration gives the
+# optima below
 @pytest.mark.parametrize("seed, bound, optimum", [(36, 8, -7), (18, 6, 1)])
-def test_known_wrong_answers(seed, bound, optimum):
+def test_infeasible_prunes_need_a_farkas_certificate(seed, bound, optimum):
     res = solve(generate_random_instance(seed, 2, 3, 2, 4, bound=bound), SolverConfig())
     assert res.status is SolveStatus.OPTIMAL
     assert res.value == optimum
@@ -353,12 +353,12 @@ def test_subsolver_failure_costs_one_node(three_d, monkeypatch):
     solve_lp, solve_milp = simplex.solve_lp, milp.solve_milp
     inside, lps = [], []
 
-    def failing_lp(problem):
+    def failing_lp(problem, start=None):
         if inside:
             lps.append(problem)
             if len(lps) == 5:
                 return simplex.LpSolution(simplex.LpStatus.UNSTABLE)
-        return solve_lp(problem)
+        return solve_lp(problem, start)
 
     def tracked_milp(*args, **kwargs):
         inside.append(True)

@@ -14,7 +14,7 @@ from miblp.exactlin import dot
 from miblp.instance import MiblpInstance
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
                            LpProblem, LpSolution, LpStatus, exact_primal,
-                           extract_cone, solve_lp, tight_bound_supports)
+                           extract_cone, farkas, solve_lp, tight_bound_supports)
 
 
 def moore_bard_lp(moore_bard):
@@ -160,6 +160,99 @@ def test_with_bounds_shares_float_cache():
 def test_bad_bounds_rejected():
     prob = LpProblem([1], [], [], [3], [2])
     assert solve_lp(prob).status is LpStatus.INFEASIBLE
+
+
+# -- warm starts and Farkas certificates ---------------------------------------
+
+
+def _tightened(rng, prob):
+    """The problem with one variable's lower or upper bound moved inward."""
+    lower, upper = list(prob.lower), list(prob.upper)
+    j = rng.randrange(prob.n)
+    if rng.random() < 0.5:
+        upper[j] = Fraction(rng.randint(int(lower[j]), int(upper[j])))
+    else:
+        lower[j] = Fraction(rng.randint(int(lower[j]), int(upper[j])))
+    return prob.with_bounds(lower, upper)
+
+
+def test_warm_and_cold_solves_agree_after_bound_tightenings():
+    # chains of children, each warm-started from its parent's final basis
+    rng = random.Random(9)
+    tally = Counter()
+    for _ in range(600):
+        prob = random_lp(rng, n=rng.randint(2, 6), m=rng.randint(2, 8))
+        parent = solve_lp(prob)
+        for _ in range(6):
+            if parent.status is not LpStatus.OPTIMAL:
+                break
+            prob = _tightened(rng, prob)
+            warm, cold = solve_lp(prob, parent.basis), solve_lp(prob)
+            assert warm.status is cold.status
+            tally[warm.status] += 1
+            if warm.status is LpStatus.OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= \
+                    1e-9 * max(1.0, abs(cold.objective))
+                assert exact_primal(prob, warm) is not None
+                tally["warm pivots"] += warm.iterations
+                tally["cold pivots"] += cold.iterations
+            parent = warm
+    assert tally[LpStatus.OPTIMAL] > 700 and tally[LpStatus.INFEASIBLE] > 80
+    # the warm path is taken, not a cold fallback
+    assert 2 * tally["warm pivots"] < tally["cold pivots"]
+
+
+def test_warm_start_of_another_shape_solves_cold():
+    prob = LpProblem([-2, -1], [[-1, -1]], [-3], [0, 0], [2, 5])
+    parent = solve_lp(prob)
+    grown = prob.with_extra_rows([[-1, 1]], [-1])
+    sol = solve_lp(grown, parent.basis)
+    assert sol.status is LpStatus.OPTIMAL and exact_primal(grown, sol) == [2, 1]
+    assert sol.iterations == solve_lp(grown).iterations
+
+
+def test_fixed_nonbasic_variable_is_reported_at_lower():
+    # the parent leaves x at its upper bound 2; the child raises x's lower
+    # bound to 2, and a warm start keeps x nonbasic at that bound
+    prob = LpProblem([-2, -1], [[-1, -1]], [-3], [0, 0], [2, 5])
+    parent = solve_lp(prob)
+    assert parent.col_status[0] == AT_UPPER
+    child = prob.with_bounds([2, 0], [2, 5])
+    warm = solve_lp(child, parent.basis)
+    assert warm.col_status == solve_lp(child).col_status
+    assert warm.col_status[0] == AT_LOWER
+    assert tight_bound_supports(child, warm) == ((0, False),)
+    assert exact_primal(child, warm) == [2, 1]
+
+
+def test_farkas_checks_the_certificate_exactly():
+    # x >= 4 and x <= 2: the sum of the two rows reads 0 >= 2
+    prob = LpProblem([1], [[1], [-1]], [4, -2], [0], [10])
+    assert farkas(prob, [1.0, 1.0]) and farkas(prob, [0.5, 0.5])
+    assert not farkas(prob, [1.0, 0.0])          # x <= 10 reaches 4
+    assert not farkas(prob, [1.0, -1.0])         # multipliers must be >= 0
+    assert not farkas(prob, [0.0, 0.0])
+    # x/3 >= 1/3 and -x/3 >= -1/3 meet at x = 1; moving the second rhs by
+    # 1e-20, below float resolution, makes them conflict, and only an exact
+    # check tells the two apart
+    third = Fraction(1, 3)
+    prob = LpProblem([1], [[third], [-third]], [third, -third], [0], [1])
+    assert not farkas(prob, [1.0, 1.0])
+    prob = LpProblem([1], [[third], [-third]], [third, -third + Fraction(1, 10**20)],
+                     [0], [1])
+    assert farkas(prob, [1.0, 1.0])
+    assert not farkas(prob.with_bounds([0], [None]), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_unproven_infeasible_verdict_is_unstable(monkeypatch, warm):
+    prob = LpProblem([1, 1], [[1, 1], [1, -1]], [2, -1], [0, 0], [3, 3])
+    parent = solve_lp(prob)
+    child = prob.with_bounds([0, 0], [0, 0])
+    start = parent.basis if warm else None
+    assert solve_lp(child, start).status is LpStatus.INFEASIBLE
+    monkeypatch.setattr(simplex, "farkas", lambda problem, y: False)
+    assert solve_lp(child, start).status is LpStatus.UNSTABLE
 
 
 # -- exact recovery against the Fraction-elimination reference ---------------
