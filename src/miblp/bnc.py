@@ -3,10 +3,12 @@
 The search keeps a best-first queue ordered by parent dual bound (FIFO on
 ties).  Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
-LP starts from the parent's final basis, and cold at the root, on a retry
-and once the pool has grown.  An "infeasible" prune rests on the simplex's
-exact Farkas certificate; an unproven verdict is a numerical failure, which
-retries the node once and then branches.
+LP starts from the parent's final basis, or in a later cut round from the
+previous round's; rows the pool has gained since enter with their surplus
+columns basic.  The root and a retried node start from the slack basis.  An
+"infeasible" prune rests on the simplex's exact Farkas certificate; an
+unproven verdict is a numerical failure, which retries the node once and
+then branches.
 
 The improving-direction oracle is queried only where its answer can change
 the tree: where a found direction can still become a cut (cut rounds remain
@@ -381,7 +383,7 @@ class BranchAndCut:
         while True:
             prob = self._node_lp(node)
             sol = simplex.solve_lp(prob, node.start)
-            node.start = sol.basis      # the children's start
+            node.start = sol.basis      # the next round's and the children's start
             self.stats.lp_solves += 1
             if sol.status is LpStatus.INFEASIBLE:
                 return "prune", "infeasible"

@@ -275,17 +275,13 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
 
     Vectors are visited by increasing 1-norm, lexicographically within a
     shell, so under the Norm1 objective the first survivor is already optimal
-    and stops the scan.  ``objective`` may also be a callable scoring a w
-    tuple.
+    and stops the scan.
     """
     if k < 1:
         raise ValueError("radius k must be at least 1")
     image = step_image(inst, point)
 
-    if callable(objective):
-        score = lambda w: objective(tuple(Fraction(v) for v in w))
-        short_circuit = False
-    elif objective is DirectionObjective.NORM1:
+    if objective is DirectionObjective.NORM1:
         score = lambda w: sum(abs(v) for v in w)
         short_circuit = True
     elif objective is DirectionObjective.STEEPEST:

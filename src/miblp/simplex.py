@@ -1,31 +1,33 @@
-"""Dense bounded-variable primal simplex, with a dual simplex for warm starts.
+"""Dense bounded-variable simplex: a dual simplex from a basis, then the primal
+loop to confirm optimality.
 
 The pivoting engine runs in floating point over plain Python lists, which
 at the solver's sizes (a dozen rows or fewer) beats any array library's
-per-call overhead.  Artificial columns are introduced only for rows the
-all-at-lower-bound start violates, and are pinned to zero after phase 1;
-they and the surplus columns are signed unit vectors, never stored.  The
-explicit basis inverse is updated by row operations and rebuilt by
-Gauss-Jordan elimination every ``REFACTOR_INTERVAL`` pivots.  Dantzig
-pricing is used until the degenerate-pivot budget 3(m+n) is spent, after
-which Bland's rule takes over for the rest of the solve.  Ratio-test ties
-break toward the lowest variable index; on a tie with the entering
-variable's own span, the bound flip wins.
+per-call overhead.  The columns are the structurals and one surplus column
+-e_i per row; the surplus columns are never stored.  The explicit basis
+inverse is updated by row operations and rebuilt by Gauss-Jordan
+elimination every ``REFACTOR_INTERVAL`` pivots.
 
-Warm path: an Optimal solution carries its final ``Basis``.  A problem with
-the same rows and tightened bounds (a branch-and-bound child) starts from
-it: the parent's basis stays dual feasible, so a bounded dual simplex
-restores primal feasibility and the primal loop then confirms optimality.
-A start of another shape, a failed pivot or the iteration cap falls back to
-the cold solve.  A nonbasic structural with lower = upper is reported at
-its lower bound, as the cold start leaves it, so the tight set names the
-bound a branch did not move.
+Every LP runs one path.  It starts from a basis: the parent's final
+``Basis`` when one is given (a branch-and-bound child, whose tightened
+bounds leave that basis dual feasible), else the slack basis B = -I with
+each structural at the bound its cost prefers.  A start with fewer rows
+than the problem extends itself: each appended row enters with its surplus
+column basic.  A bounded dual simplex, capped at 3(m+n) pivots, restores
+primal feasibility and the primal loop then confirms optimality, pricing by
+Dantzig's rule until 3(m+n) degenerate pivots are spent and by Bland's rule
+after that.  Its ratio-test ties break toward the lowest variable index; on
+a tie with the entering variable's own span, the bound flip wins.  A start
+that cannot settle the LP (a failed pivot, the cap, an unproven verdict)
+gives way to the slack basis, and where that fails too the LP is UNSTABLE.  A nonbasic structural with lower = upper is reported at its
+lower bound, so the tight set names the bound a branch did not move.
 
-No "infeasible" rests on a float verdict.  The dual loop's blocked row of
-B^-1 and the phase-1 duals c_B B^-1 both give row multipliers y; clipped at
-0, ``farkas`` checks in integers that max over the box of (y R) z < y r.
-Where it does not, a warm solve falls back to the cold one and a cold solve
-reports UNSTABLE.
+Rows whose coefficients exceed ``ROW_SCALE_THRESHOLD`` (pooled cuts reach
+1e11) are scaled by a power of two in the float image, which keeps the
+tolerances meaningful and is exact.  No "infeasible" rests on a float
+verdict: where the dual loop's leaving row has no entering column, that
+row of B^-1 gives multipliers y; clipped at 0 and mapped back by the row
+scales, ``farkas`` checks in integers that max over the box of (y R) z < y r.
 
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (rows
@@ -53,6 +55,7 @@ DEGENERATE_STEP_TOL = 1e-12
 RATIO_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
 REFACTOR_INTERVAL = 50
+ROW_SCALE_THRESHOLD = 2.0 ** 10
 
 BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
 
@@ -94,12 +97,26 @@ class LpProblem:
         return len(self.rows)
 
     def float_data(self):
-        """(objective, rows, their transpose, rhs) as lists of floats."""
+        """(objective, rows, their transpose, rhs, row scales) as floats.
+
+        A row whose largest |coefficient| exceeds ``ROW_SCALE_THRESHOLD`` is
+        multiplied, rhs included, by the power of two that brings that
+        coefficient into [1/2, 1); other rows keep scale 1.  A power of two
+        scales a float exactly, so multipliers of the scaled rows times the
+        scales are exact multipliers of the problem's own rows.
+        """
         if "float" not in self._cache:
-            R = [[float(v) for v in row] for row in self.rows]
+            R, r, scales = [], [], []
+            for row, b in zip(self.rows, self.rhs):
+                fr = [float(v) for v in row]
+                big = max(map(abs, fr), default=0.0)
+                s = math.ldexp(1.0, -math.frexp(big)[1]) if big > ROW_SCALE_THRESHOLD else 1.0
+                R.append([v * s for v in fr])
+                r.append(float(b) * s)
+                scales.append(s)
             self._cache["float"] = ([float(v) for v in self.objective], R,
                                     [[row[j] for row in R] for j in range(self.n)],
-                                    [float(v) for v in self.rhs])
+                                    r, scales)
         return self._cache["float"]
 
     def integer_rows(self):
@@ -128,12 +145,14 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class Basis:
-    """A final basis, to warm-start an LP that differs only in its bounds.
+    """A final basis, to start an LP with the same leading rows.
 
     ``header`` names the basic column of each row, ``status`` is the
-    solution's ``col_status`` and ``binv`` holds the rows of B^-1, which
-    every warm start shares and none modifies; ``age`` counts the pivots
-    since B^-1 was last rebuilt.
+    solution's ``col_status`` and ``binv`` holds the rows of B^-1 over the
+    scaled rows, which every start shares and none modifies; ``age`` counts
+    the pivots since B^-1 was last rebuilt.  A problem may differ in its
+    bounds and may append rows: those enter with their surplus columns
+    basic.
     """
 
     header: tuple
@@ -155,23 +174,25 @@ class LpSolution:
 
 
 def solve_lp(problem: LpProblem, start: Basis | None = None) -> LpSolution:
-    """Solve cold, or warm from ``start`` when it has the problem's shape;
-    a warm solve that cannot settle the LP falls back to a cold one."""
+    """Solve from ``start`` when its rows lead the problem's, else, or where
+    that start cannot settle the LP, from the slack basis."""
     lo_f = [v.numerator / v.denominator for v in problem.lower]
     hi_f = [INF if v is None else v.numerator / v.denominator for v in problem.upper]
     if any(l > h + 1e-12 for l, h in zip(lo_f, hi_f)):
         return LpSolution(LpStatus.INFEASIBLE)
+    starts = [None]
+    if start is not None and len(start.header) <= problem.m \
+            and len(start.status) == problem.n + len(start.header):
+        starts.insert(0, start)
     spent = 0
-    if start is not None and len(start.header) == problem.m \
-            and len(start.status) == problem.n + problem.m:
-        warm = _Simplex(problem, lo_f, hi_f, start)
-        sol = warm.run_warm()
+    for basis in starts:
+        engine = _Simplex(problem, lo_f, hi_f, basis)
+        sol = engine.run()
+        spent += engine.iterations
         if sol is not None:
+            sol.iterations = spent
             return sol
-        spent = warm.iterations
-    sol = _Simplex(problem, lo_f, hi_f).run()
-    sol.iterations += spent
-    return sol
+    return LpSolution(LpStatus.UNSTABLE, iterations=spent)
 
 
 def farkas(problem: LpProblem, y) -> bool:
@@ -200,127 +221,105 @@ def farkas(problem: LpProblem, y) -> bool:
 
 
 class _Simplex:
-    """Columns are the n structurals, the m surplus columns -e_i and the m
-    artificial columns +e_i; only the structural ones are ever stored."""
+    """One solve from one start.  Columns are the n structurals and the m
+    surplus columns -e_i of the scaled rows; only the structural ones are
+    ever stored.
+
+    The start is ``start`` extended to the problem's rows, or the slack
+    basis: B = -I, and each structural at its upper bound when its cost is
+    negative and that bound is finite, else at its lower bound.
+    """
 
     def __init__(self, problem: LpProblem, lo_s, hi_s, start: Basis | None = None):
         self.problem = problem
-        c_f, self.R, self.RT, self.r = problem.float_data()
+        c_f, self.R, self.RT, self.r, self.scales = problem.float_data()
         self.n = n = problem.n
         self.m = m = problem.m
-        self.ncols = n + 2 * m
-        self.lo = lo_s + [0.0] * (2 * m)
-        self.hi = hi_s + [INF] * m + [0.0] * m
-        self.cost = c_f + [0.0] * (2 * m)
+        self.lo = lo_s + [0.0] * m
+        self.hi = hi_s + [INF] * m
+        self.cost = c_f + [0.0] * m
         self.iterations = 0
-        if start is not None:
-            # the parent's basis and bound statuses; B^-1 rows are replaced,
-            # never edited, so copying the outer list keeps the parent's intact
-            self.basis = list(start.header)
-            self.binv = list(start.binv)
+        if start is None:
+            self.basis = list(range(n, n + m))
+            self.binv = [[-float(i == k) for k in range(m)] for i in range(m)]
+            self.pivots_since_refactor = 0
+            self.status = [AT_UPPER if c < 0.0 and h < INF else AT_LOWER
+                           for c, h in zip(c_f, hi_s)] + [BASIC] * m
+        else:
+            # B = [[B0, 0], [C, -I]] for appended rows holding C in B0's
+            # columns, so B^-1 = [[B0^-1, 0], [C B0^-1, -I]].  The start's
+            # B^-1 rows are replaced, never edited, so the parent's stay intact
+            m0 = len(start.header)
+            self.basis = list(start.header) + list(range(n + m0, n + m))
+            self.binv = [row + [0.0] * (m - m0) for row in start.binv]
+            for i in range(m0, m):
+                c = [self.R[i][j] if j < n else 0.0 for j in start.header]
+                self.binv.append([sum(map(mul, c, col)) for col in zip(*start.binv)]
+                                 + [-float(k == i) for k in range(m0, m)])
             self.pivots_since_refactor = start.age
-            self.status = list(start.status) + [AT_LOWER] * m
-            self.vals = [h if s == AT_UPPER else lo
-                         for s, lo, h in zip(self.status, self.lo, self.hi)]
-            return
-        self.status = [AT_LOWER] * self.ncols
-        self.vals = list(self.lo)
+            self.status = list(start.status) + [BASIC] * (m - m0)
+        self.vals = [h if s == AT_UPPER else lo
+                     for s, lo, h in zip(self.status, self.lo, self.hi)]
 
-        # start: structurals at lower bound, slacks basic where that is
-        # feasible, artificials elsewhere
-        self.basis = [n + i if sum(map(mul, row, lo_s)) >= b else n + m + i
-                      for i, (row, b) in enumerate(zip(self.R, self.r))]
-        self.binv = [[0.0] * m for _ in range(m)]
-        for i, j in enumerate(self.basis):
-            self.status[j] = BASIC
-            self.binv[i][i] = -1.0 if j < n + m else 1.0
-            if j >= n + m:
-                self.hi[j] = INF
-        self.need_phase1 = any(j >= n + m for j in self.basis)
-        self.pivots_since_refactor = 0
-
-    def run(self) -> LpSolution:
-        m, n = self.m, self.n
-        if self.need_phase1:
-            status = self._optimize([0.0] * (n + m) + [1.0] * m)
-            if status is not LpStatus.OPTIMAL:
-                return LpSolution(LpStatus.UNSTABLE, iterations=self.iterations)
-            self._recompute_basics()
-            infeas = sum(self.vals[j] for j in self.basis if j >= n + m)
-            if infeas > 1e-7:
-                # the phase-1 duals c_B B^-1 are the Farkas multipliers
-                y = [sum(row[i] for row, j in zip(self.binv, self.basis) if j >= n + m)
-                     for i in range(m)]
-                return LpSolution(self._certified(y), iterations=self.iterations)
-            self.hi[n + m:] = [0.0] * m
-            self._evict_artificials()
-        status = self._optimize(self.cost)
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution(status, iterations=self.iterations)
-        return self._solution()
-
-    def run_warm(self) -> LpSolution | None:
-        """The dual simplex from the start's basis, then the primal loop to
-        confirm optimality; None where only a cold solve can settle the LP."""
+    def run(self) -> LpSolution | None:
+        """The dual loop to primal feasibility, then the primal loop to
+        confirm optimality; None where this start cannot settle the LP."""
         if INF in self.vals:        # a start at an upper bound that is now +inf
             return None
         status = self._dual()
-        if status is LpStatus.INFEASIBLE:
-            return LpSolution(status, iterations=self.iterations)
-        if status is not LpStatus.OPTIMAL or self._optimize(self.cost) is not LpStatus.OPTIMAL:
+        if status is LpStatus.OPTIMAL:
+            status = self._optimize()
+        if status is LpStatus.OPTIMAL:
+            return self._solution()
+        if status is LpStatus.UNSTABLE:
             return None
-        return self._solution()
+        return LpSolution(status, iterations=self.iterations)
 
     def _certified(self, y) -> LpStatus:
-        """INFEASIBLE when ``farkas`` proves it with y clipped at 0, else
-        UNSTABLE: a float verdict alone never declares an LP infeasible."""
-        y = [v if v > 0.0 else 0.0 for v in y]
+        """INFEASIBLE when ``farkas`` proves it with y clipped at 0 and
+        carried to the problem's rows by the row scales, else UNSTABLE: a
+        float verdict alone never declares an LP infeasible."""
+        y = [v * s if v > 0.0 else 0.0 for v, s in zip(y, self.scales)]
         return LpStatus.INFEASIBLE if farkas(self.problem, y) else LpStatus.UNSTABLE
 
     def _solution(self) -> LpSolution:
         """The Optimal solution at the basis ``_optimize`` just priced.  A
         nonbasic structural with lower = upper is reported at its lower
-        bound, as a cold start leaves it, so the tight set names the bound
-        that was not tightened."""
-        n, m = self.n, self.m
+        bound, so the tight set names the bound that was not tightened."""
+        n = self.n
         x = self.vals[:n]
         lower, upper = self.problem.lower, self.problem.upper
         col_status = [AT_LOWER if s == AT_UPPER and j < n and lower[j] == upper[j] else s
-                      for j, s in enumerate(self.status[:n + m])]
-        basis = None
-        if all(j < n + m for j in self.basis):
-            basis = Basis(tuple(self.basis), col_status, self.binv,
-                          self.pivots_since_refactor)
+                      for j, s in enumerate(self.status)]
         return LpSolution(LpStatus.OPTIMAL, x, sum(map(mul, self.cost, x), 0.0),
-                          col_status, self.iterations, basis)
+                          col_status, self.iterations,
+                          Basis(tuple(self.basis), col_status, self.binv,
+                                self.pivots_since_refactor))
 
     # -- pivoting -------------------------------------------------------
 
     def _recompute_basics(self):
-        n, m, vals = self.n, self.m, self.vals
+        n, vals = self.n, self.vals
         v = [0.0 if s == BASIC else x for s, x in zip(self.status, vals)]
-        b = [ri - sum(map(mul, row, v)) + v[n + i] - v[n + m + i]
+        b = [ri - sum(map(mul, row, v)) + v[n + i]
              for i, (row, ri) in enumerate(zip(self.R, self.r))]
         for j, row in zip(self.basis, self.binv):
             vals[j] = sum(map(mul, row, b))
 
     def _column(self, j):
-        """Column j of [R | -I | I]."""
+        """Column j of [R | -I]."""
         if j < self.n:
             return self.RT[j]
         col = [0.0] * self.m
-        col[(j - self.n) % self.m] = -1.0 if j < self.n + self.m else 1.0
+        col[j - self.n] = -1.0
         return col
 
     def _ftran(self, j):
-        """B^-1 times column j: a signed column of B^-1 unless j is structural."""
-        n, m = self.n, self.m
-        if j < n:
+        """B^-1 times column j: a negated column of B^-1 unless j is structural."""
+        if j < self.n:
             col = self.RT[j]
             return [sum(map(mul, row, col)) for row in self.binv]
-        if j < n + m:
-            return [-row[j - n] for row in self.binv]
-        return [row[j - n - m] for row in self.binv]
+        return [-row[j - self.n] for row in self.binv]
 
     def _refactor(self) -> bool:
         """B^-1 by Gauss-Jordan elimination with partial pivoting; False when
@@ -344,14 +343,14 @@ class _Simplex:
         self.pivots_since_refactor = 0
         return True
 
-    def _optimize(self, cost) -> LpStatus:
+    def _optimize(self) -> LpStatus:
         n, m = self.n, self.m
-        lo, hi, status, vals, basis, RT = (self.lo, self.hi, self.status,
-                                           self.vals, self.basis, self.RT)
+        lo, hi, status, vals, basis, RT, cost = (self.lo, self.hi, self.status, self.vals,
+                                                 self.basis, self.RT, self.cost)
         bland = False
         degenerate = 0
         bland_after = 3 * (m + n)
-        cap = 2000 + 400 * (m + self.ncols)
+        cap = 2000 + 400 * (2 * m + n)
         while True:
             self.iterations += 1
             if self.iterations > cap:
@@ -359,19 +358,13 @@ class _Simplex:
             self._recompute_basics()
             cB = [cost[j] for j in basis]
             y = [sum(map(mul, cB, col)) for col in zip(*self.binv)]
-            # the surplus column -e_i prices at cost + y_i, the artificial
-            # +e_i at cost - y_i
+            # the surplus column -e_i prices at y_i
             j, best = -1, -1.0
-            for k in range(self.ncols):
+            for k in range(n + m):
                 sk = status[k]
                 if sk == BASIC or not hi[k] - lo[k] > 0:
                     continue
-                if k < n:
-                    dk = cost[k] - sum(map(mul, y, RT[k]))
-                elif k < n + m:
-                    dk = cost[k] + y[k - n]
-                else:
-                    dk = cost[k] - y[k - n - m]
+                dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
                 if (dk < -REDUCED_COST_TOL) if sk == AT_LOWER else (dk > REDUCED_COST_TOL):
                     if bland:
                         j = k
@@ -497,25 +490,6 @@ class _Simplex:
         if self.pivots_since_refactor >= REFACTOR_INTERVAL:
             return self._refactor()
         return True
-
-    def _evict_artificials(self):
-        """Pivot basic artificials out where possible."""
-        n, m = self.n, self.m
-        for p in range(m):
-            if self.basis[p] < n + m:
-                continue
-            row = self.binv[p]
-            candidate = next((j for j in range(n + m) if self.status[j] != BASIC and abs(
-                sum(map(mul, row, self.RT[j])) if j < n else row[j - n]) > 1e-7), None)
-            if candidate is None:
-                continue
-            u = self._ftran(candidate)
-            old = self.basis[p]
-            self.status[old] = AT_LOWER
-            self.vals[old] = 0.0
-            self.status[candidate] = BASIC
-            self.basis[p] = candidate
-            self._update_binv(u, p)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,23 @@ def test_infeasible_prunes_need_a_farkas_certificate(seed, bound, optimum):
     assert res.value == optimum
 
 
+def test_every_infeasible_verdict_is_proven_under_large_cuts(monkeypatch):
+    # family 3 3 2 5 10 pools cuts with coefficients up to ~2.5e11; with
+    # those rows scaled by powers of two every "infeasible" the dual loop
+    # reaches carries a certificate, so no node pays a retry and a branch
+    certified, unproven = simplex._Simplex._certified, []
+
+    def spy(self, y):
+        status = certified(self, y)
+        unproven.append(status is not simplex.LpStatus.INFEASIBLE)
+        return status
+
+    monkeypatch.setattr(simplex._Simplex, "_certified", spy)
+    res = solve(generate_random_instance(38, 3, 3, 2, 5, bound=10), SolverConfig())
+    assert res.status is SolveStatus.OPTIMAL and res.value == -53
+    assert unproven and not any(unproven)
+
+
 def test_infeasible_instance(moore_bard):
     from conftest import MOORE_BARD
     # fixing x = 0 leaves only the fractional follower point y = 3/2

@@ -176,8 +176,22 @@ def _tightened(rng, prob):
     return prob.with_bounds(lower, upper)
 
 
-def test_warm_and_cold_solves_agree_after_bound_tightenings():
+def _spy_on_runs(monkeypatch):
+    """Every ``_Simplex.run`` result, in order; None marks a start that gave
+    way to the slack basis or, from the slack basis, an UNSTABLE LP."""
+    run, results = simplex._Simplex.run, []
+
+    def spy(self):
+        results.append(run(self))
+        return results[-1]
+
+    monkeypatch.setattr(simplex._Simplex, "run", spy)
+    return results
+
+
+def test_warm_and_cold_solves_agree_after_bound_tightenings(monkeypatch):
     # chains of children, each warm-started from its parent's final basis
+    runs = _spy_on_runs(monkeypatch)
     rng = random.Random(9)
     tally = Counter()
     for _ in range(600):
@@ -198,17 +212,60 @@ def test_warm_and_cold_solves_agree_after_bound_tightenings():
                 tally["cold pivots"] += cold.iterations
             parent = warm
     assert tally[LpStatus.OPTIMAL] > 700 and tally[LpStatus.INFEASIBLE] > 80
-    # the warm path is taken, not a cold fallback
-    assert 2 * tally["warm pivots"] < tally["cold pivots"]
+    # every start settles its LP, and the parent's basis saves pivots
+    assert None not in runs
+    assert tally["warm pivots"] < tally["cold pivots"]
 
 
-def test_warm_start_of_another_shape_solves_cold():
+def test_start_with_fewer_rows_extends_itself(monkeypatch):
+    # the appended row y >= x cuts off the parent's vertex (2, 1); it enters
+    # with its surplus column basic and the dual loop moves to (3/2, 3/2)
+    runs = _spy_on_runs(monkeypatch)
     prob = LpProblem([-2, -1], [[-1, -1]], [-3], [0, 0], [2, 5])
     parent = solve_lp(prob)
-    grown = prob.with_extra_rows([[-1, 1]], [-1])
+    grown = prob.with_extra_rows([[-1, 1]], [0])
     sol = solve_lp(grown, parent.basis)
-    assert sol.status is LpStatus.OPTIMAL and exact_primal(grown, sol) == [2, 1]
-    assert sol.iterations == solve_lp(grown).iterations
+    assert sol.status is LpStatus.OPTIMAL
+    assert exact_primal(grown, sol) == [Fraction(3, 2), Fraction(3, 2)]
+    assert len(runs) == 2 and None not in runs
+    assert len(sol.basis.header) == 2
+    assert sol.iterations < solve_lp(grown).iterations
+
+
+def test_grown_problems_warm_and_cold_agree(monkeypatch):
+    # rows appended to a solved LP, as a cut round appends pool rows; some
+    # are cut-like, with coefficients near 1e11 through an integer point
+    runs = _spy_on_runs(monkeypatch)
+    rng = random.Random(27)
+    tally = Counter()
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        prob = random_lp(rng, n=n, m=rng.randint(1, 5))
+        parent = solve_lp(prob)
+        for _ in range(3):
+            if parent.status is not LpStatus.OPTIMAL:
+                break
+            centre = [Fraction(rng.randint(int(lo), int(hi)))
+                      for lo, hi in zip(prob.lower, prob.upper)]
+            size = 10**10 if rng.random() < 0.5 else 5
+            rows = [[rng.randint(-size, size) for _ in range(n)]
+                    for _ in range(rng.randint(1, 2))]
+            prob = prob.with_extra_rows(rows, [dot(row, centre) - rng.randint(0, size)
+                                               for row in rows])
+            warm, cold = solve_lp(prob, parent.basis), solve_lp(prob)
+            assert warm.status is cold.status
+            tally[warm.status] += 1
+            if warm.status is LpStatus.OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= \
+                    1e-9 * max(1.0, abs(cold.objective))
+                assert exact_primal(prob, warm) is not None
+                tally["warm pivots"] += warm.iterations
+                tally["cold pivots"] += cold.iterations
+            parent = warm
+    assert tally[LpStatus.OPTIMAL] > 200 and tally[LpStatus.INFEASIBLE] > 20
+    # every extended start settles its LP, and saves pivots
+    assert None not in runs
+    assert tally["warm pivots"] < tally["cold pivots"]
 
 
 def test_fixed_nonbasic_variable_is_reported_at_lower():
@@ -395,6 +452,27 @@ def test_recovery_matches_reference_cut_like_rows():
     assert tally["upper bound rays"] > 50 and tally["cuts"] > 200
 
 
+def test_cut_like_rows_solve_to_certified_answers():
+    # rows of |coef| 1e10-3e11 around an integer point, as pooled cuts are:
+    # their float image is scaled by powers of two, so every LP settles and
+    # every optimal vertex is exactly feasible
+    rng = random.Random(18)
+    statuses = Counter()
+    for _ in range(1000):
+        n = rng.randint(2, 4)
+        prob = random_lp(rng, n=n)
+        centre = [Fraction(rng.randint(0, 3)) for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            row = [rng.choice((-1, 1)) * rng.randint(10**10, 3 * 10**11) for _ in range(n)]
+            prob = prob.with_extra_rows([row], [dot(row, centre) - rng.randint(0, 10**10)])
+        sol = solve_lp(prob)
+        statuses[sol.status] += 1
+        if sol.status is LpStatus.OPTIMAL:
+            assert exact_primal(prob, sol) is not None
+    assert set(statuses) == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+    assert statuses[LpStatus.OPTIMAL] > 200
+
+
 def test_recovery_matches_reference_degenerate_vertices():
     # several rows and bounds through one point: tight sets larger than n
     # that are consistent, and rank-deficient choices among them
@@ -424,10 +502,9 @@ def test_recovery_matches_reference_degenerate_vertices():
 
 
 def test_recovery_with_an_artificial_left_basic():
-    # x + y >= 2 twice: if the phase-1 artificial of the copy stays basic,
-    # neither copy's slack is basic and the bound x <= 3 is nonbasic too, so
-    # the tight set has n + 1 = 3 members; rows are kept first, and the
-    # vertex (3, -1) they give violates y >= 0
+    # x + y >= 2 twice: with neither copy's slack basic and the bound x <= 3
+    # nonbasic too, the tight set has n + 1 = 3 members; rows are kept
+    # first, and the vertex (3, -1) they give violates y >= 0
     prob = LpProblem([1, 1], [[1, 1], [1, 1], [1, -1]], [2, 2, -4], [0, 0], [3, 5])
     status = [AT_UPPER, BASIC, AT_LOWER, AT_LOWER, BASIC]
     sol = LpSolution(LpStatus.OPTIMAL, col_status=status)
@@ -481,11 +558,14 @@ def test_non_optimal_solution_is_refused():
 
 
 def test_beale_cycling_lp_reaches_its_optimum():
-    # Beale's example cycles under largest-coefficient pricing; the solve
-    # spends its 3(m+n) degenerate pivots and Bland's rule finishes it
+    # Beale's example cycles under largest-coefficient pricing from its
+    # slack basis (x3 <= 1 is a row, so no structural starts at an upper
+    # bound); the solve spends its 3(m+n) degenerate pivots and Bland's rule
+    # finishes it
     prob = LpProblem([Fraction(-3, 4), 20, Fraction(-1, 2), 6],
-                     [[Fraction(-1, 4), 8, 1, -9], [Fraction(-1, 2), 12, Fraction(1, 2), -3]],
-                     [0, 0], [0, 0, 0, 0], [None, None, 1, None])
+                     [[Fraction(-1, 4), 8, 1, -9], [Fraction(-1, 2), 12, Fraction(1, 2), -3],
+                      [0, 0, -1, 0]],
+                     [0, 0, -1], [0, 0, 0, 0], [None] * 4)
     sol = solve_lp(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.iterations > 3 * (prob.m + prob.n)
@@ -515,7 +595,9 @@ def test_singular_basis_is_unstable_not_optimal(monkeypatch):
     assert engine._refactor()
     assert all(abs(sum(a * b for a, b in zip(row, engine._column(j))) - (i == k)) < 1e-12
                for i, row in enumerate(engine.binv) for k, j in enumerate(engine.basis))
-    for basis in ([0, 1, 4], [2, 5, 0], [3, 6, 1]):
+    # x and y alone span only one direction of the first two rows, and a
+    # repeated column is singular too
+    for basis in ([0, 1, 4], [4, 1, 0], [2, 3, 3]):
         engine.basis = basis
         assert not engine._refactor()
     near = LpProblem([1, 1], [[1, 1], [1, 1 + 1e-12]], [1, 1], [0, 0], [5, 5])
