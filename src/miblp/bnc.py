@@ -387,8 +387,6 @@ class BranchAndCut:
             self.stats.lp_solves += 1
             if sol.status is LpStatus.INFEASIBLE:
                 return "prune", "infeasible"
-            if sol.status is LpStatus.UNBOUNDED:
-                raise RuntimeError("node LP unbounded; boundedness was validated")
             if sol.status is LpStatus.UNSTABLE:
                 return ("retry", None) if not node.retried else ("branch", (None, bound, False))
             prev = bound

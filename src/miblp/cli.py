@@ -58,9 +58,11 @@ def _load(path: str) -> MiblpInstance:
     return parse_instance(text, name=Path(path).stem)
 
 
-def _vector(text: str) -> tuple:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(Fraction(p) for p in parts)
+def _vector(parser, text: str) -> tuple:
+    try:
+        return tuple(Fraction(p) for chunk in text.split(",") for p in chunk.split())
+    except (ValueError, ZeroDivisionError):
+        parser.error(f"not a list of numbers: {text!r}")
 
 
 def _fmt_vec(vec) -> str:
@@ -168,7 +170,7 @@ def _cmd_solve(parser, args) -> int:
 def _cmd_oracle(parser, args) -> int:
     inst = _load(args.file)
     cfg = _oracle_config(parser, args)
-    x, y = _vector(args.x), _vector(args.y)
+    x, y = _vector(parser, args.x), _vector(parser, args.y)
     if len(x) != inst.n1 or len(y) != inst.n2:
         parser.error(f"point must have {inst.n1} leader and "
                      f"{inst.n2} follower coordinates")
@@ -210,7 +212,7 @@ def _cmd_kopt(parser, args) -> int:
         text = args.slice
         if text.startswith("x="):
             text = text[2:]
-        x = _vector(text)
+        x = _vector(parser, text)
         if len(x) != inst.n1:
             parser.error(f"--slice needs {inst.n1} leader coordinates")
         csv_text = kopt.slice_csv(ctx, x)

@@ -237,7 +237,7 @@ def _parse_header_counts(tokens, lineno, keyword, count) -> list[int]:
         raise ParseError(lineno, f"{keyword} takes {count} value(s), got {len(tokens) - 1}")
     out = []
     for tok in tokens[1:]:
-        if not tok.lstrip("-").isdigit():
+        if not tok.removeprefix("-").isdecimal():
             raise ParseError(lineno, f"not an integer: {tok!r}")
         out.append(int(tok))
     return out
@@ -374,14 +374,15 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
 
     Raises InstanceError for continuous follower variables (r2 < n2), for
     continuous leader variables in follower rows, and for a relaxation that
-    is unbounded in a variable declared ``inf``.  Each follower row
-    (A2|G2, b2) and d2 are scaled by the LCM of their denominators, which
-    keeps the follower's feasible set and argmin and makes every follower
-    value change an integer: "no step improves by >= 1" then certifies a
-    best response, and free sets relax by one unit.  Bounds of integer
-    variables are rounded inward, and a bound declared ``inf`` becomes the
-    variable's exact maximum over the relaxation (collapsing to the lower
-    bound when the relaxation is empty).
+    is unbounded in a variable declared ``inf`` (a recession direction
+    raises it).  Each follower row (A2|G2, b2) and d2 are scaled by the LCM
+    of their denominators, which keeps the follower's feasible set and
+    argmin and makes every follower value change an integer: "no step
+    improves by >= 1" then certifies a best response, and free sets relax by
+    one unit.  Bounds of integer variables are rounded inward, and a bound
+    declared ``inf`` becomes the variable's exact maximum over the
+    relaxation, found under a doubling cap so that every LP starts dual
+    feasible (collapsing to the lower bound when the relaxation is empty).
     """
     if inst.r2 < inst.n2:
         raise InstanceError(f"continuous follower variables are not supported "
@@ -424,34 +425,57 @@ def _integral(vec) -> Vec:
 
 def _tightened_upper(inst: MiblpInstance, integer) -> tuple:
     """Each ``inf`` upper bound replaced by its exact maximum over the
-    relaxation, one max-LP per such bound; every bound collapses to its lower
-    one when the relaxation is empty."""
+    relaxation, or by its lower bound when the relaxation is empty.
+
+    Every LP here starts dual feasible, as ``simplex.solve_lp`` needs: a
+    zero-objective LP settles emptiness; a recession direction d with
+    rows . d >= 0, d in [0, 1] on the ``inf`` variables and 0 elsewhere, of
+    maximum sum, names an unbounded variable where its vertex is nonzero;
+    and each ``inf`` variable is maximized under a cap on it alone, doubled
+    (in span above its lower bound) until the vertex lies strictly below it.
+    A vertex where the cap is slack is a local, hence global, maximum of the
+    uncapped LP.
+    """
     from . import simplex
 
     zero = [Fraction(0)] * inst.num_vars
     base = simplex.LpProblem(zero, [list(coeffs) for coeffs, _ in inst.all_rows()],
                              [rhs for _, rhs in inst.all_rows()],
                              list(inst.lower), list(inst.upper))
-    upper = list(inst.upper)
-    for j, hi in enumerate(inst.upper):
-        if hi is not None:
-            continue
-        obj = list(zero)
-        obj[j] = Fraction(-1)
-        prob = base.with_objective(obj)
+    infinite = [j for j, hi in enumerate(inst.upper) if hi is None]
+
+    def vertex(prob, what):
         sol = simplex.solve_lp(prob)
         if sol.status is simplex.LpStatus.INFEASIBLE:
-            return tuple(lo if hi is None else hi
-                         for lo, hi in zip(inst.lower, inst.upper))
-        if sol.status is simplex.LpStatus.UNBOUNDED:
-            raise InstanceError(f"variable {j} is unbounded over the relaxation")
-        vertex = None
+            return None
+        exact = None
         if sol.status is simplex.LpStatus.OPTIMAL:
-            vertex = simplex.exact_primal(prob, sol)
-        if vertex is None:
-            raise InstanceError(f"cannot recover an exact upper bound for variable {j} "
+            exact = simplex.exact_primal(prob, sol)
+        if exact is None:
+            raise InstanceError(f"cannot recover an exact upper bound: no exact {what} "
                                 f"(LP status {sol.status.name})")
-        upper[j] = Fraction(math.floor(vertex[j])) if j in integer else vertex[j]
+        return exact
+
+    if vertex(base, "point of the relaxation") is None:
+        return tuple(lo if hi is None else hi for lo, hi in zip(inst.lower, inst.upper))
+    one = [Fraction(int(j in infinite)) for j in range(inst.num_vars)]
+    cone = simplex.LpProblem([-v for v in one], base.rows, [Fraction(0)] * base.m, zero, one)
+    d = vertex(cone, "recession direction")
+    unbounded = next((j for j in infinite if d[j] > 0), None)
+    if unbounded is not None:
+        raise InstanceError(f"variable {unbounded} is unbounded over the relaxation")
+    upper = list(inst.upper)
+    for j in infinite:
+        obj = list(zero)
+        obj[j] = Fraction(-1)
+        prob, capped, span = base.with_objective(obj), list(inst.upper), 1
+        while True:
+            capped[j] = inst.lower[j] + span
+            z = vertex(prob.with_bounds(inst.lower, capped), f"maximum of variable {j}")
+            if z is not None and z[j] < capped[j]:
+                break
+            span *= 2
+        upper[j] = Fraction(math.floor(z[j])) if j in integer else z[j]
     return tuple(upper)
 
 

@@ -36,7 +36,7 @@ PRUNE_TOL = 1e-9
 
 
 class MilpError(Exception):
-    """Unbounded relaxation or an unrecoverable numerical failure."""
+    """An unrecoverable numerical failure."""
 
 
 class MilpStatus(Enum):
@@ -120,8 +120,6 @@ def solve_milp(problem: MilpProblem,
         sol = simplex.solve_lp(node_lp, node.start)
         if sol.status is LpStatus.INFEASIBLE:
             continue
-        if sol.status is LpStatus.UNBOUNDED:
-            raise MilpError("LP relaxation is unbounded")
         if sol.status is LpStatus.UNSTABLE:
             raise MilpError("LP subsolver numerically unstable")
         if sol.objective >= best_obj_f - PRUNE_TOL:

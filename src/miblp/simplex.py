@@ -1,5 +1,4 @@
-"""Dense bounded-variable simplex: a dual simplex from a basis, then the primal
-loop to confirm optimality.
+"""Dense bounded-variable dual simplex from a basis.
 
 The pivoting engine runs in floating point over plain Python lists, which
 at the solver's sizes (a dozen rows or fewer) beats any array library's
@@ -8,18 +7,21 @@ per-call overhead.  The columns are the structurals and one surplus column
 inverse is updated by row operations and rebuilt by Gauss-Jordan
 elimination every ``REFACTOR_INTERVAL`` pivots.
 
-Every LP runs one path.  It starts from a basis: the parent's final
+Every LP runs one loop.  It starts from a basis: the parent's final
 ``Basis`` when one is given (a branch-and-bound child, whose tightened
 bounds leave that basis dual feasible), else the slack basis B = -I with
 each structural at the bound its cost prefers.  A start with fewer rows
 than the problem extends itself: each appended row enters with its surplus
-column basic.  A bounded dual simplex, capped at 3(m+n) pivots, restores
-primal feasibility and the primal loop then confirms optimality, pricing by
-Dantzig's rule until 3(m+n) degenerate pivots are spent and by Bland's rule
-after that.  Its ratio-test ties break toward the lowest variable index; on
-a tie with the entering variable's own span, the bound flip wins.  A start
-that cannot settle the LP (a failed pivot, the cap, an unproven verdict)
-gives way to the slack basis, and where that fails too the LP is UNSTABLE.  A nonbasic structural with lower = upper is reported at its
+column basic, which keeps the start dual feasible.  A bounded dual simplex,
+capped at 3(m+n) pivots, restores primal feasibility; the nonbasic columns
+are then priced once, and a reduced cost of the wrong sign beyond
+``REDUCED_COST_TOL`` means the start was not dual feasible.  A start that
+cannot settle the LP (a failed pivot, the cap, an unproven verdict, a
+wrong-signed reduced cost) gives way to the slack basis, and where that
+fails too the LP is UNSTABLE.  The slack basis is dual feasible only when
+every structural with a negative cost has a finite upper bound, so
+``solve_lp`` refuses any other LP.  ``LpSolution.iterations`` counts dual
+pivots.  A nonbasic structural with lower = upper is reported at its
 lower bound, so the tight set names the bound a branch did not move.
 
 Rows whose coefficients exceed ``ROW_SCALE_THRESHOLD`` (pooled cuts reach
@@ -30,13 +32,13 @@ row of B^-1 gives multipliers y; clipped at 0 and mapped back by the row
 scales, ``farkas`` checks in integers that max over the box of (y R) z < y r.
 
 Because problem data arrives as exact rationals, the final basis can be
-re-solved exactly by one recovery routine: of its n tight constraints (rows
-preferred over bounds, which matters to cut sharing downstream), bounds fix
-their coordinates and the rows' cached integer image gives the rest by
-fraction-free elimination.  ``exact_primal`` returns that vertex as Fractions
-once every row and bound holds; ``extract_cone`` adds one exact ray per tight
-constraint, a simplicial cone that provably contains the feasible region,
-together with the tight constraints themselves as the cone's facets.
+re-solved exactly by one recovery routine: of its n tight constraints (the
+nonbasic columns), bounds fix their coordinates and the rows' cached
+integer image gives the rest by fraction-free elimination.  ``exact_primal``
+returns that vertex as Fractions once every row and bound holds;
+``extract_cone`` adds one exact ray per tight constraint, a simplicial cone
+that provably contains the feasible region, together with the tight
+constraints themselves as the cone's facets.
 """
 from __future__ import annotations
 
@@ -46,12 +48,9 @@ from enum import Enum
 from fractions import Fraction
 from operator import mul
 
-from .exactlin import dot
-
 INF = float("inf")
 REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
-DEGENERATE_STEP_TOL = 1e-12
 RATIO_TIE_TOL = 1e-12
 FEASIBILITY_TOL = 1e-9
 REFACTOR_INTERVAL = 50
@@ -63,7 +62,6 @@ BASIC, AT_LOWER, AT_UPPER = 0, 1, 2
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     UNSTABLE = "numerically unstable"
 
 
@@ -167,7 +165,7 @@ class LpSolution:
     x: list | None = None              # structural values, floats
     objective: float | None = None
     col_status: list | None = None     # BASIC/AT_LOWER/AT_UPPER per structural+slack
-    iterations: int = 0
+    iterations: int = 0                # dual pivots, over every start tried
     basis: Basis | None = field(default=None, repr=False, compare=False)
     # (problem, exact recovery) of the last exact_primal/extract_cone call
     recovery: tuple | None = field(default=None, repr=False, compare=False)
@@ -175,9 +173,15 @@ class LpSolution:
 
 def solve_lp(problem: LpProblem, start: Basis | None = None) -> LpSolution:
     """Solve from ``start`` when its rows lead the problem's, else, or where
-    that start cannot settle the LP, from the slack basis."""
+    that start cannot settle the LP, from the slack basis.
+
+    Raises ValueError when a structural with a negative cost has no finite
+    upper bound, as the slack basis is then not dual feasible.
+    """
     lo_f = [v.numerator / v.denominator for v in problem.lower]
     hi_f = [INF if v is None else v.numerator / v.denominator for v in problem.upper]
+    if any(c < 0.0 and h == INF for c, h in zip(problem.float_data()[0], hi_f)):
+        raise ValueError("a structural with a negative cost needs a finite upper bound")
     if any(l > h + 1e-12 for l, h in zip(lo_f, hi_f)):
         return LpSolution(LpStatus.INFEASIBLE)
     starts = [None]
@@ -262,18 +266,35 @@ class _Simplex:
                      for s, lo, h in zip(self.status, self.lo, self.hi)]
 
     def run(self) -> LpSolution | None:
-        """The dual loop to primal feasibility, then the primal loop to
-        confirm optimality; None where this start cannot settle the LP."""
+        """The dual loop to primal feasibility; None where this start cannot
+        settle the LP, or reaches a vertex at which some nonbasic reduced
+        cost has the wrong sign (the start was not dual feasible)."""
         if INF in self.vals:        # a start at an upper bound that is now +inf
             return None
         status = self._dual()
         if status is LpStatus.OPTIMAL:
-            status = self._optimize()
-        if status is LpStatus.OPTIMAL:
-            return self._solution()
+            return self._solution() if self._dual_feasible() else None
         if status is LpStatus.UNSTABLE:
             return None
         return LpSolution(status, iterations=self.iterations)
+
+    def _duals(self):
+        """y = c_B B^-1: column k prices at cost_k - y . column_k, so the
+        surplus column -e_i prices at y_i."""
+        cB = [self.cost[j] for j in self.basis]
+        return [sum(map(mul, cB, col)) for col in zip(*self.binv)]
+
+    def _dual_feasible(self) -> bool:
+        """Whether no nonbasic column that can move has a reduced cost of
+        the wrong sign for its bound beyond REDUCED_COST_TOL."""
+        n, cost, RT, y = self.n, self.cost, self.RT, self._duals()
+        for k, (sk, lo, hi) in enumerate(zip(self.status, self.lo, self.hi)):
+            if sk == BASIC or not hi - lo > 0:
+                continue
+            dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
+            if (dk < -REDUCED_COST_TOL) if sk == AT_LOWER else (dk > REDUCED_COST_TOL):
+                return False
+        return True
 
     def _certified(self, y) -> LpStatus:
         """INFEASIBLE when ``farkas`` proves it with y clipped at 0 and
@@ -283,9 +304,10 @@ class _Simplex:
         return LpStatus.INFEASIBLE if farkas(self.problem, y) else LpStatus.UNSTABLE
 
     def _solution(self) -> LpSolution:
-        """The Optimal solution at the basis ``_optimize`` just priced.  A
-        nonbasic structural with lower = upper is reported at its lower
-        bound, so the tight set names the bound that was not tightened."""
+        """The Optimal solution at the primal and dual feasible basis ``run``
+        just checked.  A nonbasic structural with lower = upper is reported
+        at its lower bound, so the tight set names the bound that was not
+        tightened."""
         n = self.n
         x = self.vals[:n]
         lower, upper = self.problem.lower, self.problem.upper
@@ -343,88 +365,16 @@ class _Simplex:
         self.pivots_since_refactor = 0
         return True
 
-    def _optimize(self) -> LpStatus:
-        n, m = self.n, self.m
-        lo, hi, status, vals, basis, RT, cost = (self.lo, self.hi, self.status, self.vals,
-                                                 self.basis, self.RT, self.cost)
-        bland = False
-        degenerate = 0
-        bland_after = 3 * (m + n)
-        cap = 2000 + 400 * (2 * m + n)
-        while True:
-            self.iterations += 1
-            if self.iterations > cap:
-                return LpStatus.UNSTABLE
-            self._recompute_basics()
-            cB = [cost[j] for j in basis]
-            y = [sum(map(mul, cB, col)) for col in zip(*self.binv)]
-            # the surplus column -e_i prices at y_i
-            j, best = -1, -1.0
-            for k in range(n + m):
-                sk = status[k]
-                if sk == BASIC or not hi[k] - lo[k] > 0:
-                    continue
-                dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
-                if (dk < -REDUCED_COST_TOL) if sk == AT_LOWER else (dk > REDUCED_COST_TOL):
-                    if bland:
-                        j = k
-                        break
-                    if abs(dk) > best:
-                        j, best = k, abs(dk)
-            if j < 0:
-                return LpStatus.OPTIMAL
-            sigma = 1.0 if status[j] == AT_LOWER else -1.0
-            u = self._ftran(j)
-            g = [sigma * v for v in u]
-
-            ratios = []
-            for gq, jb in zip(g, basis):
-                if gq > PIVOT_TOL:
-                    ratio = (vals[jb] - lo[jb]) / gq
-                elif gq < -PIVOT_TOL and hi[jb] < INF:
-                    ratio = (vals[jb] - hi[jb]) / gq
-                else:
-                    ratio = INF
-                ratios.append(max(ratio, 0.0))
-            t_rows = min(ratios, default=INF)
-            t_span = hi[j] - lo[j]
-
-            if t_span <= t_rows + RATIO_TIE_TOL:
-                if t_span == INF:
-                    return LpStatus.UNBOUNDED
-                # bound flip, no basis change
-                status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-                vals[j] = hi[j] if status[j] == AT_UPPER else lo[j]
-                continue
-            if t_rows == INF:
-                return LpStatus.UNBOUNDED
-
-            limit = t_rows + RATIO_TIE_TOL
-            p = min((q for q in range(m) if ratios[q] <= limit), key=basis.__getitem__)
-            leaving = basis[p]
-            if t_rows <= DEGENERATE_STEP_TOL:
-                degenerate += 1
-                if degenerate >= bland_after:
-                    bland = True
-
-            vals[j] = vals[j] + sigma * t_rows
-            status[leaving] = AT_LOWER if g[p] > 0 else AT_UPPER
-            vals[leaving] = lo[leaving] if g[p] > 0 else hi[leaving]
-            status[j] = BASIC
-            basis[p] = j
-            if not self._update_binv(u, p):
-                return LpStatus.UNSTABLE
-
     def _dual(self) -> LpStatus:
         """Bounded dual simplex until every basic value is within its bounds.
 
         The leaving row is the one furthest outside; the entering column
         keeps the reduced costs' signs (smallest ratio, then the largest
-        pivot, then the lowest index).  OPTIMAL once primal feasible.  When
-        the leaving row has no entering column, that row of B^-1, signed to
-        the side the basic value must move, is the Farkas candidate:
-        INFEASIBLE if it passes, UNSTABLE if not, as on a failed pivot or
-        past the iteration cap.
+        pivot, then the lowest index).  OPTIMAL once primal feasible, for
+        ``run`` to price.  When the leaving row has no entering column, that
+        row of B^-1, signed to the side the basic value must move, is the
+        Farkas candidate: INFEASIBLE if it passes, UNSTABLE if not, as on a
+        failed pivot or past the iteration cap.
         """
         n, m = self.n, self.m
         lo, hi, status, vals, basis, RT, cost = (self.lo, self.hi, self.status, self.vals,
@@ -457,8 +407,7 @@ class _Simplex:
                     eligible.append((k, abs(alpha)))
             if not eligible:
                 return self._certified([-sign * v for v in row])
-            cB = [cost[j] for j in basis]
-            y = [sum(map(mul, cB, col)) for col in zip(*self.binv)]
+            y = self._duals()
             candidates = []
             for k, a in eligible:
                 dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
@@ -540,49 +489,20 @@ def _fraction_free_solve(matrix, cols):
     return prev, [[row[k + c] for row in work] for c in range(len(cols))]
 
 
-def _first_independent(vectors, need):
-    """Positions of the first ``need`` independent integer vectors, or None."""
-    echelon, chosen = [], []
-    for idx, vec in enumerate(vectors):
-        for p, e in echelon:
-            vec = [e[p] * a - vec[p] * b for a, b in zip(vec, e)]
-        piv = next((j for j, v in enumerate(vec) if v), None)
-        if piv is not None:
-            echelon.append((piv, vec))
-            chosen.append(idx)
-            if len(chosen) == need:
-                return chosen
-    return None
-
-
-def _at(problem: LpProblem, j, at_upper):
-    return Fraction(problem.upper[j] if at_upper else problem.lower[j])
-
-
 def _recover(problem: LpProblem, solution: LpSolution):
     """(rows, bound_supports, vertex) of the basis's n tight constraints.
 
-    The tight set is the nonbasic rows, then the nonbasic bounds; past n
-    members the first n independent ones are kept and the rest must hold
-    with equality.  Coordinates at a kept bound are read off it, the others
-    solve the kept rows' integer image.  Raises DegenerateConeError.
+    The tight set is the nonbasic rows, then the nonbasic bounds; a solver
+    basis leaves exactly n columns nonbasic, and any other count is refused.
+    Coordinates at a tight bound are read off it, the others solve the tight
+    rows' integer image.  Raises DegenerateConeError.
     """
     n, st, image = problem.n, solution.col_status, problem.integer_rows()
     rows = [i for i in range(problem.m) if st[n + i] != BASIC]
-    bounds = [(j, st[j] == AT_UPPER) for j in range(n) if st[j] != BASIC]
-    tight, spare = rows + bounds, []
-    if len(tight) < n:
-        raise DegenerateConeError("fewer tight constraints than dimensions")
-    if len(tight) > n:
-        keep = _first_independent([image[i][0] for i in rows] +
-                                  [[int(i == j) for i in range(n)] for j, _ in bounds], n)
-        if keep is None:
-            raise DegenerateConeError("tight constraints are rank deficient")
-        spare = [t for k, t in enumerate(tight) if k not in keep]
-        nr = len(rows)
-        rows = [tight[k] for k in keep if k < nr]
-        bounds = [tight[k] for k in keep if k >= nr]
-    fixed = {j: _at(problem, j, up) for j, up in bounds}
+    bounds = tuple((j, st[j] == AT_UPPER) for j in range(n) if st[j] != BASIC)
+    if len(rows) + len(bounds) != n:
+        raise DegenerateConeError(f"{len(rows) + len(bounds)} tight constraints, not n = {n}")
+    fixed = {j: Fraction(problem.upper[j] if up else problem.lower[j]) for j, up in bounds}
     free = [j for j in range(n) if j not in fixed]
     scale = math.lcm(*(v.denominator for v in fixed.values()))
     rhs = [image[i][1] * scale - sum(image[i][0][j] * v.numerator * (scale // v.denominator)
@@ -593,11 +513,7 @@ def _recover(problem: LpProblem, solution: LpSolution):
     vertex = [fixed.get(j) for j in range(n)]
     for j, v in zip(free, solved[1][0]):
         vertex[j] = Fraction(v, solved[0] * scale)
-    for t in spare:    # a row index or a (variable, at_upper) bound
-        if (vertex[t[0]] != _at(problem, *t) if isinstance(t, tuple)
-                else dot(problem.rows[t], vertex) != problem.rhs[t]):
-            raise DegenerateConeError("inconsistent tight constraints")
-    return rows, tuple(bounds), tuple(vertex)
+    return rows, bounds, tuple(vertex)
 
 
 def _recovered(problem: LpProblem, solution: LpSolution):
@@ -644,16 +560,16 @@ def tight_bound_supports(problem: LpProblem, solution: LpSolution) -> tuple:
 def extract_cone(problem: LpProblem, solution: LpSolution) -> SimplicialCone:
     """Simplicial cone at the solved basis's vertex, exactly.
 
-    The n constraints come from the tight set (rows preferred over bounds);
-    ray q relaxes constraint q and keeps the others tight.  Any feasible
-    point z then satisfies z = vertex + sum lambda_q ray_q with lambda >= 0,
-    so the cone contains the feasible region regardless of degeneracy.
+    The n constraints are the tight set, rows first, then bounds; ray q
+    relaxes constraint q and keeps the others tight.  Any feasible point z
+    then satisfies z = vertex + sum lambda_q ray_q with lambda >= 0, so the
+    cone contains the feasible region regardless of degeneracy.
     """
     rows, bounds, vertex = _recovered(problem, solution)
     n, image = problem.n, problem.integer_rows()
     fixed = [j for j, _ in bounds]
     free = [j for j in range(n) if j not in fixed]
-    # a row's ray meets its scaled row at its scale and the other kept rows
+    # a row's ray meets its scaled row at its scale and the other tight rows
     # at 0; a bound's ray moves its variable by sigma, which the rows absorb
     cols = [[image[i][2] * (i == r) for r in rows] for i in rows]
     cols += [[-image[i][0][j] for i in rows] for j in fixed]

@@ -94,6 +94,23 @@ def test_oracle_heuristic_window(capsys):
         main(["oracle", MB, "--x", "2", "--y", "4,4"])   # wrong dimension
 
 
+@pytest.mark.parametrize("argv", [["oracle", MB, "--x", "abc", "--y", "4"],
+                                  ["oracle", MB, "--x", "2", "--y", "1/0"],
+                                  ["kopt", MB, "--k", "0", "--slice", "x=1/0"]])
+def test_malformed_vector_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a list of numbers" in capsys.readouterr().err
+
+
+def test_malformed_header_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.miblp"
+    path.write_text(MOORE_BARD.replace("UPPER 0", "UPPER --2"))
+    assert main(["solve", str(path)]) == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
 def test_kopt_listing(capsys):
     assert main(["kopt", TD, "--k", "4"]) == 0
     out = capsys.readouterr().out

@@ -90,6 +90,13 @@ def test_parse_errors():
         parse_instance("MIBLP 1\nVARS 1 2 1 1\n")   # r1 > n1
 
 
+@pytest.mark.parametrize("old, new", [("VARS 1 1 1 1", "VARS --1 1 1 1"),
+                                      ("UPPER 0", "UPPER --2")])
+def test_malformed_header_count_is_a_parse_error(old, new):
+    with pytest.raises(ParseError, match="not an integer: '--"):
+        parse_instance(MOORE_BARD.replace(old, new))
+
+
 def test_validation_tightens_infinite_bounds():
     text = """MIBLP 1
 VARS 1 1 1 1
@@ -117,6 +124,58 @@ LOWER 1
 """
     with pytest.raises(InstanceError, match="unbounded"):
         parse_instance(text)
+
+
+def test_infinite_bound_found_under_a_doubling_cap(monkeypatch):
+    # x1 is a continuous leader variable outside the follower rows, with
+    # maximum 1000/3: the cap x1 <= 2^k binds up to 2^8 and is slack at 2^9
+    from miblp import simplex
+    solve_lp, calls = simplex.solve_lp, []
+    monkeypatch.setattr(simplex, "solve_lp", lambda prob: calls.append(prob) or solve_lp(prob))
+    text = """MIBLP 1
+VARS 2 1 1 1
+OBJ_UPPER 0 -1 1
+OBJ_LOWER 1
+BOUNDS 0 3 0 inf 0 5
+UPPER 1
+0 3 0 <= 1000
+LOWER 1
+1 0 1 <= 4
+"""
+    assert parse_instance(text).upper == (3, Fraction(1000, 3), 5)
+    # the emptiness LP, the recession LP, then caps 1, 2, 4, ..., 512
+    assert [p.upper[1] for p in calls[2:]] == [2**k for k in range(10)]
+
+
+def test_unbounded_variable_is_named():
+    text = """MIBLP 1
+VARS 1 1 1 1
+OBJ_UPPER 0 1
+OBJ_LOWER 1
+BOUNDS 0 inf 0 inf
+UPPER 1
+1 0 <= 4
+LOWER 1
+1 -1 <= 2
+"""
+    # x0 <= 4 is bounded; y >= x0 - 2 leaves y unbounded above
+    with pytest.raises(InstanceError, match="variable 1 is unbounded"):
+        parse_instance(text)
+
+
+def test_empty_relaxation_collapses_infinite_bounds():
+    text = """MIBLP 1
+VARS 1 1 1 1
+OBJ_UPPER 0 1
+OBJ_LOWER 1
+BOUNDS 0 inf 1 inf
+UPPER 0
+LOWER 1
+1 1 <= 0
+"""
+    inst = parse_instance(text)
+    assert inst.upper == inst.lower == (0, 1)
+    assert solve(inst).status is SolveStatus.INFEASIBLE
 
 
 def test_empty_relaxation_report():
