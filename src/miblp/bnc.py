@@ -181,28 +181,27 @@ def choose_branch_variable(inst: MiblpInstance, point: Point, node, strategy):
     def unfixed(j):
         return node.lower[j] < node.upper[j]
 
-    if strategy is Branching.LINKING_PRIORITY:
-        best = None
-        for j in inst.linking_indices():
-            if not unfixed(j):
-                continue
-            f = z[j] - math.floor(z[j])
-            score = min(f, 1 - f)
-            if best is None or score > best[0]:
-                best = (score, j)
-        if best is not None:
-            return best[1], z[best[1]]
+    def most_fractional(candidates):
+        """The first j whose distance min(r, q - r) / q to the nearest
+        integer is largest, z_j = p / q and r = p mod q, compared by
+        cross-multiplication; (None, 0) for no candidate."""
+        best_j, best_d, best_q = None, -1, 1
+        for j in candidates:
+            q = z[j].denominator
+            r = z[j].numerator % q
+            d = min(r, q - r)
+            if d * best_q > best_d * q:
+                best_j, best_d, best_q = j, d, q
+        return best_j, best_d
 
-    best = None
-    for j in inst.integer_indices():
-        f = z[j] - math.floor(z[j])
-        if f == 0:
-            continue
-        score = min(f, 1 - f)
-        if best is None or score > best[0]:
-            best = (score, j)
-    if best is not None:
-        return best[1], z[best[1]]
+    if strategy is Branching.LINKING_PRIORITY:
+        j, _ = most_fractional(j for j in inst.linking_indices() if unfixed(j))
+        if j is not None:
+            return j, z[j]
+
+    j, d = most_fractional(inst.integer_indices())
+    if d > 0:
+        return j, z[j]
     for j in inst.integer_indices():
         if unfixed(j):
             return j, z[j]

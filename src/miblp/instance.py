@@ -379,10 +379,12 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
     of their denominators, which keeps the follower's feasible set and
     argmin and makes every follower value change an integer: "no step
     improves by >= 1" then certifies a best response, and free sets relax by
-    one unit.  Bounds of integer variables are rounded inward, and a bound
-    declared ``inf`` becomes the variable's exact maximum over the
-    relaxation, found under a doubling cap so that every LP starts dual
-    feasible (collapsing to the lower bound when the relaxation is empty).
+    one unit.  Bounds of integer variables are rounded inward.  A number
+    beyond the float range, after that scaling, raises InstanceError, as the
+    simplex steers by a float image of the data.  A bound declared ``inf``
+    becomes the variable's exact maximum over the relaxation, found under a
+    doubling cap so that every LP starts dual feasible (collapsing to the
+    lower bound when the relaxation is empty).
     """
     if inst.r2 < inst.n2:
         raise InstanceError(f"continuous follower variables are not supported "
@@ -405,9 +407,28 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
                    g2=tuple(row[inst.n1:-1] for row in rows2),
                    b2=tuple(row[-1] for row in rows2),
                    lower=tuple(lower), upper=tuple(upper))
+    _refuse_overflow(inst)
     if None in upper:
         inst = replace(inst, upper=_tightened_upper(inst, integer))
     return inst
+
+
+def _refuse_overflow(inst: MiblpInstance) -> None:
+    """InstanceError naming the first part of the data with a number whose
+    float() overflows.  Only |p/q| >= 2**1023 can, which needs the bit
+    lengths of p and q to differ by more than 1022, so the cheap test on
+    them comes first."""
+    parts = {"OBJ_UPPER": inst.c + inst.d1, "OBJ_LOWER": inst.d2,
+             "BOUNDS": inst.lower + tuple(v for v in inst.upper if v is not None),
+             "UPPER": [v for a, g, b in zip(inst.a1, inst.g1, inst.b1) for v in a + g + (b,)],
+             "LOWER": [v for a, g, b in zip(inst.a2, inst.g2, inst.b2) for v in a + g + (b,)]}
+    for part, values in parts.items():
+        for v in values:
+            if v.numerator.bit_length() - v.denominator.bit_length() > 1022:
+                try:
+                    float(v)
+                except OverflowError:
+                    raise InstanceError(f"{part} holds a number beyond the float range") from None
 
 
 def _as_int(v) -> int:

@@ -7,9 +7,30 @@ matches every open node's bound, so the bound prune closes the tree at once.
 Branching picks the integer variable whose fractional part is closest to
 1/2, ties broken by lowest index.
 
-Each child's LP starts from its parent's final basis.  A node is pruned as
-infeasible only on the simplex's exact Farkas certificate; an LP the
-simplex cannot settle raises MilpError.
+Before its LP, each node's box is tightened by activity-bound propagation
+with integer rounding, in Python ints (Savelsbergh, ORSA J. Comput. 6(4),
+1994).  For a row a . z >= b whose nonzero coefficients all sit on integer
+columns, let top be its maximum activity over the box and slack = top - b.
+slack < 0 closes the node: the row itself, maximized over the box, is the
+certificate.  Otherwise each integer column with a > 0 gets the lower bound
+ceil(upper - slack / a) = upper - floor(slack / a), and each with a < 0 the
+upper bound lower + floor(slack / -a).  Where one column with a > 0 has no
+upper bound, only its lower bound moves, to ceil((b - rest) / a) over the
+other columns' maximum rest; two such columns bound nothing.  Integer
+bounds are first rounded inward, and rounded bounds that cross close the
+node as well.  A node's worklist starts from the rows of the columns whose bounds
+it changed (every integer column at the root, the branched one in a child)
+and runs to a fixpoint, or until it has visited (integer columns + 1) times
+as many rows as it may propagate, which only long chains over wide or open
+boxes reach; stopping early is sound, as the LP decides the rest.  Rows that
+touch a continuous column are left to the LP, and continuous bounds are
+never tightened: their bounds are rational, so rounding proves nothing.
+The tightened box is the node's own, so children inherit it.  ``nodes``
+counts node LPs solved, ``propagated`` the boxes closed without one.
+
+Each child's LP starts from its parent's final basis.  An LP verdict of
+infeasible prunes a node only on the simplex's exact Farkas certificate; an
+LP the simplex cannot settle raises MilpError.
 
 Candidate incumbents are re-derived exactly from the final LP basis, so the
 reported optimum is a rational point that satisfies every row exactly; the
@@ -61,7 +82,8 @@ class MilpSolution:
     status: MilpStatus
     x: list | None = None           # incumbent, exact Fractions
     objective: Fraction | None = None
-    nodes: int = 0
+    nodes: int = 0                  # node LPs solved
+    propagated: int = 0             # boxes closed by propagation, without an LP
 
 
 @dataclass(order=True)
@@ -71,6 +93,7 @@ class _Node:
     lower: list = field(compare=False)
     upper: list = field(compare=False)
     start: simplex.Basis | None = field(default=None, compare=False)  # the parent's basis
+    branched: int | None = field(default=None, compare=False)  # None at the root
 
 
 def solve_milp(problem: MilpProblem,
@@ -80,12 +103,20 @@ def solve_milp(problem: MilpProblem,
     int_set = tuple(sorted(set(problem.integer_indices)))
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
+    rows, by_col = _propagation_rows(lp, int_set)
+    visits = len(rows) * (len(int_set) + 1)
+    lower, upper = list(lp.lower), list(lp.upper)
+    for j in int_set:       # rounded inward, as ints
+        lower[j] = -(-lower[j].numerator // lower[j].denominator)
+        if upper[j] is not None:
+            upper[j] = upper[j].numerator // upper[j].denominator
+
     best_x = None
     best_obj = None          # exact Fraction
     best_obj_f = math.inf
-    nodes = 0
+    nodes = propagated = 0
     next_seq = itertools.count(1).__next__
-    dive = [_Node(-math.inf, 0, list(lp.lower), list(lp.upper))]
+    dive = [_Node(-math.inf, 0, lower, upper)]
     frontier = []            # heap, used once an incumbent exists
     diving = True
     limited = False
@@ -113,6 +144,10 @@ def solve_milp(problem: MilpProblem,
         else:
             node = heapq.heappop(frontier)
         if node.bound >= best_obj_f - PRUNE_TOL:
+            continue
+        moved = int_set if node.branched is None else (node.branched,)
+        if not _propagate(rows, by_col, node.lower, node.upper, moved, visits):
+            propagated += 1
             continue
 
         nodes += 1
@@ -147,10 +182,85 @@ def solve_milp(problem: MilpProblem,
                        branch_j, v, sol, next_seq)
 
     if limited:
-        return MilpSolution(MilpStatus.LIMIT_REACHED, best_x, best_obj, nodes)
+        return MilpSolution(MilpStatus.LIMIT_REACHED, best_x, best_obj, nodes, propagated)
     if best_x is None:
-        return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes)
-    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes)
+        return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes, propagated=propagated)
+    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes, propagated)
+
+
+def _propagation_rows(lp: LpProblem, int_set):
+    """(terms, rhs) of each row of the integer image whose nonzero
+    coefficients all sit on integer columns, terms as (column, coefficient),
+    and per column the indices of those rows that hold it."""
+    integer = set(int_set)
+    rows, by_col = [], [[] for _ in range(lp.n)]
+    for coeffs, b, _ in lp.integer_rows():
+        terms = [(j, a) for j, a in enumerate(coeffs) if a]
+        if all(j in integer for j, _ in terms):
+            for j, _ in terms:
+                by_col[j].append(len(rows))
+            rows.append((terms, b))
+    return rows, by_col
+
+
+def _propagate(rows, by_col, lower, upper, moved, visits) -> bool:
+    """Tighten the integer bounds in place, from the rows of the columns in
+    ``moved``, for at most ``visits`` row visits; False when the box holds no
+    integer point.  Bounds of integer columns are ints, an upper one may be
+    None; see the module docstring for the rules."""
+    work, queued = [], set()
+    for j in moved:
+        if upper[j] is not None and lower[j] > upper[j]:
+            return False
+        for i in by_col[j]:
+            if i not in queued:
+                queued.add(i)
+                work.append(i)
+    while work and visits:
+        visits -= 1
+        i = work.pop()
+        queued.discard(i)
+        terms, b = rows[i]
+        top, open_term = 0, None
+        for j, a in terms:
+            if a < 0:
+                top += a * lower[j]
+            elif upper[j] is not None:
+                top += a * upper[j]
+            elif open_term is None:
+                open_term = (j, a)
+            else:
+                break                       # two open terms bound nothing
+        else:
+            changed = []
+            if open_term is not None:       # only the open column has a finite rest
+                j, a = open_term
+                bound = -((top - b) // a)
+                if bound > lower[j]:
+                    lower[j] = bound
+                    changed.append(j)
+            else:
+                slack = top - b
+                if slack < 0:
+                    return False
+                for j, a in terms:
+                    if a > 0:
+                        bound = upper[j] - slack // a
+                        if bound > lower[j]:
+                            lower[j] = bound
+                            changed.append(j)
+                    else:
+                        bound = lower[j] + slack // -a
+                        if upper[j] is None or bound < upper[j]:
+                            upper[j] = bound
+                            changed.append(j)
+            # a row's own tightenings leave its maximum activity as it was
+            for j in changed:
+                for r in by_col[j]:
+                    if r != i and r not in queued:
+                        queued.add(r)
+                        work.append(r)
+    return True
 
 
 def _most_fractional(x, int_set):
@@ -168,11 +278,11 @@ def _push_children(store, diving, node, j, value, sol, next_seq):
     fl = math.floor(value)          # exact for a float and for a Fraction
     prefer_down = value - fl < 0.5
     down_upper = list(node.upper)
-    down_upper[j] = Fraction(fl)
-    down = _Node(sol.objective, next_seq(), list(node.lower), down_upper, sol.basis)
+    down_upper[j] = fl
+    down = _Node(sol.objective, next_seq(), list(node.lower), down_upper, sol.basis, j)
     up_lower = list(node.lower)
-    up_lower[j] = Fraction(fl + 1)
-    up = _Node(sol.objective, next_seq(), up_lower, list(node.upper), sol.basis)
+    up_lower[j] = fl + 1
+    up = _Node(sol.objective, next_seq(), up_lower, list(node.upper), sol.basis, j)
     first, second = (down, up) if prefer_down else (up, down)
     if diving:
         store.append(second)

@@ -296,12 +296,29 @@ class _Simplex:
                 return False
         return True
 
-    def _certified(self, y) -> LpStatus:
-        """INFEASIBLE when ``farkas`` proves it with y clipped at 0 and
-        carried to the problem's rows by the row scales, else UNSTABLE: a
-        float verdict alone never declares an LP infeasible."""
-        y = [v * s if v > 0.0 else 0.0 for v, s in zip(y, self.scales)]
-        return LpStatus.INFEASIBLE if farkas(self.problem, y) else LpStatus.UNSTABLE
+    def _certified(self, p, sign) -> LpStatus:
+        """INFEASIBLE when ``farkas`` proves it with y = sign times row p of
+        B^-1, clipped at 0 and carried to the problem's rows by the row
+        scales, or failing that with row p of the exact B^-1: float noise of
+        1e-16 left on a basic column can tilt y's combination toward an open
+        upper bound.  Else UNSTABLE: a float verdict alone never declares an
+        LP infeasible."""
+        y = [sign * v * s for v, s in zip(self.binv[p], self.scales)]
+        if farkas(self.problem, [v if v > 0.0 else 0.0 for v in y]):
+            return LpStatus.INFEASIBLE
+        # v B = e_p over the rows' integer image, one row of B^T per basic
+        # column; v times the rows' scales is u B = e_p over the rows
+        n, m, image = self.n, self.m, self.problem.integer_rows()
+        scales = [scale for _, _, scale in image]
+        bt = [[row[j] for row, _, _ in image] if j < n
+              else [-scales[i] * (i == j - n) for i in range(m)] for j in self.basis]
+        solved = _fraction_free_solve(bt, [[int(i == p) for i in range(m)]])
+        if solved is not None:
+            d, (u,) = solved
+            y = [Fraction(int(sign) * v * scale, d) for v, scale in zip(u, scales)]
+            if farkas(self.problem, [max(v, 0) for v in y]):
+                return LpStatus.INFEASIBLE
+        return LpStatus.UNSTABLE
 
     def _solution(self) -> LpSolution:
         """The Optimal solution at the primal and dual feasible basis ``run``
@@ -406,7 +423,7 @@ class _Simplex:
                 if (alpha < -PIVOT_TOL) if sk == AT_LOWER else (alpha > PIVOT_TOL):
                     eligible.append((k, abs(alpha)))
             if not eligible:
-                return self._certified([-sign * v for v in row])
+                return self._certified(p, -sign)
             y = self._duals()
             candidates = []
             for k, a in eligible:

@@ -101,6 +101,36 @@ def milp_grid_optimum(problem: LpProblem, integer_indices):
     return "optimal", best[0], best[1]
 
 
+def mixed_grid_optimum(problem: LpProblem, integer_indices):
+    """(status, value) by integer-grid scan when exactly one column is
+    continuous and its cost is nonnegative: at each grid point the rows give
+    that column an interval, whose lowest point is optimal."""
+    (c,) = [j for j in range(problem.n) if j not in integer_indices]
+    if problem.objective[c] < 0:
+        raise ValueError("the continuous column needs a nonnegative cost")
+    ranges = [range(math.ceil(problem.lower[j]), math.floor(problem.upper[j]) + 1)
+              for j in integer_indices]
+    best = None
+    for point in itertools.product(*ranges):
+        x = dict(zip(integer_indices, map(Fraction, point)))
+        lo, hi = Fraction(problem.lower[c]), problem.upper[c]
+        for row, b in zip(problem.rows, problem.rhs):
+            # row[c] * z_c >= b - (the integer part of the row)
+            rest = b - sum(row[j] * v for j, v in x.items())
+            if row[c] > 0:
+                lo = max(lo, Fraction(rest) / row[c])
+            elif row[c] < 0:
+                hi = Fraction(rest) / row[c] if hi is None else min(hi, Fraction(rest) / row[c])
+            elif rest > 0:
+                lo, hi = 1, 0
+        if hi is not None and lo > hi:
+            continue
+        value = sum(problem.objective[j] * v for j, v in x.items()) + problem.objective[c] * lo
+        if best is None or value < best:
+            best = value
+    return ("infeasible", None) if best is None else ("optimal", best)
+
+
 def random_lp(rng: random.Random, n=None, m=None) -> LpProblem:
     """Random LP with a finite box; roughly half end up infeasible."""
     n = n if n is not None else rng.randint(2, 3)

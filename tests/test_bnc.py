@@ -299,8 +299,8 @@ def test_every_infeasible_verdict_is_proven_under_large_cuts(monkeypatch):
     # reaches carries a certificate, so no node pays a retry and a branch
     certified, unproven = simplex._Simplex._certified, []
 
-    def spy(self, y):
-        status = certified(self, y)
+    def spy(self, *args):
+        status = certified(self, *args)
         unproven.append(status is not simplex.LpStatus.INFEASIBLE)
         return status
 

@@ -111,6 +111,15 @@ def test_malformed_header_count_exits_2(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new", [("OBJ_LOWER 1", "OBJ_LOWER 1e400"),
+                                      ("BOUNDS 0 8 0 5", "BOUNDS 0 8 0 1e999")])
+def test_number_beyond_the_float_range_exits_2(tmp_path, capsys, old, new):
+    path = tmp_path / "big.miblp"
+    path.write_text(MOORE_BARD.replace(old, new))
+    assert main(["solve", str(path)]) == 2
+    assert "beyond the float range" in capsys.readouterr().err
+
+
 def test_kopt_listing(capsys):
     assert main(["kopt", TD, "--k", "4"]) == 0
     out = capsys.readouterr().out

@@ -97,6 +97,16 @@ def test_malformed_header_count_is_a_parse_error(old, new):
         parse_instance(MOORE_BARD.replace(old, new))
 
 
+@pytest.mark.parametrize("old, new, part", [
+    ("OBJ_LOWER 1", "OBJ_LOWER 1e400", "OBJ_LOWER"),
+    ("BOUNDS 0 8 0 5", "BOUNDS 0 8 0 1e999", "BOUNDS"),
+    # within range as written, beyond it once the row is scaled to integers
+    ("-5 4 <= 6", "-1e-300 4 <= 1e10", "LOWER")])
+def test_number_beyond_the_float_range_is_refused(old, new, part):
+    with pytest.raises(InstanceError, match=f"{part} holds a number beyond the float range"):
+        parse_instance(MOORE_BARD.replace(old, new))
+
+
 def test_validation_tightens_infinite_bounds():
     text = """MIBLP 1
 VARS 1 1 1 1

@@ -3,9 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import milp_grid_optimum, random_milp
+from helpers import milp_grid_optimum, mixed_grid_optimum, random_milp
+from miblp import simplex
 from miblp.milp import MilpProblem, MilpStatus, solve_milp
 from miblp.simplex import LpProblem
+
+
+@pytest.fixture
+def lp_boxes(monkeypatch):
+    """Records the (lower, upper) box of every LP the MILP solves."""
+    boxes = []
+    solve_lp = simplex.solve_lp
+
+    def spy(problem, start=None):
+        boxes.append((list(problem.lower), list(problem.upper)))
+        return solve_lp(problem, start)
+
+    monkeypatch.setattr(simplex, "solve_lp", spy)
+    return boxes
 
 
 def test_simple_rounding_gap():
@@ -103,3 +118,78 @@ def test_solution_vector_is_exact():
             assert isinstance(v, Fraction) and v.denominator == 1
         for row, b in zip(prob.rows, prob.rhs):
             assert sum(c * v for c, v in zip(row, sol.x)) >= b
+
+
+def test_integer_empty_box_closes_without_an_lp(lp_boxes):
+    # 2x >= 1 and -2x >= -1 hold at x = 1/2, but no integer x does
+    prob = MilpProblem(LpProblem([1], [[2], [-2]], [1, -1], [0], [1]), (0,))
+    sol = solve_milp(prob)
+    assert sol.status is MilpStatus.INFEASIBLE
+    assert lp_boxes == [] and sol.nodes == 0 and sol.propagated == 1
+
+
+def test_root_lp_sees_the_rounded_box(lp_boxes):
+    # 2x >= 3 lifts x to ceil(3/2) = 2, -2y >= -5 caps y at floor(5/2) = 2,
+    # y + 2z >= 11 lifts the open-ended z to ceil((11 - 2)/2) = 5, and the
+    # fractional bounds of x and y are rounded inward first
+    lp = LpProblem([1, -1, 1], [[2, 0, 0], [0, -2, 0], [0, 1, 2]], [3, -5, 11],
+                   [Fraction(-1, 2), Fraction(1, 3), 0], [Fraction(7, 2), 3, None])
+    sol = solve_milp(MilpProblem(lp, (0, 1, 2)))
+    assert lp_boxes == [([2, 1, 5], [3, 2, None])]
+    assert sol.status is MilpStatus.OPTIMAL and sol.objective == 5
+    assert (sol.nodes, sol.propagated) == (1, 0)
+
+
+def test_child_propagates_from_its_branched_column(lp_boxes):
+    # max x + y with 2x + 2y <= 3: the root LP sets one variable to 1/2;
+    # the child that lifts it to 1 gets the other capped at 0 by the row,
+    # so its LP is already integral and needs no further branch
+    lp = LpProblem([-1, -1], [[-2, -2]], [-3], [0, 0], [1, 1])
+    sol = solve_milp(MilpProblem(lp, (0, 1)))
+    assert sol.status is MilpStatus.OPTIMAL and sol.objective == -1
+    assert ([0, 1], [0, 1]) in lp_boxes or ([1, 0], [1, 0]) in lp_boxes
+    assert (sol.nodes, sol.propagated) == (3, 0)
+
+
+def test_endless_tightening_chain_stops():
+    # x >= y and y >= x + 1 over open-ended boxes lift both lower bounds
+    # forever; propagation gives up and the LP proves the box empty
+    lp = LpProblem([1, 1], [[1, -1], [-1, 1]], [0, 1], [0, 0], [None, None])
+    sol = solve_milp(MilpProblem(lp, (0, 1)))
+    assert sol.status is MilpStatus.INFEASIBLE and sol.nodes == 1
+
+
+def _random_mixed_milp(rng):
+    """Integer columns with fractional bounds, then one continuous column
+    with an open upper bound and a nonnegative cost; rows touch it or not."""
+    k = rng.randint(2, 3)
+    lower = [Fraction(rng.randint(-6, 2), rng.choice((1, 2, 3))) for _ in range(k)]
+    upper = [lo + Fraction(rng.randint(0, 12), rng.choice((1, 2, 3))) for lo in lower]
+    rows = [[rng.randint(-5, 5) for _ in range(k)] + [rng.choice((0, 0, -2, -1, 1, 3))]
+            for _ in range(rng.randint(2, 4))]
+    rhs = [rng.randint(-8, 6) for _ in rows]
+    objective = [rng.randint(-5, 5) for _ in range(k)] + [rng.randint(0, 3)]
+    lp = LpProblem(objective, rows, rhs, lower + [Fraction(rng.randint(-3, 0), 2)],
+                   upper + [None])
+    return lp, tuple(range(k))
+
+
+def test_mixed_integer_against_grid_enumeration():
+    rng = random.Random(12)
+    optimal = propagated = 0
+    for _ in range(300):
+        lp, ints = _random_mixed_milp(rng)
+        status, value = mixed_grid_optimum(lp, ints)
+        sol = solve_milp(MilpProblem(lp, ints))
+        propagated += sol.propagated
+        if status == "infeasible":
+            assert sol.status is MilpStatus.INFEASIBLE
+            continue
+        optimal += 1
+        assert sol.status is MilpStatus.OPTIMAL and sol.objective == value
+        assert all(sol.x[j].denominator == 1 for j in ints)
+        assert all(lo <= v and (hi is None or v <= hi)
+                   for v, lo, hi in zip(sol.x, lp.lower, lp.upper))
+        for row, b in zip(lp.rows, lp.rhs):
+            assert sum(c * v for c, v in zip(row, sol.x)) >= b
+    assert optimal > 60 and propagated > 60

@@ -343,6 +343,21 @@ def test_unproven_infeasible_verdict_is_unstable(monkeypatch, warm):
     assert solve_lp(child, start).status is LpStatus.UNSTABLE
 
 
+def test_infeasible_lp_with_an_open_upper_bound_is_certified(monkeypatch):
+    # the float row of B^-1 is (1/4, 7/12, 5/12, 0) up to rounding, which
+    # leaves 1.7e-16 on the open column z3; only the exact row proves the
+    # LP empty, as the float one's combination is unbounded above over the box
+    prob = LpProblem([1, -3, -4, 2],
+                     [[-3, 5, -5, 3], [-3, 0, -1, -2], [1, -3, 2, 1], [5, -2, -2, 0]],
+                     [6, 4, -5, -1], [0, -1, 0, -1], [5, 1, 1, None])
+    calls = []
+    check = simplex.farkas
+    monkeypatch.setattr(simplex, "farkas", lambda problem, y: calls.append(y) or check(problem, y))
+    assert solve_lp(prob).status is LpStatus.INFEASIBLE
+    assert len(calls) == 2 and not check(prob, calls[0])
+    assert calls[1] == [Fraction(1, 4), Fraction(7, 12), Fraction(5, 12), 0]
+
+
 # -- exact recovery against the Fraction-elimination reference ---------------
 
 
