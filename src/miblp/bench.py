@@ -60,6 +60,8 @@ def record_to_row(rec: RunRecord) -> list[str]:
 
 
 def record_from_row(row: list[str]) -> RunRecord:
+    if len(row) != len(CSV_HEADER):
+        raise ValueError(f"{len(row)} fields, expected {len(CSV_HEADER)}")
     vals = {}
     for name, raw in zip(CSV_HEADER, row):
         conv = _NUMERIC.get(name)
@@ -68,12 +70,18 @@ def record_from_row(row: list[str]) -> RunRecord:
 
 
 def read_records(path) -> list[RunRecord]:
+    """The records of a CSV written by ``run_matrix``; a row of the wrong
+    length or with a malformed number raises ValueError naming its line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if rows and rows[0] == CSV_HEADER:
-        rows = rows[1:]
-    return [record_from_row(r) for r in rows if r]
+        rows = list(csv.reader(fh))
+    records = []
+    for line, row in enumerate(rows, 1):
+        if row and not (line == 1 and row == CSV_HEADER):
+            try:
+                records.append(record_from_row(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from None
+    return records
 
 
 def _run_one(name: str, inst: MiblpInstance, config_name: str,
@@ -255,20 +263,14 @@ def cumulative_profile(records) -> ProfileTable:
     censored = {}
     for c in configs:
         recs = [per_cfg[c] for per_cfg in table.values() if c in per_cfg]
-        times = sorted(r.wall_s for r in recs if r.solved())
-        points = []
-        for i, t in enumerate(times, start=1):
-            if points and points[-1][0] == t:
-                points[-1] = (t, i / n)
-            else:
-                points.append((t, i / n))
-        curves[f"{c}.time"] = tuple(points)
-        censored[f"{c}.time"] = n - len(times)
-        # missing records censor the gap curve too, so both curves share the
-        # instance count as denominator and the plateau property holds
-        gaps = [r.gap for r in recs] + [math.inf] * (n - len(recs))
-        curves[f"{c}.gap"] = _cdf(gaps)
-        censored[f"{c}.gap"] = sum(math.isinf(g) for g in gaps)
+        # unsolved and missing records are censored at +inf, so both curves
+        # share the instance count as denominator and the plateau property holds
+        missing = [math.inf] * (n - len(recs))
+        times = [r.wall_s if r.solved() else math.inf for r in recs] + missing
+        gaps = [r.gap for r in recs] + missing
+        for kind, values in (("time", times), ("gap", gaps)):
+            curves[f"{c}.{kind}"] = _cdf(values)
+            censored[f"{c}.{kind}"] = sum(math.isinf(v) for v in values)
     return ProfileTable("cumulative", curves, n, censored, {})
 
 

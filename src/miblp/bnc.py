@@ -5,10 +5,12 @@ ties).  Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
 LP starts from the parent's final basis, or in a later cut round from the
 previous round's; rows the pool has gained since enter with their surplus
-columns basic.  The root and a retried node start from the slack basis.  An
-"infeasible" prune rests on the simplex's exact Farkas certificate; an
-unproven verdict is a numerical failure, which retries the node once and
-then branches.
+columns basic.  The root and a retried node start from the slack basis.
+Every prune is exact: a node closes once ``simplex.dual_bound`` of its LP's
+multipliers, rounded up to the objective's lattice, or its parent's bound
+when it is popped, reaches the incumbent's value, and "infeasible" rests on
+the simplex's Farkas certificate.  An unproven verdict is a numerical
+failure, which retries the node once and then branches.
 
 The improving-direction oracle is queried only where its answer can change
 the tree: where a found direction can still become a cut (cut rounds remain
@@ -53,8 +55,6 @@ CUT_COEFF_CAP = 1e12    # beyond this the float image of the row is garbage
 MAX_CUT_ROUNDS = 20
 TAILING_OFF_EPS = 1e-6
 TAILING_OFF_ROUNDS = 3
-REL_GAP = 1e-6
-ABS_GAP = 1e-9
 
 
 class OracleMode(Enum):
@@ -129,7 +129,7 @@ class SolveResult:
 class _Node:
     id: int
     depth: int
-    parent_bound: float
+    parent_bound: Fraction | float     # exact, or -inf
     lower: list
     upper: list
     retried: bool = False
@@ -227,7 +227,7 @@ class BranchAndCut:
         self._pooled_size = 0
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
-        self.value_f = math.inf
+        self.integer = inst.integer_indices()
         self.phi_cache: dict = {}
         self.directions = DirectionPool(inst)
         self._deadline = None
@@ -244,7 +244,7 @@ class BranchAndCut:
 
     def _trace(self, node: _Node, bound, action: str):
         if self.cfg.trace:
-            b = "inf" if bound is None else f"{bound:.9g}"
+            b = "inf" if bound is None else f"{float(bound):.9g}"
             self.trace_lines.append(
                 f"node {node.id} depth {node.depth} bound {b} {action}")
 
@@ -252,13 +252,8 @@ class BranchAndCut:
         """Record a certified bilevel feasible point as incumbent if better."""
         value = self.inst.leader_value(point)
         if self.value is None or value < self.value:
-            self.incumbent, self.value, self.value_f = point, value, float(value)
+            self.incumbent, self.value = point, value
         self._trace(node, bound, f"incumbent value {value}")
-
-    def _prune_value(self) -> float:
-        if self.value is None:
-            return math.inf
-        return self.value_f - max(ABS_GAP, REL_GAP * abs(self.value_f))
 
     def _time_limit(self, cfg: OracleConfig) -> float | None:
         """The time left in the solve, or the oracle's own limit when that is
@@ -389,10 +384,10 @@ class BranchAndCut:
             if sol.status is LpStatus.UNSTABLE:
                 return ("retry", None) if not node.retried else ("branch", (None, bound, False))
             prev = bound
-            bound = sol.objective
+            bound = simplex.dual_bound(prob, sol.y, self.integer)
             if prev is not None:
                 tail = tail + 1 if bound - prev < TAILING_OFF_EPS else 0
-            if bound >= self._prune_value():
+            if self.value is not None and bound >= self.value:
                 return "prune", "bound"
             exact = simplex.exact_primal(prob, sol)
             if exact is None:
@@ -469,25 +464,23 @@ class BranchAndCut:
         seq = itertools.count()
         root = _Node(next(next_id), 0, -math.inf,
                      list(self.root_lower), list(self.root_upper))
-        queue = [(-math.inf, next(seq), root)]
+        queue = [(-math.inf, next(seq), root)]      # (float(bound), FIFO, node)
         limited = False
 
         while queue:
-            if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit:
+            if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit or \
+                    deadline is not None and time.monotonic() > deadline:
                 limited = True
                 break
-            if deadline is not None and time.monotonic() > deadline:
-                limited = True
-                break
-            parent_bound, _, node = heapq.heappop(queue)
-            if parent_bound >= self._prune_value():
+            node = heapq.heappop(queue)[2]
+            if self.value is not None and node.parent_bound >= self.value:
                 continue
             self.stats.nodes += 1
             action, payload = self.bound_node(node)
 
             if action == "retry":
                 node.retried, node.start = True, None
-                heapq.heappush(queue, (node.parent_bound, next(seq), node))
+                heapq.heappush(queue, (float(node.parent_bound), next(seq), node))
                 self._trace(node, None, "requeued")
                 continue
             if action == "prune":
@@ -498,12 +491,13 @@ class BranchAndCut:
                 self._accept(node, point, bound)
                 continue
 
-            # branch
+            # branch; the children, or a stalled node, keep the best bound known
             point, bound, proven = payload
+            child_bound = node.parent_bound if bound is None else bound
             decision = None if point is None else choose_branch_variable(
                 self.inst, point, node, cfg.branching)
             if decision is None and point is None:
-                for j in self.inst.integer_indices():
+                for j in self.integer:
                     if node.lower[j] < node.upper[j]:
                         decision = (j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
                         break
@@ -525,42 +519,33 @@ class BranchAndCut:
                         continue
                 # cannot split further and cannot certify: give up soundly
                 self._trace(node, bound, "stalled")
-                stall = node.parent_bound if bound is None else bound
-                heapq.heappush(queue, (stall, next(seq), node))
+                heapq.heappush(queue, (float(child_bound), next(seq), node))
                 limited = True
                 break
             j, v = decision
-            child_bound = node.parent_bound if bound is None else bound
             # clamp the split inside the box so both children strictly shrink;
             # otherwise a child repeats its parent and the search cycles
             down_hi = max(node.lower[j], min(Fraction(math.floor(v)), node.upper[j] - 1))
-            up_lo = down_hi + 1
-            for lo_j, hi_j in ((None, down_hi), (up_lo, None)):
+            for lo_j, hi_j in ((node.lower[j], down_hi), (down_hi + 1, node.upper[j])):
                 lo = list(node.lower)
                 hi = list(node.upper)
-                if lo_j is not None:
-                    lo[j] = lo_j
-                if hi_j is not None:
-                    hi[j] = hi_j
+                lo[j], hi[j] = lo_j, hi_j
                 child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi,
                               start=node.start)
-                heapq.heappush(queue, (child_bound, next(seq), child))
+                heapq.heappush(queue, (float(child_bound), next(seq), child))
             self._trace(node, bound, f"branched on {j}")
 
+        value = None if self.value is None else float(self.value)
         if limited:
+            status = SolveStatus.LIMIT_REACHED
             open_bounds = [b for b, _, _ in queue if not math.isinf(b)]
-            lb = min(open_bounds) if open_bounds else (
-                self.value_f if self.value is not None else -math.inf)
+            lb = min(open_bounds) if open_bounds else (-math.inf if value is None else value)
             gap = math.inf
-            if self.value is not None and not math.isinf(lb):
-                gap = max(0.0, (self.value_f - lb) / max(1.0, abs(self.value_f)))
-            return SolveResult(SolveStatus.LIMIT_REACHED, self.incumbent,
-                               self.value, lb, gap, self.stats,
-                               tuple(self.trace_lines), tuple(self.cut_log))
-        if self.incumbent is None:
-            return SolveResult(SolveStatus.INFEASIBLE, None, None, math.inf,
-                               math.inf, self.stats, tuple(self.trace_lines),
-                               tuple(self.cut_log))
-        return SolveResult(SolveStatus.OPTIMAL, self.incumbent, self.value,
-                           self.value_f, 0.0, self.stats, tuple(self.trace_lines),
-                           tuple(self.cut_log))
+            if value is not None and not math.isinf(lb):
+                gap = max(0.0, (value - lb) / max(1.0, abs(value)))
+        elif value is None:
+            status, lb, gap = SolveStatus.INFEASIBLE, math.inf, math.inf
+        else:
+            status, lb, gap = SolveStatus.OPTIMAL, value, 0.0
+        return SolveResult(status, self.incumbent, self.value, lb, gap, self.stats,
+                           tuple(self.trace_lines), tuple(self.cut_log))

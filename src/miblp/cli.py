@@ -372,8 +372,8 @@ def _cmd_bench(parser, args) -> int:
 
 
 def _cmd_profile(parser, args) -> int:
-    records = bench_mod.read_records(args.csv)
     try:
+        records = bench_mod.read_records(args.csv)
         if args.kind == "performance":
             table = bench_mod.performance_profile(records, args.measure,
                                                   time_filter=args.time_filter)

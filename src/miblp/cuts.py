@@ -46,10 +46,6 @@ class BilevelFreeSet:
     rows: tuple           # tuple of (coeffs over n1+n2, rhs)
     origin: tuple         # ("direction", w) | ("solution", y_star)
 
-    def contains(self, point: Point) -> bool:
-        z = point.joint()
-        return all(dot(a, z) >= b for a, b in self.rows)
-
     def strictly_contains(self, point: Point) -> bool:
         z = point.joint()
         return all(dot(a, z) > b for a, b in self.rows)

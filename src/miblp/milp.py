@@ -1,6 +1,6 @@
 """Branch-and-bound MILP subsolver on top of the bounded-variable simplex.
 
-Node selection is best-first on the parent LP bound, after an initial
+Node selection is best-first on the parent dual bound, after an initial
 depth-first dive that hunts down a first incumbent quickly.  A feasibility
 question is asked with a zero objective: the first integral vertex then
 matches every open node's bound, so the bound prune closes the tree at once.
@@ -30,7 +30,12 @@ counts node LPs solved, ``propagated`` the boxes closed without one.
 
 Each child's LP starts from its parent's final basis.  An LP verdict of
 infeasible prunes a node only on the simplex's exact Farkas certificate; an
-LP the simplex cannot settle raises MilpError.
+LP the simplex cannot settle raises MilpError.  A node closes once
+``simplex.dual_bound`` of its LP's multipliers (rounded up to the
+objective's lattice where every column with a cost is integer), or its
+parent's bound when it is popped, reaches the incumbent's value.  The
+bounds of the first dive are computed only once it finds an incumbent, as
+nothing reads them before; a search that finds none computes no bound.
 
 Candidate incumbents are re-derived exactly from the final LP basis, so the
 reported optimum is a rational point that satisfies every row exactly; the
@@ -47,13 +52,13 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from . import simplex
 from .exactlin import dot
 from .simplex import LpProblem, LpStatus
 
 INTEGRALITY_TOL = 1e-6
-PRUNE_TOL = 1e-9
 
 
 class MilpError(Exception):
@@ -88,8 +93,9 @@ class MilpSolution:
 
 @dataclass(order=True)
 class _Node:
-    bound: float
+    key: float                      # float(bound), the queue order
     seq: int
+    bound: object = field(compare=False)    # the parent's dual bound, or a call making it
     lower: list = field(compare=False)
     upper: list = field(compare=False)
     start: simplex.Basis | None = field(default=None, compare=False)  # the parent's basis
@@ -113,37 +119,27 @@ def solve_milp(problem: MilpProblem,
 
     best_x = None
     best_obj = None          # exact Fraction
-    best_obj_f = math.inf
     nodes = propagated = 0
     next_seq = itertools.count(1).__next__
-    dive = [_Node(-math.inf, 0, lower, upper)]
+    dive = [_Node(-math.inf, 0, -math.inf, lower, upper)]
     frontier = []            # heap, used once an incumbent exists
     diving = True
     limited = False
 
-    def out_of_budget() -> bool:
-        if node_limit is not None and nodes >= node_limit:
-            return True
-        if deadline is not None and time.monotonic() > deadline:
-            return True
-        return False
-
     while dive or frontier:
-        if out_of_budget():
+        if node_limit is not None and nodes >= node_limit or \
+                deadline is not None and time.monotonic() > deadline:
             limited = True
             break
-        if diving and not dive:
-            diving = False
-        if diving:
-            node = dive.pop()
-        elif dive:
-            for n in dive:
+        diving = diving and bool(dive)
+        if not diving and dive:
+            for n in dive:      # the first incumbent needs the dive's bounds
+                n.bound = n.bound()
+                n.key = float(n.bound)
                 heapq.heappush(frontier, n)
             dive = []
-            node = heapq.heappop(frontier)
-        else:
-            node = heapq.heappop(frontier)
-        if node.bound >= best_obj_f - PRUNE_TOL:
+        node = dive.pop() if diving else heapq.heappop(frontier)
+        if best_obj is not None and node.bound >= best_obj:
             continue
         moved = int_set if node.branched is None else (node.branched,)
         if not _propagate(rows, by_col, node.lower, node.upper, moved, visits):
@@ -157,35 +153,32 @@ def solve_milp(problem: MilpProblem,
             continue
         if sol.status is LpStatus.UNSTABLE:
             raise MilpError("LP subsolver numerically unstable")
-        if sol.objective >= best_obj_f - PRUNE_TOL:
-            continue
-
-        branch_j = _most_fractional(sol.x, int_set)
-        if branch_j is None:
-            exact = simplex.exact_primal(node_lp, sol)
-            if exact is None:
-                raise MilpError("could not certify an integral LP vertex exactly")
-            frac_j = next((j for j in int_set if exact[j].denominator != 1), None)
-            if frac_j is not None:
-                # integral only in floating point; branch on the exact value
-                _push_children(dive if diving else frontier, diving, node,
-                               frac_j, exact[frac_j], sol, next_seq)
+        bound = partial(simplex.dual_bound, node_lp, sol.y, int_set)
+        if best_obj is not None:
+            bound = bound()
+            if bound >= best_obj:
                 continue
-            obj = dot([Fraction(v) for v in lp.objective], exact)
-            if best_obj is None or obj < best_obj:
-                best_x, best_obj, best_obj_f = exact, obj, float(obj)
-                diving = False
-            continue
 
-        v = sol.x[branch_j]
+        z = sol.x
+        branch_j = _most_fractional(z, int_set)
+        if branch_j is None:
+            z = simplex.exact_primal(node_lp, sol)
+            if z is None:
+                raise MilpError("could not certify an integral LP vertex exactly")
+            # integral in floating point, but a fractional exact value is branched on
+            branch_j = next((j for j in int_set if z[j].denominator != 1), None)
+            if branch_j is None:
+                obj = dot([Fraction(v) for v in lp.objective], z)
+                if best_obj is None or obj < best_obj:
+                    best_x, best_obj = z, obj
+                    diving = False
+                continue
         _push_children(dive if diving else frontier, diving, node,
-                       branch_j, v, sol, next_seq)
+                       branch_j, z[branch_j], sol, bound, next_seq)
 
-    if limited:
-        return MilpSolution(MilpStatus.LIMIT_REACHED, best_x, best_obj, nodes, propagated)
-    if best_x is None:
-        return MilpSolution(MilpStatus.INFEASIBLE, nodes=nodes, propagated=propagated)
-    return MilpSolution(MilpStatus.OPTIMAL, best_x, best_obj, nodes, propagated)
+    status = (MilpStatus.LIMIT_REACHED if limited else
+              MilpStatus.INFEASIBLE if best_x is None else MilpStatus.OPTIMAL)
+    return MilpSolution(status, best_x, best_obj, nodes, propagated)
 
 
 def _propagation_rows(lp: LpProblem, int_set):
@@ -273,16 +266,18 @@ def _most_fractional(x, int_set):
     return best_j
 
 
-def _push_children(store, diving, node, j, value, sol, next_seq):
-    """Split at floor(value); both children start from the node's basis."""
+def _push_children(store, diving, node, j, value, sol, bound, next_seq):
+    """Split at floor(value); both children carry the node's dual bound and
+    start from its basis.  A dive's nodes are keyed when they join the heap."""
     fl = math.floor(value)          # exact for a float and for a Fraction
     prefer_down = value - fl < 0.5
+    key = 0.0 if diving else float(bound)
     down_upper = list(node.upper)
     down_upper[j] = fl
-    down = _Node(sol.objective, next_seq(), list(node.lower), down_upper, sol.basis, j)
+    down = _Node(key, next_seq(), bound, list(node.lower), down_upper, sol.basis, j)
     up_lower = list(node.lower)
     up_lower[j] = fl + 1
-    up = _Node(sol.objective, next_seq(), up_lower, list(node.upper), sol.basis, j)
+    up = _Node(key, next_seq(), bound, up_lower, list(node.upper), sol.basis, j)
     first, second = (down, up) if prefer_down else (up, down)
     if diving:
         store.append(second)

@@ -26,10 +26,11 @@ lower bound, so the tight set names the bound a branch did not move.
 
 Rows whose coefficients exceed ``ROW_SCALE_THRESHOLD`` (pooled cuts reach
 1e11) are scaled by a power of two in the float image, which keeps the
-tolerances meaningful and is exact.  No "infeasible" rests on a float
-verdict: where the dual loop's leaving row has no entering column, that
-row of B^-1 gives multipliers y; clipped at 0 and mapped back by the row
-scales, ``farkas`` checks in integers that max over the box of (y R) z < y r.
+tolerances meaningful and is exact.  Row multipliers y, carried back by
+the row scales, are checked in integers: ``dual_bound`` makes an optimal
+basis's duals (``LpSolution.y``) an exact lower bound on the objective,
+and ``farkas``, its zero-objective case, proves "infeasible" from the row
+of B^-1 at which the dual loop finds no entering column.
 
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (the
@@ -165,6 +166,7 @@ class LpSolution:
     x: list | None = None              # structural values, floats
     objective: float | None = None
     col_status: list | None = None     # BASIC/AT_LOWER/AT_UPPER per structural+slack
+    y: list | None = None              # row multipliers c_B B^-1 of the problem's rows
     iterations: int = 0                # dual pivots, over every start tried
     basis: Basis | None = field(default=None, repr=False, compare=False)
     # (problem, exact recovery) of the last exact_primal/extract_cone call
@@ -199,29 +201,47 @@ def solve_lp(problem: LpProblem, start: Basis | None = None) -> LpSolution:
     return LpSolution(LpStatus.UNSTABLE, iterations=spent)
 
 
-def farkas(problem: LpProblem, y) -> bool:
-    """Whether the row multipliers y >= 0 prove the problem infeasible.
-
-    Every z with rows . z >= rhs has (y R) z >= y r, so max over the box of
-    (y R) z < y r leaves no feasible z.  The floats of y are exact binary
-    fractions, so the check runs in integers over the rows' integer image.
-    """
-    terms = [(v.as_integer_ratio(), row) for v, row in zip(y, problem.integer_rows()) if v]
-    if any(p < 0 for (p, _), _ in terms):
-        return False
-    den = math.lcm(*(q * scale for (_, q), (_, _, scale) in terms))
-    g, h = [0] * problem.n, 0
+def dual_bound(problem: LpProblem, y, integer=(), objective: bool = True):
+    """Exact lower bound on objective . z from row multipliers y, clipped at
+    0 (Neumaier and Shcherbina, Math. Prog. 99, 2004): a feasible z has
+    y (R z - r) >= 0, so c z is at least the box minimum of (c - y R) z + y r,
+    a Fraction, or -inf where a reduced cost points at an open bound.  When
+    every column with a nonzero cost is in ``integer``, c z at an integer
+    point is a multiple of gcd / LCM of the costs, and the bound rounds up to
+    that lattice.  ``objective`` False takes c = 0.  The floats of y are
+    exact binary fractions, so the work is in ints over integer images."""
+    cache, obj = problem._cache, problem.objective
+    if objective and "c" not in cache:      # the objective's integer image
+        cden = math.lcm(*(v.denominator for v in obj))
+        cache["c"] = [v.numerator * (cden // v.denominator) for v in obj], cden
+    cost, cden = cache["c"] if objective else ([0] * problem.n, 1)
+    terms = [(v.as_integer_ratio(), row) for v, row in zip(y, problem.integer_rows()) if v > 0]
+    den = math.lcm(cden, *(q * scale for (_, q), (_, _, scale) in terms))
+    g, h = [c * (den // cden) for c in cost], 0
     for (p, q), (coeffs, b, scale) in terms:
         f = p * (den // (q * scale))
-        g = [gj + f * a for gj, a in zip(g, coeffs)]
+        g = [gj - f * a for gj, a in zip(g, coeffs)]
         h += f * b
-    # the box maximum of g z takes each z_j at the bound g_j points to
-    ends = [(gj, hi if gj > 0 else lo)
+    # the box minimum of g z takes each z_j at the bound g_j points to
+    ends = [(gj, lo if gj > 0 else hi)
             for gj, lo, hi in zip(g, problem.lower, problem.upper) if gj]
     if any(v is None for _, v in ends):
-        return False
+        return -math.inf
     scale = math.lcm(*(v.denominator for _, v in ends))
-    return sum(gj * v.numerator * (scale // v.denominator) for gj, v in ends) < h * scale
+    num = h * scale + sum(gj * v.numerator * (scale // v.denominator) for gj, v in ends)
+    den *= scale
+    step = math.gcd(*cost)
+    if step and all(j in integer for j, c in enumerate(cost) if c):
+        # num / den rounded up to a multiple of step / cden
+        return Fraction(-(-num * cden // (den * step)) * step, cden)
+    return Fraction(num, den)
+
+
+def farkas(problem: LpProblem, y) -> bool:
+    """Whether the row multipliers y prove the problem infeasible: y >= 0 and
+    the ``dual_bound`` of a zero objective is positive, which no feasible z
+    can meet."""
+    return all(v >= 0 for v in y) and dual_bound(problem, y, objective=False) > 0
 
 
 class _Simplex:
@@ -273,7 +293,8 @@ class _Simplex:
             return None
         status = self._dual()
         if status is LpStatus.OPTIMAL:
-            return self._solution() if self._dual_feasible() else None
+            y = self._duals()
+            return self._solution(y) if self._dual_feasible(y) else None
         if status is LpStatus.UNSTABLE:
             return None
         return LpSolution(status, iterations=self.iterations)
@@ -284,10 +305,10 @@ class _Simplex:
         cB = [self.cost[j] for j in self.basis]
         return [sum(map(mul, cB, col)) for col in zip(*self.binv)]
 
-    def _dual_feasible(self) -> bool:
-        """Whether no nonbasic column that can move has a reduced cost of
-        the wrong sign for its bound beyond REDUCED_COST_TOL."""
-        n, cost, RT, y = self.n, self.cost, self.RT, self._duals()
+    def _dual_feasible(self, y) -> bool:
+        """Whether no nonbasic column that can move prices at the duals y to
+        a reduced cost of the wrong sign for its bound beyond REDUCED_COST_TOL."""
+        n, cost, RT = self.n, self.cost, self.RT
         for k, (sk, lo, hi) in enumerate(zip(self.status, self.lo, self.hi)):
             if sk == BASIC or not hi - lo > 0:
                 continue
@@ -320,18 +341,18 @@ class _Simplex:
                 return LpStatus.INFEASIBLE
         return LpStatus.UNSTABLE
 
-    def _solution(self) -> LpSolution:
+    def _solution(self, y) -> LpSolution:
         """The Optimal solution at the primal and dual feasible basis ``run``
-        just checked.  A nonbasic structural with lower = upper is reported
-        at its lower bound, so the tight set names the bound that was not
-        tightened."""
+        just checked, its duals y carried to the problem's rows by the row
+        scales.  A nonbasic structural with lower = upper is reported at its
+        lower bound, so the tight set names the bound that was not tightened."""
         n = self.n
         x = self.vals[:n]
         lower, upper = self.problem.lower, self.problem.upper
         col_status = [AT_LOWER if s == AT_UPPER and j < n and lower[j] == upper[j] else s
                       for j, s in enumerate(self.status)]
         return LpSolution(LpStatus.OPTIMAL, x, sum(map(mul, self.cost, x), 0.0),
-                          col_status, self.iterations,
+                          col_status, list(map(mul, y, self.scales)), self.iterations,
                           Basis(tuple(self.basis), col_status, self.binv,
                                 self.pivots_since_refactor))
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -84,15 +86,16 @@ def test_determinism(three_d):
 
 @pytest.mark.parametrize("seed, cfg, counts", [
     (12, SolverConfig(), (79, 2, 1)),
-    (19, SolverConfig(), (79, 4, 2)),
-    (19, SolverConfig(oracle=LS2), (19, 3, 2)),
+    (19, SolverConfig(), (71, 4, 2)),
+    (19, SolverConfig(oracle=LS2), (15, 3, 2)),
 ])
 def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
     """Every cone follows a passing globality test at the same vertex, and
     every passing test is followed by a cone or by an oracle outcome other
-    than FOUND; the (nodes, cuts, certificates) counts are those of the
-    driver that queried the oracle at every vertex and built every cone
-    before testing it."""
+    than FOUND; the cut and certificate counts are those of the driver
+    that queried the oracle at every vertex and built every cone before
+    testing it, the node counts those of the exact, lattice-rounded bound
+    prune."""
     solver = BranchAndCut(generate_random_instance(seed, 2, 3, 2, 4, bound=8), cfg)
     events = []
     is_global, supports = solver._cone_is_global, simplex.tight_bound_supports
@@ -139,6 +142,41 @@ def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
                 (nxt[0] == "oracle" and nxt[1] is not OutcomeKind.FOUND)
     assert sum(e[0] == "cone" for e in events) > 0
     assert any(e[0] == "test" and not e[2] for e in events)
+
+
+def _nan_objectives(monkeypatch):
+    """Every Optimal LP from now on reports a NaN float objective."""
+    solve_lp = simplex.solve_lp
+
+    def nan_objective(problem, start=None):
+        sol = solve_lp(problem, start)
+        if sol.status is simplex.LpStatus.OPTIMAL:
+            sol.objective = math.nan
+        return sol
+    monkeypatch.setattr(simplex, "solve_lp", nan_objective)
+
+
+def test_no_prune_or_queue_decision_reads_the_float_objective(monkeypatch):
+    """Both trees prune and order on the exact dual bound alone: with every
+    LP's float objective NaN, B&C gives the same nodes, cuts and answers,
+    and the direction MILPs the same nodes and directions."""
+    instances = [generate_random_instance(seed, 2, 3, 2, 4, bound=8) for seed in (12, 19, 38)]
+    configs = (SolverConfig(), SolverConfig(oracle_mode=OracleMode.LEGACY))
+    inst = instances[0]
+    points = random.Random(5).sample(sorted(enumerate_S(inst), key=Point.joint), 20)
+    queries = [oracle.build_id_milp(inst, point) for point in points]
+
+    def run():
+        solves = [solve(i, cfg) for i in instances for cfg in configs]
+        milps = [milp.solve_milp(q) for q in queries]
+        return ([(r.status, r.value, r.incumbent, r.stats.nodes,
+                  [rec.cut.key() for rec in r.cut_log]) for r in solves],
+                [(m.status, m.x, m.objective, m.nodes, m.propagated) for m in milps])
+
+    before = run()
+    assert sum(m[3] for m in before[1]) > len(queries)     # the MILPs branch
+    _nan_objectives(monkeypatch)
+    assert run() == before
 
 
 @pytest.mark.parametrize("seed, cfg", [

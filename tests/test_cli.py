@@ -5,7 +5,7 @@ import pytest
 from conftest import DATA, MOORE_BARD, THREE_D
 from miblp import cli, kopt
 from miblp.bnc import OracleMode
-from miblp.bench import read_records
+from miblp.bench import CSV_HEADER, read_records
 from miblp.cli import agreement_failures, main
 from miblp.instance import InstanceError, parse_instance
 
@@ -241,6 +241,21 @@ def test_bench_and_profile(tmp_path, capsys):
                "--out-dir", str(out_dir), "--prefix", "cum"])
     assert rc == 0
     assert result_kv(capsys.readouterr().out, "profile")["curves"] == "4"
+
+
+@pytest.mark.parametrize("row, message", [
+    (["mb", "id-milp", "Optimal", "fast", "0.1", "3", "0.0", "0.0", "0.0"],
+     "line 3: could not convert"),
+    (["mb", "id-milp", "Optimal", "0.1"], "line 3: 4 fields, expected 9"),
+])
+def test_profile_refuses_a_malformed_csv(tmp_path, capsys, row, message):
+    good = ["mb", "legacy", "Optimal", "0.2", "0.2", "5", "0.0", "0.0", "0.0"]
+    csv_path = tmp_path / "runs.csv"
+    csv_path.write_text("\n".join(",".join(r) for r in (CSV_HEADER, good, row)) + "\n")
+    assert main(["profile", "--csv", str(csv_path)]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        read_records(csv_path)
 
 
 def test_profile_usage_errors(tmp_path, capsys):

@@ -143,12 +143,14 @@ def test_root_lp_sees_the_rounded_box(lp_boxes):
 def test_child_propagates_from_its_branched_column(lp_boxes):
     # max x + y with 2x + 2y <= 3: the root LP sets one variable to 1/2;
     # the child that lifts it to 1 gets the other capped at 0 by the row,
-    # so its LP is already integral and needs no further branch
+    # so its LP is already integral and needs no further branch; the root's
+    # dual bound -3/2 rounds up to -1 on the integer lattice, so that
+    # incumbent closes the sibling without its LP
     lp = LpProblem([-1, -1], [[-2, -2]], [-3], [0, 0], [1, 1])
     sol = solve_milp(MilpProblem(lp, (0, 1)))
     assert sol.status is MilpStatus.OPTIMAL and sol.objective == -1
     assert ([0, 1], [0, 1]) in lp_boxes or ([1, 0], [1, 0]) in lp_boxes
-    assert (sol.nodes, sol.propagated) == (3, 0)
+    assert (sol.nodes, sol.propagated) == (2, 0)
 
 
 def test_endless_tightening_chain_stops():

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (lp_vertex_optimum, random_lp, reference_exact_primal,
-                     reference_extract_cone, reference_intersection_cut,
-                     solve_vector)
+from helpers import (lp_vertex_optimum, mixed_grid_optimum, random_lp,
+                     reference_exact_primal, reference_extract_cone,
+                     reference_intersection_cut, solve_vector)
 from miblp import simplex
 from miblp.cuts import ConeContainedError, bfs_from_direction, intersection_cut
 from miblp.exactlin import dot
 from miblp.instance import MiblpInstance
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
-                           LpProblem, LpSolution, LpStatus, exact_primal,
+                           LpProblem, LpSolution, LpStatus, dual_bound, exact_primal,
                            extract_cone, farkas, solve_lp, tight_bound_supports)
 
 
@@ -313,23 +313,80 @@ def test_fixed_nonbasic_variable_is_reported_at_lower():
     assert exact_primal(child, warm) == [2, 1]
 
 
+def _farkas(prob, y):
+    """``farkas``, checked to decide as the dual bound of a zero objective."""
+    proved = farkas(prob, y)
+    assert proved == (min(y) >= 0 and dual_bound(prob.with_objective([0] * prob.n), y) > 0)
+    return proved
+
+
 def test_farkas_checks_the_certificate_exactly():
     # x >= 4 and x <= 2: the sum of the two rows reads 0 >= 2
     prob = LpProblem([1], [[1], [-1]], [4, -2], [0], [10])
-    assert farkas(prob, [1.0, 1.0]) and farkas(prob, [0.5, 0.5])
-    assert not farkas(prob, [1.0, 0.0])          # x <= 10 reaches 4
-    assert not farkas(prob, [1.0, -1.0])         # multipliers must be >= 0
-    assert not farkas(prob, [0.0, 0.0])
+    assert _farkas(prob, [1.0, 1.0]) and _farkas(prob, [0.5, 0.5])
+    assert not _farkas(prob, [1.0, 0.0])          # x <= 10 reaches 4
+    assert not _farkas(prob, [1.0, -1.0])         # multipliers must be >= 0
+    assert not _farkas(prob, [0.0, 0.0])
     # x/3 >= 1/3 and -x/3 >= -1/3 meet at x = 1; moving the second rhs by
     # 1e-20, below float resolution, makes them conflict, and only an exact
     # check tells the two apart
     third = Fraction(1, 3)
     prob = LpProblem([1], [[third], [-third]], [third, -third], [0], [1])
-    assert not farkas(prob, [1.0, 1.0])
+    assert not _farkas(prob, [1.0, 1.0])
     prob = LpProblem([1], [[third], [-third]], [third, -third + Fraction(1, 10**20)],
                      [0], [1])
-    assert farkas(prob, [1.0, 1.0])
-    assert not farkas(prob.with_bounds([0], [None]), [1.0, 0.0])
+    assert _farkas(prob, [1.0, 1.0])
+    assert not _farkas(prob.with_bounds([0], [None]), [1.0, 0.0])
+
+
+def test_dual_bound_is_tight_at_the_solver_basis():
+    rng = random.Random(17)
+    solved = 0
+    for _ in range(150):
+        prob = random_lp(rng)
+        status, value, _ = lp_vertex_optimum(prob)
+        if status == "optimal":
+            bound = dual_bound(prob, solve_lp(prob).y)
+            assert isinstance(bound, Fraction) and bound <= value
+            assert value - bound <= 1e-9 * max(1, abs(value))
+            solved += 1
+    assert solved > 40
+
+
+def _random_mixed_lp(rng):
+    """``random_lp`` with costs over 1, 2 or 3 on its integer columns, plus a
+    continuous column with an open upper bound and a cost of 0 or 1."""
+    prob = random_lp(rng)
+    return LpProblem([Fraction(c, rng.choice((1, 2, 3))) for c in prob.objective]
+                     + [rng.choice((0, 0, 1))],
+                     [row + [rng.choice((0, -1, 1, 2))] for row in prob.rows], prob.rhs,
+                     prob.lower + [0], prob.upper + [None]), tuple(range(prob.n))
+
+
+def test_lattice_rounded_dual_bound_stays_below_the_mixed_integer_optimum():
+    rng = random.Random(23)
+    rounded = 0
+    for _ in range(200):
+        prob, ints = _random_mixed_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status is not LpStatus.OPTIMAL:
+            continue
+        bound = dual_bound(prob, sol.y, ints)
+        status, value = mixed_grid_optimum(prob, ints)
+        if status == "optimal":
+            assert bound <= value
+        if bound == -math.inf:
+            # float noise on the reduced cost of a column with an open bound
+            continue
+        costs = [Fraction(c) for c in prob.objective if c]
+        if prob.objective[-1] == 0 and costs:
+            den = math.lcm(*(c.denominator for c in costs))
+            step = Fraction(math.gcd(*(int(c * den) for c in costs)), den)
+            assert (bound / step).denominator == 1
+            rounded += bound > dual_bound(prob, sol.y)
+        else:
+            assert bound == dual_bound(prob, sol.y)
+    assert rounded > 20
 
 
 @pytest.mark.parametrize("warm", [False, True])
