@@ -65,7 +65,7 @@ def record_from_row(row: list[str]) -> RunRecord:
     vals = {}
     for name, raw in zip(CSV_HEADER, row):
         conv = _NUMERIC.get(name)
-        vals[name] = raw if conv is None else conv(float(raw) if conv is int else raw)
+        vals[name] = raw if conv is None else conv(raw)
     return RunRecord(**vals)
 
 
@@ -149,12 +149,6 @@ def _by_instance(records) -> dict[str, dict[str, RunRecord]]:
     return table
 
 
-def _check_measure(measure: str):
-    if measure not in _NUMERIC:
-        raise ValueError(f"unknown measure {measure!r}; choose from "
-                         f"{sorted(_NUMERIC)}")
-
-
 def _measure_value(rec: RunRecord, measure: str) -> float:
     return float(getattr(rec, measure))
 
@@ -183,69 +177,66 @@ def _cdf(ratios) -> tuple:
     return tuple(points)
 
 
-def performance_profile(records, measure: str,
-                        time_filter: float = DEFAULT_TIME_FILTER) -> ProfileTable:
-    """CDFs of measure / virtual-best per configuration."""
-    _check_measure(measure)
+def _ratio_profile(records, measure: str, time_filter: float, kind: str, reference):
+    """The CDFs of measure / ``reference(records of an instance by config)``
+    per configuration over the kept instances, and the ratios behind them.
+    An instance a configuration did not solve is censored at +inf; where it
+    did, a reference of None scores 0, and a zero reference 1 or +inf."""
+    if measure not in _NUMERIC:
+        raise ValueError(f"unknown measure {measure!r}; choose from "
+                         f"{sorted(_NUMERIC)}")
     table = _by_instance(records)
     configs = sorted({rec.config for rec in records})
     if len(configs) < 2:
-        raise ValueError("performance profiles need at least two configurations")
+        raise ValueError(f"{kind} profiles need at least two configurations")
     kept = _filtered_instances(table, time_filter)
     ratios = {c: [] for c in configs}
     for name in kept:
-        per_cfg = table[name]
-        best = min(_measure_value(r, measure) for r in per_cfg.values() if r.solved())
+        ref = reference(table[name])
         for c in configs:
-            rec = per_cfg.get(c)
+            rec = table[name].get(c)
             if rec is None or not rec.solved():
                 ratios[c].append(math.inf)
                 continue
             v = _measure_value(rec, measure)
-            ratios[c].append(v / best if best > 0 else (1.0 if v == 0 else math.inf))
+            if ref is None:
+                ratios[c].append(0.0)
+            elif ref == 0:
+                ratios[c].append(1.0 if v == 0 else math.inf)
+            else:
+                ratios[c].append(v / ref)
     curves = {c: _cdf(rs) for c, rs in ratios.items()}
     censored = {c: sum(math.isinf(r) for r in rs) for c, rs in ratios.items()}
-    return ProfileTable(measure, curves, len(kept), censored, {})
+    return ProfileTable(measure, curves, len(kept), censored, {}), ratios
+
+
+def performance_profile(records, measure: str,
+                        time_filter: float = DEFAULT_TIME_FILTER) -> ProfileTable:
+    """CDFs of measure / virtual-best per configuration."""
+    def best(per_cfg):
+        return min(_measure_value(r, measure) for r in per_cfg.values() if r.solved())
+
+    return _ratio_profile(records, measure, time_filter, "performance", best)[0]
 
 
 def baseline_profile(records, measure: str, baseline: str,
                      time_filter: float = DEFAULT_TIME_FILTER) -> ProfileTable:
-    """CDFs of measure / baseline's measure, with better/worse fractions."""
-    _check_measure(measure)
-    table = _by_instance(records)
-    configs = sorted({rec.config for rec in records})
-    if baseline not in configs:
+    """CDFs of measure / baseline's measure, with better/worse fractions; a
+    configuration solving an instance the baseline did not scores 0."""
+    if baseline not in {rec.config for rec in records}:
         raise ValueError(f"baseline configuration {baseline!r} has no records")
-    if len(configs) < 2:
-        raise ValueError("baseline profiles need at least two configurations")
-    kept = _filtered_instances(table, time_filter)
-    ratios = {c: [] for c in configs}
-    for name in kept:
-        per_cfg = table[name]
-        base = per_cfg.get(baseline)
-        base_v = _measure_value(base, measure) if base is not None and base.solved() else None
-        for c in configs:
-            rec = per_cfg.get(c)
-            if rec is None or not rec.solved():
-                ratios[c].append(math.inf)
-            elif base_v is None:
-                ratios[c].append(0.0)      # solved where the baseline did not
-            elif base_v == 0:
-                ratios[c].append(1.0 if _measure_value(rec, measure) == 0 else math.inf)
-            else:
-                ratios[c].append(_measure_value(rec, measure) / base_v)
-    curves = {c: _cdf(rs) for c, rs in ratios.items()}
-    censored = {c: sum(math.isinf(r) for r in rs) for c, rs in ratios.items()}
-    n = len(kept)
-    annotations = {}
-    for c in configs:
-        if c == baseline or n == 0:
-            continue
-        annotations[c] = {
-            "better": sum(r < 1 for r in ratios[c]) / n,
-            "worse": sum(r > 1 for r in ratios[c]) / n,
-        }
-    return ProfileTable(measure, curves, n, censored, annotations)
+
+    def base(per_cfg):
+        rec = per_cfg.get(baseline)
+        return _measure_value(rec, measure) if rec is not None and rec.solved() else None
+
+    profile, ratios = _ratio_profile(records, measure, time_filter, "baseline", base)
+    n = profile.n_instances
+    for c, rs in ratios.items():
+        if c != baseline and n:
+            profile.annotations[c] = {"better": sum(r < 1 for r in rs) / n,
+                                      "worse": sum(r > 1 for r in rs) / n}
+    return profile
 
 
 def cumulative_profile(records) -> ProfileTable:

@@ -80,7 +80,6 @@ class SolverConfig:
     use_idic: bool = True
     use_isic: bool = False
     branching: Branching = Branching.FRACTIONAL
-    max_cut_rounds: int = MAX_CUT_ROUNDS
     node_limit: int | None = None
     time_limit: float | None = None
     trace: bool = False
@@ -148,7 +147,6 @@ class DirectionPool:
         self.entries = []            # (w, rows . w), move-to-front
 
     def add(self, w):
-        w = tuple(int(v) for v in w)
         if all(w != e[0] for e in self.entries):
             self.entries.insert(0, (w, tuple(sum(map(operator.mul, row, w))
                                              for row in self.rows)))
@@ -324,7 +322,7 @@ class BranchAndCut:
     def _can_cut(self, prob: LpProblem, sol, rounds: int, tail: int) -> bool:
         """Whether a direction found at the solved vertex could become a
         pooled cut; uses the cached recovery, so computes no ray."""
-        return (rounds < self.cfg.max_cut_rounds and tail < TAILING_OFF_ROUNDS
+        return (rounds < MAX_CUT_ROUNDS and tail < TAILING_OFF_ROUNDS
                 and self._cone_is_global(simplex.tight_bound_supports(prob, sol)))
 
     def _make_cuts(self, cone, point: Point, direction) -> int:

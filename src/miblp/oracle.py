@@ -8,6 +8,7 @@ improvement is at least one unit and a point of S is bilevel feasible exactly
 when no such w exists, which turns feasibility checking and cut separation
 into the same search problem.
 
+Every search reads the point's ``StepImage``, the step conditions in ints.
 Three searches are provided: the exact MILP over all directions, the exact
 MILP restricted to 1-norm radius k, and a direct enumeration of the integer
 directions of 1-norm at most k (cheap, no subsolver).  The restricted forms
@@ -18,19 +19,15 @@ exact MILP whenever a certificate is required (point in S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from operator import ge, mul
 
 from . import milp
-from .exactlin import dot
 from .instance import MiblpInstance, Point
 from .milp import MilpProblem, MilpStatus
 from .simplex import LpProblem
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class OracleInconclusive(Exception):
@@ -58,17 +55,21 @@ class OutcomeKind(Enum):
 
 @dataclass(frozen=True)
 class Direction:
-    """A follower-space step with its 1-norm and follower-objective change."""
+    """An integer follower step w with its 1-norm and objective change d2 w."""
 
     w: tuple
-    norm1: Fraction
-    improvement: Fraction
+    norm1: int
+    improvement: int
 
     @classmethod
     def from_w(cls, inst: MiblpInstance, w) -> "Direction":
-        w = tuple(Fraction(v) for v in w)
-        return cls(w=w, norm1=sum(abs(v) for v in w),
-                   improvement=dot(inst.d2, w))
+        """The direction of the step w; a non-integral w raises ValueError."""
+        w = tuple(w)
+        ints = tuple(map(int, w))
+        if ints != w:
+            raise ValueError(f"step {w} is not integral")
+        return cls(w=ints, norm1=sum(map(abs, ints)),
+                   improvement=-sum(map(mul, inst.step_rows[0], ints)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,6 @@ class OracleConfig:
     depth_lb: float = 0
     depth_ub: float = math.inf
     objective: DirectionObjective = DirectionObjective.NORM1
-    node_limit: int | None = None
     time_limit: float | None = None
 
     def __post_init__(self):
@@ -114,18 +114,6 @@ def _rho(inst: MiblpInstance, point: Point):
     den = math.lcm(*(v.denominator for v in z))
     scaled = [v.numerator * (den // v.denominator) for v in z]
     return [b * den - sum(map(mul, row, scaled)) for row, b in zip(rows, b2)], den
-
-
-def _direction_rows(inst: MiblpInstance, point: Point):
-    """Feasibility system in w space: improvement row, then follower rows."""
-    nums, den = _rho(inst, point)
-    return [list(row) for row in inst.step_rows], [ONE] + [Fraction(v, den) for v in nums]
-
-
-def _w_bounds(inst: MiblpInstance, point: Point):
-    lo = [inst.lower[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
-    hi = [inst.upper[inst.n1 + i] - point.y[i] for i in range(inst.n2)]
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -163,47 +151,47 @@ def step_image(inst: MiblpInstance, point: Point) -> StepImage:
     return StepImage(inst.step_rows, (1,) + tuple(-(-v // den) for v in nums), tuple(box))
 
 
-def _split_problem(inst: MiblpInstance, point: Point, k: int | None,
+def _split_problem(image: StepImage, k: int | None,
                    objective: DirectionObjective) -> MilpProblem:
     """(ID)/(k-ID) over split variables w = w+ − w−, plus aux s for IdicFriendly."""
-    n2 = inst.n2
-    w_lo, w_hi = _w_bounds(inst, point)
-    rows_w, rhs = _direction_rows(inst, point)
+    n2 = len(image.box)
     with_s = objective is DirectionObjective.IDIC_FRIENDLY
-    ns = inst.m2 if with_s else 0
+    ns = len(image.rows) - 1 if with_s else 0
 
-    rows = [row + [-v for v in row] + [0] * ns for row in rows_w]
+    rows = [list(row) + [-v for v in row] + [0] * ns for row in image.rows]
+    rhs = list(image.rhs)
     if k is not None:
         rows.append([-1] * (2 * n2) + [0] * ns)
-        rhs = rhs + [Fraction(-k)]
+        rhs.append(-k)
     if with_s:
-        for i, g in enumerate(rows_w[1:]):
-            rows.append([-v for v in g] + g + [int(j == i) for j in range(ns)])
-        rhs = rhs + [ZERO] * ns
+        for i, g in enumerate(image.rows[1:]):
+            rows.append([-v for v in g] + list(g) + [int(j == i) for j in range(ns)])
+            rhs.append(0)
 
-    lower = [ZERO] * (2 * n2 + ns)
-    upper = [max(ZERO, h) for h in w_hi] + [max(ZERO, -l) for l in w_lo] + [None] * ns
+    lower = [0] * (2 * n2 + ns)
+    upper = [max(0, hi) for _, hi in image.box] + \
+        [max(0, -lo) for lo, _ in image.box] + [None] * ns
     if objective is DirectionObjective.STEEPEST:
-        obj = [Fraction(d) for d in inst.d2] + [-Fraction(d) for d in inst.d2]
+        obj = [-v for v in image.rows[0]] + list(image.rows[0])
     else:
-        obj = [ONE] * (2 * n2) + ([ONE] * ns if with_s else [])
+        obj = [1] * (2 * n2 + ns)
     lp = LpProblem(obj, rows, rhs, lower, upper)
     return MilpProblem(lp, tuple(range(2 * n2)))
 
 
-def _plain_problem(inst: MiblpInstance, point: Point, objective) -> MilpProblem:
-    rows, rhs = _direction_rows(inst, point)
-    w_lo, w_hi = _w_bounds(inst, point)
-    lp = LpProblem(list(objective), rows, rhs, w_lo, w_hi)
-    return MilpProblem(lp, tuple(range(inst.n2)))
+def _plain_problem(image: StepImage, objective) -> MilpProblem:
+    lp = LpProblem(list(objective), [list(row) for row in image.rows], list(image.rhs),
+                   [lo for lo, _ in image.box], [hi for _, hi in image.box])
+    return MilpProblem(lp, tuple(range(len(image.box))))
 
 
 def build_id_milp(inst: MiblpInstance, point: Point,
                   objective: DirectionObjective = DirectionObjective.NORM1) -> MilpProblem:
     """Exact improving-direction search over the full follower box."""
+    image = step_image(inst, point)
     if objective is DirectionObjective.STEEPEST:
-        return _plain_problem(inst, point, list(inst.d2))
-    return _split_problem(inst, point, None, objective)
+        return _plain_problem(image, [-v for v in image.rows[0]])
+    return _split_problem(image, None, objective)
 
 
 def build_k_id_milp(inst: MiblpInstance, point: Point, k: int,
@@ -211,7 +199,7 @@ def build_k_id_milp(inst: MiblpInstance, point: Point, k: int,
     """Improving-direction search restricted to 1-norm radius k."""
     if k < 0:
         raise ValueError("radius k must be nonnegative")
-    return _split_problem(inst, point, k, objective)
+    return _split_problem(step_image(inst, point), k, objective)
 
 
 def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
@@ -225,12 +213,11 @@ def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
     return Direction.from_w(inst, w)
 
 
-def _solve(problem: MilpProblem, what: str, node_limit: int | None = None,
-           time_limit: float | None = None):
+def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
     """``milp.solve_milp``; a subsolver limit or failure leaves the answer
     unknown, so both raise OracleInconclusive."""
     try:
-        sol = milp.solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+        sol = milp.solve_milp(problem, time_limit=time_limit)
     except milp.MilpError as exc:
         raise OracleInconclusive(f"{what} failed: {exc}") from exc
     if sol.status is MilpStatus.LIMIT_REACHED:
@@ -238,14 +225,13 @@ def _solve(problem: MilpProblem, what: str, node_limit: int | None = None,
     return sol
 
 
-def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem,
-                          objective: DirectionObjective,
-                          cfg: OracleConfig) -> OracleOutcome | None:
-    """None encodes infeasible; the caller decides what that certifies."""
-    sol = _solve(problem, "direction search", cfg.node_limit, cfg.time_limit)
+def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, cfg: OracleConfig,
+                          infeasible: OracleOutcome) -> OracleOutcome:
+    """The step found, or ``infeasible``, which names what that certifies."""
+    sol = _solve(problem, "direction search", cfg.time_limit)
     if sol.status is MilpStatus.INFEASIBLE:
-        return None
-    return OracleOutcome.found(decode_direction(inst, objective, sol.x))
+        return infeasible
+    return OracleOutcome.found(decode_direction(inst, cfg.objective, sol.x))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +266,16 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
     if k < 1:
         raise ValueError("radius k must be at least 1")
     image = step_image(inst, point)
+    step, follower = image.rows[0], image.rows[1:]
 
-    if objective is DirectionObjective.NORM1:
-        score = lambda w: sum(abs(v) for v in w)
-        short_circuit = True
+    short_circuit = objective is DirectionObjective.NORM1
+    if short_circuit:
+        score = lambda w: sum(map(abs, w))
     elif objective is DirectionObjective.STEEPEST:
-        score = lambda w: dot(inst.d2, [Fraction(v) for v in w])
-        short_circuit = False
+        score = lambda w: -sum(map(mul, step, w))
     else:
-        score = lambda w: sum(max(ZERO, dot(g, [Fraction(v) for v in w])) for g in inst.g2) \
-            + sum(abs(v) for v in w)
-        short_circuit = False
+        score = lambda w: sum(max(0, sum(map(mul, g, w))) for g in follower) \
+            + sum(map(abs, w))
 
     best_w, best_score = None, None
     for w in _shell_vectors(inst.n2, k):
@@ -326,36 +311,32 @@ def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
             outcome = local_search_neighbors(inst, cfg.k, point, cfg.objective)
         else:
             problem = build_k_id_milp(inst, point, cfg.k, cfg.objective)
-            found = _solve_direction_milp(inst, problem, cfg.objective, cfg)
-            outcome = found if found is not None else OracleOutcome.exhausted()
+            outcome = _solve_direction_milp(inst, problem, cfg, OracleOutcome.exhausted())
         if outcome.kind is OutcomeKind.FOUND:
             return outcome
         if not inst.in_s(point):
             return outcome
     problem = build_id_milp(inst, point, cfg.objective)
-    found = _solve_direction_milp(inst, problem, cfg.objective, cfg)
-    return found if found is not None else OracleOutcome.no_direction()
+    return _solve_direction_milp(inst, problem, cfg, OracleOutcome.no_direction())
 
 
 def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     """True iff no improving feasible direction exists (exact search)."""
     if not inst.in_s(point):
         raise ValueError("point not in S")
-    problem = _plain_problem(inst, point, [ZERO] * inst.n2)
+    problem = _plain_problem(step_image(inst, point), [0] * inst.n2)
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
 def evaluate_phi(inst: MiblpInstance, x,
                  time_limit: float | None = None) -> Fraction | None:
     """Follower's optimal value at x; None encodes +infinity."""
-    x = tuple(Fraction(v) for v in x)
-    rows = [list(g) for g in inst.g2]
-    rhs = [b - dot(a, x) for a, b in zip(inst.a2, inst.b2)]
-    lower = [inst.lower[inst.n1 + i] for i in range(inst.n2)]
-    upper = [inst.upper[inst.n1 + i] for i in range(inst.n2)]
-    lp = LpProblem(list(inst.d2), rows, rhs, lower, upper)
-    sol = _solve(MilpProblem(lp, tuple(range(inst.n2))), "value function solve",
-                 time_limit=time_limit)
+    # a step from y = 0 is y itself: the image's follower rows, with
+    # rhs ceil(b2 - A2 x), and its box are the follower's problem at x
+    image = step_image(inst, Point.make(x, [0] * inst.n2))
+    follower = replace(image, rows=image.rows[1:], rhs=image.rhs[1:])
+    sol = _solve(_plain_problem(follower, [-v for v in image.rows[0]]),
+                 "value function solve", time_limit)
     if sol.status is MilpStatus.INFEASIBLE:
         return None
     return sol.objective

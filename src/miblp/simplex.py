@@ -74,7 +74,7 @@ class DegenerateConeError(Exception):
 class LpProblem:
     """min objective . z  s.t.  rows . z >= rhs,  lower <= z <= upper.
 
-    All data is exact (Fractions); ``upper`` entries may be None for +inf.
+    All data is exact, ints or Fractions; ``upper`` entries may be None for +inf.
     Lower bounds must be finite.  Branching never edits rows, so the float
     and integer images of the row data are cached and shared across
     ``with_bounds`` copies.

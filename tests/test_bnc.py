@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from miblp import milp, oracle, simplex
+from miblp import bnc, milp, oracle, simplex
 from miblp.bnc import (BranchAndCut, Branching, DirectionPool, OracleMode, SolveStatus,
                        SolverConfig, choose_branch_variable, solve)
 from miblp.bruteforce import enumerate_F, enumerate_S, optimal_by_enumeration
@@ -388,16 +388,18 @@ def test_cut_log(moore_bard):
             assert cut_violation(rec.cut, p) <= 0
 
 
-def test_cut_rounds_disabled(moore_bard):
-    res = solve(moore_bard, SolverConfig(max_cut_rounds=0))
+def test_cut_rounds_disabled(moore_bard, monkeypatch):
+    monkeypatch.setattr(bnc, "MAX_CUT_ROUNDS", 0)
+    res = solve(moore_bard, SolverConfig())
     assert res.status is SolveStatus.OPTIMAL
     assert res.value == -22
     assert res.stats.cut_rounds == 0 and res.cut_log == ()
 
 
-def test_inconclusive_oracle_stalls_soundly(moore_bard):
-    cfg = SolverConfig(oracle=OracleConfig(node_limit=0))
-    res = solve(moore_bard, cfg)
+def test_inconclusive_oracle_stalls_soundly(moore_bard, monkeypatch):
+    monkeypatch.setattr(milp, "solve_milp", lambda *args, **kwargs:
+                        milp.MilpSolution(milp.MilpStatus.LIMIT_REACHED))
+    res = solve(moore_bard, SolverConfig())
     assert res.status is SolveStatus.LIMIT_REACHED
     assert res.incumbent is None
 
@@ -500,3 +502,43 @@ def test_choose_branch_variable_linking(moore_bard):
         moore_bard, Point.make((2,), (Fraction(5, 2),)),
         node_stub([2, 0], [2, 5]), Branching.LINKING_PRIORITY)
     assert pick == (1, Fraction(5, 2))          # linking fixed: fall back
+
+
+@pytest.mark.parametrize("fail", ["unstable LP", "no exact vertex"])
+def test_numerical_failure_requeues_then_splits_at_the_midpoint(three_d, monkeypatch, fail):
+    """The root's LP fails twice: the first failure requeues the node, the
+    second branches at the midpoint of its first unfixed integer variable,
+    as no vertex names one, and the solve still ends at the optimum."""
+    failed = []
+    if fail == "unstable LP":
+        target, name = simplex.solve_lp, "solve_lp"
+        result = simplex.LpSolution(simplex.LpStatus.UNSTABLE)
+    else:
+        target, name, result = simplex.exact_primal, "exact_primal", None
+
+    def failing(*args):
+        if len(failed) < 2:         # the first two calls are the root's
+            failed.append(name)
+            return result
+        return target(*args)
+
+    monkeypatch.setattr(simplex, name, failing)
+    boxes = {}
+    bound_node = BranchAndCut.bound_node
+
+    def recording(self, node):
+        boxes[node.id] = (list(node.lower), list(node.upper))
+        return bound_node(self, node)
+
+    monkeypatch.setattr(BranchAndCut, "bound_node", recording)
+    res = solve(three_d, SolverConfig(trace=True))
+    assert len(failed) == 2
+    assert res.trace[0].startswith("node 0 depth 0 ") and res.trace[0].endswith(" requeued")
+    assert res.trace[1].startswith("node 0 depth 0 ") and res.trace[1].endswith(" branched on 0")
+    lo, hi = three_d.lower[0], three_d.upper[0]
+    mid = lo + (hi - lo) // 2
+    assert lo < hi
+    assert boxes[1][1][0] == mid and boxes[2][0][0] == mid + 1
+    point, value = optimal_by_enumeration(three_d)
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.value == value and res.incumbent == point

@@ -247,6 +247,10 @@ def test_bench_and_profile(tmp_path, capsys):
     (["mb", "id-milp", "Optimal", "fast", "0.1", "3", "0.0", "0.0", "0.0"],
      "line 3: could not convert"),
     (["mb", "id-milp", "Optimal", "0.1"], "line 3: 4 fields, expected 9"),
+    (["mb", "id-milp", "Optimal", "0.1", "0.1", "inf", "0.0", "0.0", "0.0"],
+     "line 3: invalid literal for int"),
+    (["mb", "id-milp", "Optimal", "0.1", "0.1", "3.7", "0.0", "0.0", "0.0"],
+     "line 3: invalid literal for int"),
 ])
 def test_profile_refuses_a_malformed_csv(tmp_path, capsys, row, message):
     good = ["mb", "legacy", "Optimal", "0.2", "0.2", "5", "0.0", "0.0", "0.0"]

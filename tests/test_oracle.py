@@ -1,19 +1,23 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from miblp import milp
 from miblp.exactlin import dot
+from miblp.bruteforce import follower_points
 from miblp.instance import Point, generate_random_instance
-from miblp.milp import MilpStatus, solve_milp
-from miblp.oracle import (DirectionMethod, DirectionObjective, OracleConfig,
-                          OracleInconclusive, OutcomeKind, build_id_milp,
-                          build_k_id_milp, certify_bilevel_feasible,
-                          decode_direction, evaluate_phi,
-                          find_improving_direction, legacy_feasibility_check,
-                          local_search_neighbors)
+from miblp.milp import MilpSolution, MilpStatus, solve_milp
+from miblp.oracle import (Direction, DirectionMethod, DirectionObjective,
+                          OracleConfig, OracleInconclusive, OutcomeKind,
+                          build_id_milp, build_k_id_milp,
+                          certify_bilevel_feasible, decode_direction,
+                          evaluate_phi, find_improving_direction,
+                          legacy_feasibility_check, local_search_neighbors,
+                          step_image)
 from miblp.simplex import LpProblem, LpStatus, exact_primal, solve_lp
 
 EXACT = OracleConfig(method=DirectionMethod.EXACT_MILP)
@@ -197,10 +201,11 @@ def test_checks_require_s_membership(moore_bard):
         legacy_feasibility_check(moore_bard, outside)
 
 
-def test_subsolver_limit_raises(moore_bard):
-    cfg = OracleConfig(method=DirectionMethod.EXACT_MILP, node_limit=0)
+def test_subsolver_limit_raises(moore_bard, monkeypatch):
+    monkeypatch.setattr(milp, "solve_milp", lambda *args, **kwargs:
+                        MilpSolution(MilpStatus.LIMIT_REACHED))
     with pytest.raises(OracleInconclusive):
-        find_improving_direction(moore_bard, Point.make((2,), (4,)), 0, cfg)
+        find_improving_direction(moore_bard, Point.make((2,), (4,)), 0, EXACT)
 
 
 def test_agreement_with_level_table(three_d):
@@ -211,3 +216,122 @@ def test_agreement_with_level_table(three_d):
     assert out.kind is OutcomeKind.FOUND
     assert out.direction.norm1 == kopt.min_ifd_norm(ctx, p) == 5
     assert tuple(out.direction.w) in set(map(tuple, kopt.minimal_ifds(ctx, p)))
+
+
+def _integer_points(inst, rng, want):
+    """Up to ``want`` distinct integer points of the relaxation, drawn from
+    the grid, each followed by the follower's first best response at its x
+    where that lies in the relaxation too."""
+    found = []
+    for _ in range(100 * want):
+        z = [rng.randint(int(lo), int(hi)) for lo, hi in zip(inst.lower, inst.upper)]
+        point = Point.make(z[:inst.n1], z[inst.n1:])
+        if inst.in_relaxation(point) and point not in found:
+            found.append(point)
+            best = Point(point.x, min(follower_points(inst, point.x), key=inst.follower_value))
+            if inst.in_relaxation(best) and best not in found:
+                found.append(best)
+            if len(found) >= want:
+                break
+    return found
+
+
+def _brute_force_scores(inst, point):
+    """Per improving integer step w in the follower box, found by checking
+    the follower's problem at y + w, its score under each objective."""
+    ranges = [range(math.ceil(lo - y), math.floor(hi - y) + 1) for lo, hi, y in
+              zip(inst.lower[inst.n1:], inst.upper[inst.n1:], point.y)]
+    scores = {}
+    for w in itertools.product(*ranges):
+        if dot(inst.d2, w) <= -1 and inst.follower_feasible(
+                point.x, [a + b for a, b in zip(point.y, w)]):
+            norm = sum(map(abs, w))
+            scores[w] = {
+                DirectionObjective.NORM1: norm,
+                DirectionObjective.STEEPEST: dot(inst.d2, w),
+                DirectionObjective.IDIC_FRIENDLY:
+                    sum(max(0, dot(g, w)) for g in inst.g2) + norm,
+            }
+    return scores
+
+
+def test_every_objective_under_every_method_matches_brute_force():
+    """The exact MILP, the radius-2 MILP and radius-2 local search each find
+    a step of the least score under each objective, over the whole follower
+    box or within the radius, at integer points of S and at fractional
+    relaxation vertices, and report none exactly when brute force finds
+    none."""
+    rng = random.Random(11)
+    tally = Counter()
+    for seed in range(20):
+        inst = generate_random_instance(seed, 2, 3, 2, 3, bound=5)
+        points = _integer_points(inst, rng, 4) + _fractional_vertices(inst, rng, 3)
+        for point in points:
+            image = step_image(inst, point)
+            scores = _brute_force_scores(inst, point)
+            for objective in DirectionObjective:
+                def least(radius):
+                    return min((s[objective] for w, s in scores.items()
+                                if sum(map(abs, w)) <= radius), default=None)
+
+                def check(direction, want, what):
+                    if want is None:
+                        assert direction is None, what
+                        return
+                    assert direction is not None, what
+                    w = direction.w
+                    assert all(type(v) is int for v in w), what
+                    assert image.admits(w), what
+                    assert scores[w][objective] == want, what
+
+                what = (seed, point, objective)
+                out = find_improving_direction(inst, point, 0, OracleConfig(objective=objective))
+                assert out.kind is not OutcomeKind.HEURISTIC_EXHAUSTED
+                check(out.direction, least(math.inf), what + ("exact",))
+                sol = solve_milp(build_k_id_milp(inst, point, 2, objective))
+                check(None if sol.status is MilpStatus.INFEASIBLE
+                      else decode_direction(inst, objective, sol.x), least(2), what + ("milp-k",))
+                out = local_search_neighbors(inst, 2, point, objective)
+                assert out.kind is not OutcomeKind.NO_IMPROVING_DIRECTION
+                check(out.direction, least(2), what + ("local search",))
+            norms = [sum(map(abs, w)) for w in scores]
+            tally[inst.in_s(point), not norms, min(norms, default=3) > 2] += 1
+    # found and none at both kinds of point, and steps found only beyond radius 2
+    assert all(tally[in_s, False, False] > 15 and tally[in_s, True, True] > 5
+               for in_s in (True, False)), tally
+    assert tally[True, False, True] + tally[False, False, True] >= 3, tally
+
+
+def _int_data(lp):
+    return all(type(v) is int for v in itertools.chain(
+        lp.objective, lp.rhs, lp.lower, (v for v in lp.upper if v is not None),
+        *lp.rows))
+
+
+def test_direction_problems_hold_only_ints(three_d, monkeypatch):
+    built = []
+    solve = milp.solve_milp
+
+    def recording(problem, *args, **kwargs):
+        built.append(problem.lp)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_milp", recording)
+    point = Point.make((3,), (4, 1))
+    vertex = Point.make((Fraction(5, 2),), (Fraction(7, 3), 1))
+    for p in (point, vertex):
+        for objective in DirectionObjective:
+            built.append(build_id_milp(three_d, p, objective).lp)
+            built.append(build_k_id_milp(three_d, p, 2, objective).lp)
+    certify_bilevel_feasible(three_d, point)
+    evaluate_phi(three_d, (Fraction(5, 2),))
+    assert len(built) == 14
+    assert all(map(_int_data, built))
+
+
+def test_direction_from_w_refuses_a_fractional_step(moore_bard):
+    d = Direction.from_w(moore_bard, (Fraction(-2),))
+    assert (d.w, d.norm1, d.improvement) == ((-2,), 2, -2)
+    assert all(type(v) is int for v in (*d.w, d.norm1, d.improvement))
+    with pytest.raises(ValueError):
+        Direction.from_w(moore_bard, (Fraction(-1, 2),))
