@@ -66,6 +66,10 @@ def record_from_row(row: list[str]) -> RunRecord:
     for name, raw in zip(CSV_HEADER, row):
         conv = _NUMERIC.get(name)
         vals[name] = raw if conv is None else conv(raw)
+    statuses = (*_STATUS_NAMES.values(), "Error")
+    if vals["status"] not in statuses:
+        raise ValueError(f"unknown status {vals['status']!r}, expected one of "
+                         + ", ".join(statuses))
     return RunRecord(**vals)
 
 

@@ -1,7 +1,22 @@
 """Branch-and-cut driver.
 
 The search keeps a best-first queue ordered by parent dual bound (FIFO on
-ties).  Each node solves its LP over the instance rows, the global cut pool,
+ties).  Bounds of integer variables are Python ints, rounded inward from
+the instance's box, and a split puts floor(v) and floor(v) + 1 into the
+children.  Each popped node first tightens its box with ``milp.propagate``,
+the activity-bound propagation with integer rounding that the direction
+MILP runs too, over the instance rows and the pooled cuts whose columns are
+all integer; the rows are rebuilt only when the pool has grown, and a child
+propagates from its branched column unless the pool has grown since its
+parent's box was.  A box left with no integer point closes without an LP
+(``SolveStats.propagated``, trace action ``pruned-propagated``) and is not
+counted in ``SolveStats.nodes``, which counts the nodes whose LP was solved.
+The root's propagated box follows from the rows and the instance's box
+alone, so it becomes the root box of the globality test below.  Node boxes
+never reach the follower's problem: the oracle, the value function and the
+free sets read the instance's own bounds.
+
+Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
 LP starts from the parent's final basis, or in a later cut round from the
 previous round's; rows the pool has gained since enter with their surplus
@@ -26,8 +41,8 @@ check escalates to the exact direction search only where a cut can follow.
 
 Cuts are pooled globally, so a cut is only generated from cones resting on
 globally valid constraints: when the cone's tight set uses a variable bound
-that branching has tightened away from its root value, the node branches
-instead.  A free set swallowing the entire cone certifies that the cone, and
+that branching or propagation has tightened away from its root value, the
+node branches instead.  A free set swallowing the entire cone certifies that the cone, and
 hence the node, holds no bilevel feasible point, so the node is pruned.
 """
 from __future__ import annotations
@@ -46,6 +61,7 @@ from . import oracle as oracle_mod
 from . import simplex
 from .cuts import ConeContainedError, NotSeparableError
 from .instance import MiblpInstance, Point
+from .milp import propagate, propagation_rows
 from .oracle import (DirectionMethod, OracleConfig, OracleInconclusive,
                      OutcomeKind)
 from .simplex import DegenerateConeError, LpProblem, LpStatus
@@ -102,6 +118,7 @@ class SolveStats:
     pool_refutations: int = 0   # integral vertices refuted by a pooled direction
     phi_calls: int = 0
     certificates: int = 0
+    propagated: int = 0         # boxes closed by propagation, without an LP
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,8 @@ class _Node:
     upper: list
     retried: bool = False
     start: simplex.Basis | None = None     # the parent's final LP basis
+    branched: int | None = None            # the column split to make it; None at the root
+    cuts_seen: int = 0                     # pooled cuts its box was propagated over
 
 
 class DirectionPool:
@@ -215,30 +234,54 @@ class BranchAndCut:
         self.pool = []               # list[Cut]
         self.pool_keys = set()
         self.cut_log = []
-        self.root_lower = list(inst.lower)
-        self.root_upper = list(inst.upper)
+        self.integer = inst.integer_indices()
+        # integer columns' bounds are ints, rounded inward; the root's
+        # propagated box replaces these once the root is popped
+        integer = set(self.integer)
+        self.root_lower = [math.ceil(v) if j in integer else v
+                           for j, v in enumerate(inst.lower)]
+        self.root_upper = [math.floor(v) if j in integer and v is not None else v
+                           for j, v in enumerate(inst.upper)]
         obj = list(inst.c) + list(inst.d1)
         rows = [list(co) for co, _ in inst.all_rows()]
         rhs = [b for _, b in inst.all_rows()]
         self.base = LpProblem(obj, rows, rhs, self.root_lower, self.root_upper)
         self._pooled_lp = self.base
         self._pooled_size = 0
+        self._propagation = propagation_rows(self.base, self.integer)
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
-        self.integer = inst.integer_indices()
         self.phi_cache: dict = {}
         self.directions = DirectionPool(inst)
         self._deadline = None
 
     # -- plumbing -------------------------------------------------------
 
-    def _node_lp(self, node: _Node) -> LpProblem:
+    def _pooled(self) -> LpProblem:
+        """The LP over the instance rows and the pool, and the rows that
+        propagate over it, rebuilt only when the pool has grown."""
         if self._pooled_size != len(self.pool):
             rows = [c.row() for c in self.pool]
             rhs = [c.beta for c in self.pool]
             self._pooled_lp = self.base.with_extra_rows(rows, rhs)
             self._pooled_size = len(self.pool)
-        return self._pooled_lp.with_bounds(node.lower, node.upper)
+            self._propagation = propagation_rows(self._pooled_lp, self.integer)
+        return self._pooled_lp
+
+    def _node_lp(self, node: _Node) -> LpProblem:
+        return self._pooled().with_bounds(node.lower, node.upper)
+
+    def _tighten(self, node: _Node) -> bool:
+        """Propagate the node's integer bounds in place over the instance
+        rows and the pool; False when its box holds no integer point.  A
+        child starts from its branched column, unless the pool has grown
+        since its parent's box was propagated."""
+        self._pooled()
+        moved = (self.integer if node.branched is None or node.cuts_seen != self._pooled_size
+                 else (node.branched,))
+        node.cuts_seen = self._pooled_size
+        rows, by_col, visits = self._propagation
+        return propagate(rows, by_col, node.lower, node.upper, moved, visits)
 
     def _trace(self, node: _Node, bound, action: str):
         if self.cfg.trace:
@@ -296,8 +339,7 @@ class BranchAndCut:
         Returns the box's single point when it is bilevel feasible, the string
         "infeasible" when it is not, and None when the check hit a limit.
         """
-        z = Point(tuple(node.lower[:self.inst.n1]),
-                  tuple(node.lower[self.inst.n1:]))
+        z = Point.make(node.lower[:self.inst.n1], node.lower[self.inst.n1:])
         if not self.inst.in_s(z):
             return "infeasible"
         try:
@@ -382,7 +424,7 @@ class BranchAndCut:
             if sol.status is LpStatus.UNSTABLE:
                 return ("retry", None) if not node.retried else ("branch", (None, bound, False))
             prev = bound
-            bound = simplex.dual_bound(prob, sol.y, self.integer)
+            bound = simplex.dual_bound(prob, sol.y, self.integer, basis=sol.basis)
             if prev is not None:
                 tail = tail + 1 if bound - prev < TAILING_OFF_EPS else 0
             if self.value is not None and bound >= self.value:
@@ -473,6 +515,14 @@ class BranchAndCut:
             node = heapq.heappop(queue)[2]
             if self.value is not None and node.parent_bound >= self.value:
                 continue
+            if not self._tighten(node):
+                self.stats.propagated += 1
+                self._trace(node, None, "pruned-propagated")
+                continue
+            if node.id == 0:
+                # the root's box follows from the rows and the instance's box
+                # alone, so a cone resting on it is still global
+                self.root_lower, self.root_upper = list(node.lower), list(node.upper)
             self.stats.nodes += 1
             action, payload = self.bound_node(node)
 
@@ -523,13 +573,13 @@ class BranchAndCut:
             j, v = decision
             # clamp the split inside the box so both children strictly shrink;
             # otherwise a child repeats its parent and the search cycles
-            down_hi = max(node.lower[j], min(Fraction(math.floor(v)), node.upper[j] - 1))
+            down_hi = max(node.lower[j], min(math.floor(v), node.upper[j] - 1))
             for lo_j, hi_j in ((node.lower[j], down_hi), (down_hi + 1, node.upper[j])):
                 lo = list(node.lower)
                 hi = list(node.upper)
                 lo[j], hi[j] = lo_j, hi_j
                 child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi,
-                              start=node.start)
+                              start=node.start, branched=j, cuts_seen=node.cuts_seen)
                 heapq.heappush(queue, (float(child_bound), next(seq), child))
             self._trace(node, bound, f"branched on {j}")
 

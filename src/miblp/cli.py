@@ -142,8 +142,8 @@ def _cmd_solve(parser, args) -> int:
         print(f"value: {res.value}")
     print(f"bound: {res.bound:.9g}")
     print(f"gap: {res.gap:.9g}")
-    print(f"nodes: {res.stats.nodes}  cuts: {res.stats.cuts_idic} idic, "
-          f"{res.stats.cuts_isic} isic")
+    print(f"nodes: {res.stats.nodes} ({res.stats.propagated} more closed by propagation)  "
+          f"cuts: {res.stats.cuts_idic} idic, {res.stats.cuts_isic} isic")
     print(f"oracle: {res.stats.oracle_calls} calls, "
           f"{res.stats.oracle_time:.3f}s finding directions, "
           f"{res.stats.oracle_skipped} skipped, "
@@ -155,7 +155,7 @@ def _cmd_solve(parser, args) -> int:
                  status=res.status.value.replace(" ", "-"),
                  value="none" if res.value is None else res.value,
                  bound=f"{res.bound:.9g}", gap=f"{res.gap:.9g}",
-                 nodes=res.stats.nodes,
+                 nodes=res.stats.nodes, propagated=res.stats.propagated,
                  cuts=res.stats.cuts_idic + res.stats.cuts_isic,
                  oracle_calls=res.stats.oracle_calls,
                  oracle_skipped=res.stats.oracle_skipped,

@@ -218,6 +218,8 @@ class _Cursor:
 
 
 def _number(token: str, lineno: int) -> Fraction:
+    if token.removeprefix("-").isdecimal():     # a plain integer skips the regex
+        return Fraction(int(token))
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -438,10 +440,10 @@ def _as_int(v) -> int:
     return v.numerator
 
 
-def _integral(vec) -> Vec:
-    """vec times the LCM of its denominators."""
+def _integral(vec: Vec) -> Vec:
+    """vec times the LCM of its denominators; vec itself when that is 1."""
     scale = math.lcm(*(v.denominator for v in vec))
-    return tuple(v * scale for v in vec)
+    return vec if scale == 1 else tuple(v * scale for v in vec)
 
 
 def _tightened_upper(inst: MiblpInstance, integer) -> tuple:

@@ -27,6 +27,9 @@ touch a continuous column are left to the LP, and continuous bounds are
 never tightened: their bounds are rational, so rounding proves nothing.
 The tightened box is the node's own, so children inherit it.  ``nodes``
 counts node LPs solved, ``propagated`` the boxes closed without one.
+``propagation_rows`` and ``propagate`` are the one propagation routine of
+the package: the branch-and-cut driver runs them at its own nodes, over the
+instance rows and its pooled cuts.
 
 Each child's LP starts from its parent's final basis.  An LP verdict of
 infeasible prunes a node only on the simplex's exact Farkas certificate; an
@@ -109,8 +112,7 @@ def solve_milp(problem: MilpProblem,
     int_set = tuple(sorted(set(problem.integer_indices)))
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
-    rows, by_col = _propagation_rows(lp, int_set)
-    visits = len(rows) * (len(int_set) + 1)
+    rows, by_col, visits = propagation_rows(lp, int_set)
     lower, upper = list(lp.lower), list(lp.upper)
     for j in int_set:       # rounded inward, as ints
         lower[j] = -(-lower[j].numerator // lower[j].denominator)
@@ -142,7 +144,7 @@ def solve_milp(problem: MilpProblem,
         if best_obj is not None and node.bound >= best_obj:
             continue
         moved = int_set if node.branched is None else (node.branched,)
-        if not _propagate(rows, by_col, node.lower, node.upper, moved, visits):
+        if not propagate(rows, by_col, node.lower, node.upper, moved, visits):
             propagated += 1
             continue
 
@@ -153,7 +155,7 @@ def solve_milp(problem: MilpProblem,
             continue
         if sol.status is LpStatus.UNSTABLE:
             raise MilpError("LP subsolver numerically unstable")
-        bound = partial(simplex.dual_bound, node_lp, sol.y, int_set)
+        bound = partial(simplex.dual_bound, node_lp, sol.y, int_set, basis=sol.basis)
         if best_obj is not None:
             bound = bound()
             if bound >= best_obj:
@@ -181,10 +183,11 @@ def solve_milp(problem: MilpProblem,
     return MilpSolution(status, best_x, best_obj, nodes, propagated)
 
 
-def _propagation_rows(lp: LpProblem, int_set):
-    """(terms, rhs) of each row of the integer image whose nonzero
-    coefficients all sit on integer columns, terms as (column, coefficient),
-    and per column the indices of those rows that hold it."""
+def propagation_rows(lp: LpProblem, int_set):
+    """(rows, by_col, visits) for ``propagate``: (terms, rhs) of each row of
+    the integer image whose nonzero coefficients all sit on integer columns,
+    terms as (column, coefficient); per column the indices of those rows
+    that hold it; and the row visits one propagation may make."""
     integer = set(int_set)
     rows, by_col = [], [[] for _ in range(lp.n)]
     for coeffs, b, _ in lp.integer_rows():
@@ -193,10 +196,10 @@ def _propagation_rows(lp: LpProblem, int_set):
             for j, _ in terms:
                 by_col[j].append(len(rows))
             rows.append((terms, b))
-    return rows, by_col
+    return rows, by_col, len(rows) * (len(int_set) + 1)
 
 
-def _propagate(rows, by_col, lower, upper, moved, visits) -> bool:
+def propagate(rows, by_col, lower, upper, moved, visits) -> bool:
     """Tighten the integer bounds in place, from the rows of the columns in
     ``moved``, for at most ``visits`` row visits; False when the box holds no
     integer point.  Bounds of integer columns are ints, an upper one may be

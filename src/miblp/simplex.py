@@ -28,9 +28,11 @@ Rows whose coefficients exceed ``ROW_SCALE_THRESHOLD`` (pooled cuts reach
 1e11) are scaled by a power of two in the float image, which keeps the
 tolerances meaningful and is exact.  Row multipliers y, carried back by
 the row scales, are checked in integers: ``dual_bound`` makes an optimal
-basis's duals (``LpSolution.y``) an exact lower bound on the objective,
-and ``farkas``, its zero-objective case, proves "infeasible" from the row
-of B^-1 at which the dual loop finds no entering column.
+basis's duals (``LpSolution.y``, or where their float noise leaves a
+reduced cost at an open bound, the basis's exact duals) an exact lower
+bound on the objective, and ``farkas``, its zero-objective case, proves
+"infeasible" from the row of B^-1 at which the dual loop finds no entering
+column.  Both exact re-derivations share one integer solve, ``_basis_solve``.
 
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (the
@@ -201,20 +203,22 @@ def solve_lp(problem: LpProblem, start: Basis | None = None) -> LpSolution:
     return LpSolution(LpStatus.UNSTABLE, iterations=spent)
 
 
-def dual_bound(problem: LpProblem, y, integer=(), objective: bool = True):
+def dual_bound(problem: LpProblem, y, integer=(), objective: bool = True,
+               basis: Basis | None = None):
     """Exact lower bound on objective . z from row multipliers y, clipped at
     0 (Neumaier and Shcherbina, Math. Prog. 99, 2004): a feasible z has
     y (R z - r) >= 0, so c z is at least the box minimum of (c - y R) z + y r,
     a Fraction, or -inf where a reduced cost points at an open bound.  When
-    every column with a nonzero cost is in ``integer``, c z at an integer
-    point is a multiple of gcd / LCM of the costs, and the bound rounds up to
-    that lattice.  ``objective`` False takes c = 0.  The floats of y are
-    exact binary fractions, so the work is in ints over integer images."""
-    cache, obj = problem._cache, problem.objective
-    if objective and "c" not in cache:      # the objective's integer image
-        cden = math.lcm(*(v.denominator for v in obj))
-        cache["c"] = [v.numerator * (cden // v.denominator) for v in obj], cden
-    cost, cden = cache["c"] if objective else ([0] * problem.n, 1)
+    every column with a nonzero cost is in ``integer`` (a tuple), c z at an
+    integer point is a multiple of gcd / LCM of the costs, and the bound
+    rounds up to that lattice.  ``objective`` False takes c = 0.  The floats
+    of y are exact binary fractions, so the work is in ints over integer
+    images; bounds that are ints are read as they are.
+
+    Float noise can leave a reduced cost on a basic column whose bound is
+    open; given the final ``basis`` y came from, the bound is then taken
+    from y = c_B B^-1 re-derived exactly, whose basic reduced costs are 0."""
+    cost, cden, step = _cost_image(problem, integer) if objective else ([0] * problem.n, 1, 0)
     terms = [(v.as_integer_ratio(), row) for v, row in zip(y, problem.integer_rows()) if v > 0]
     den = math.lcm(cden, *(q * scale for (_, q), (_, _, scale) in terms))
     g, h = [c * (den // cden) for c in cost], 0
@@ -223,18 +227,63 @@ def dual_bound(problem: LpProblem, y, integer=(), objective: bool = True):
         g = [gj - f * a for gj, a in zip(g, coeffs)]
         h += f * b
     # the box minimum of g z takes each z_j at the bound g_j points to
-    ends = [(gj, lo if gj > 0 else hi)
-            for gj, lo, hi in zip(g, problem.lower, problem.upper) if gj]
-    if any(v is None for _, v in ends):
-        return -math.inf
-    scale = math.lcm(*(v.denominator for _, v in ends))
-    num = h * scale + sum(gj * v.numerator * (scale // v.denominator) for gj, v in ends)
-    den *= scale
-    step = math.gcd(*cost)
-    if step and all(j in integer for j, c in enumerate(cost) if c):
+    fractions = []
+    for gj, lo, hi in zip(g, problem.lower, problem.upper):
+        if gj:
+            v = lo if gj > 0 else hi
+            if type(v) is int:
+                h += gj * v
+            elif v is None:
+                exact = None if basis is None else _basis_solve(
+                    problem, basis.header, [cost[j] if j < problem.n else 0
+                                            for j in basis.header])
+                if exact is None:
+                    return -math.inf
+                return dual_bound(problem, [v / cden for v in exact], integer, objective)
+            else:
+                fractions.append((gj, v))
+    num = h
+    if fractions:
+        scale = math.lcm(*(v.denominator for _, v in fractions))
+        num = h * scale + sum(gj * v.numerator * (scale // v.denominator)
+                              for gj, v in fractions)
+        den *= scale
+    if step:
         # num / den rounded up to a multiple of step / cden
         return Fraction(-(-num * cden // (den * step)) * step, cden)
     return Fraction(num, den)
+
+
+def _cost_image(problem: LpProblem, integer):
+    """(costs times cden, cden, lattice step) of the objective, cached per
+    problem and integer set: cden is the LCM of the costs' denominators, and
+    the step is the gcd of the integer costs when every column with a cost
+    is in ``integer``, else 0."""
+    key = "c", integer
+    if key not in problem._cache:
+        obj = problem.objective
+        cden = math.lcm(*(v.denominator for v in obj))
+        cost = [v.numerator * (cden // v.denominator) for v in obj]
+        on_lattice = all(j in integer for j, c in enumerate(cost) if c)
+        problem._cache[key] = cost, cden, math.gcd(*cost) if on_lattice else 0
+    return problem._cache[key]
+
+
+def _basis_solve(problem: LpProblem, header, target):
+    """u with u B = target exactly, as Fractions over the problem's rows, for
+    the basis whose basic columns are ``header`` and an int per basic
+    column; None when that basis is singular.  It solves v B' = target over
+    the rows' integer image, one row of B'^T per basic column, by
+    fraction-free elimination; v times the rows' scales is u."""
+    n, m, image = problem.n, problem.m, problem.integer_rows()
+    scales = [scale for _, _, scale in image]
+    bt = [[row[j] for row, _, _ in image] if j < n
+          else [-scales[i] * (i == j - n) for i in range(m)] for j in header]
+    solved = _fraction_free_solve(bt, [target])
+    if solved is None:
+        return None
+    d, (v,) = solved
+    return [Fraction(vi * scale, d) for vi, scale in zip(v, scales)]
 
 
 def farkas(problem: LpProblem, y) -> bool:
@@ -327,18 +376,9 @@ class _Simplex:
         y = [sign * v * s for v, s in zip(self.binv[p], self.scales)]
         if farkas(self.problem, [v if v > 0.0 else 0.0 for v in y]):
             return LpStatus.INFEASIBLE
-        # v B = e_p over the rows' integer image, one row of B^T per basic
-        # column; v times the rows' scales is u B = e_p over the rows
-        n, m, image = self.n, self.m, self.problem.integer_rows()
-        scales = [scale for _, _, scale in image]
-        bt = [[row[j] for row, _, _ in image] if j < n
-              else [-scales[i] * (i == j - n) for i in range(m)] for j in self.basis]
-        solved = _fraction_free_solve(bt, [[int(i == p) for i in range(m)]])
-        if solved is not None:
-            d, (u,) = solved
-            y = [Fraction(int(sign) * v * scale, d) for v, scale in zip(u, scales)]
-            if farkas(self.problem, [max(v, 0) for v in y]):
-                return LpStatus.INFEASIBLE
+        u = _basis_solve(self.problem, self.basis, [int(q == p) for q in range(self.m)])
+        if u is not None and farkas(self.problem, [max(int(sign) * v, 0) for v in u]):
+            return LpStatus.INFEASIBLE
         return LpStatus.UNSTABLE
 
     def _solution(self, y) -> LpSolution:

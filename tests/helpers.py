@@ -9,10 +9,13 @@ vertex and cone, and an intersection cut, by straightforward ``Fraction``
 Gauss-Jordan elimination (``solve_vector``), a kernel the package does not
 have, so the references share no linear algebra with it.
 """
+import importlib.util
 import itertools
 import math
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 from miblp.exactlin import dot
 from miblp.simplex import (AT_LOWER, BASIC, DegenerateConeError, LpProblem,
@@ -261,3 +264,14 @@ def reference_intersection_cut(cone: SimplicialCone, free_set, n1: int):
     g = math.gcd(*ints)
     ints = [v // g for v in ints]
     return tuple(ints[:n1]), tuple(ints[n1:-1]), ints[-1]
+
+
+@cache
+def bench_corpus():
+    """``bench/corpus.py``, the benchmark's fixed corpus, loaded by path;
+    it needs nothing beyond the package."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", Path(__file__).parents[1] / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -85,9 +85,9 @@ def test_determinism(three_d):
 
 
 @pytest.mark.parametrize("seed, cfg, counts", [
-    (12, SolverConfig(), (79, 2, 1)),
-    (19, SolverConfig(), (71, 4, 2)),
-    (19, SolverConfig(oracle=LS2), (15, 3, 2)),
+    (14, SolverConfig(), (187, 2, 1)),
+    (19, SolverConfig(), (55, 4, 2)),
+    (19, SolverConfig(oracle=LS2), (13, 3, 2)),
 ])
 def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
     """Every cone follows a passing globality test at the same vertex, and
@@ -95,7 +95,7 @@ def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
     than FOUND; the cut and certificate counts are those of the driver
     that queried the oracle at every vertex and built every cone before
     testing it, the node counts those of the exact, lattice-rounded bound
-    prune."""
+    prune over propagated node boxes."""
     solver = BranchAndCut(generate_random_instance(seed, 2, 3, 2, 4, bound=8), cfg)
     events = []
     is_global, supports = solver._cone_is_global, simplex.tight_bound_supports
@@ -358,6 +358,66 @@ def test_infeasible_instance(moore_bard):
         res = solve(inst, cfg)
         assert res.status is SolveStatus.INFEASIBLE
         assert res.incumbent is None and res.value is None
+
+
+def test_root_box_without_an_integer_point_needs_no_lp():
+    from conftest import MOORE_BARD
+    # the leader row 2x = 1 leaves the relaxation x = 1/2, y in [7/5, 17/8]
+    inst = parse_instance(MOORE_BARD.replace("UPPER 0", "UPPER 1\n2 0 = 1"))
+    for cfg in (SolverConfig(trace=True),
+                SolverConfig(oracle_mode=OracleMode.LEGACY, trace=True)):
+        res = solve(inst, cfg)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert (res.stats.nodes, res.stats.lp_solves, res.stats.propagated) == (0, 0, 1)
+        assert res.trace == ("node 0 depth 0 bound inf pruned-propagated",)
+
+
+@pytest.mark.parametrize("family, seeds", [((2, 3, 2, 4, 4), range(2, 32)),
+                                           ((3, 3, 2, 5, 3), range(2, 12))])
+def test_propagated_trees_match_enumeration(family, seeds):
+    """Node propagation keeps every answer, under the exact direction MILP
+    and under local search of radius 2, and closes boxes on the way."""
+    n1, n2, m1, m2, bound = family
+    propagated = 0
+    for seed in seeds:
+        inst = generate_random_instance(seed, n1, n2, m1, m2, bound=bound)
+        best = optimal_by_enumeration(inst)
+        for cfg in (SolverConfig(), SolverConfig(oracle=LS2)):
+            res = solve(inst, cfg)
+            if best is None:
+                assert res.status is SolveStatus.INFEASIBLE, inst.name
+            else:
+                assert res.status is SolveStatus.OPTIMAL, inst.name
+                assert res.value == best[1], inst.name
+            propagated += res.stats.propagated
+    assert propagated > 0
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(oracle=LS2),
+                                 SolverConfig(oracle_mode=OracleMode.LEGACY)])
+def test_the_follower_problem_never_sees_a_node_box(monkeypatch, cfg):
+    """Propagation tightens node boxes and the root box, but the follower's
+    problem is the instance's: every step image and value function is
+    built from the instance's own bounds, which the solve leaves as they
+    are."""
+    inst = generate_random_instance(9, 2, 3, 2, 4, bound=8)
+    lower, upper = inst.lower, inst.upper
+    seen = []
+
+    def own_bounds(fn):
+        def wrapper(instance, *args, **kwargs):
+            assert instance.lower == lower and instance.upper == upper
+            seen.append(fn.__name__)
+            return fn(instance, *args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(oracle, "step_image", own_bounds(oracle.step_image))
+    monkeypatch.setattr(oracle, "evaluate_phi", own_bounds(oracle.evaluate_phi))
+    solver = BranchAndCut(inst, cfg)
+    res = solver.run()
+    assert res.stats.propagated > 0
+    assert solver.root_upper[inst.n1:] == [4, 6, 2]     # the follower box, tightened
+    assert ("evaluate_phi" if cfg.oracle_mode is OracleMode.LEGACY else "step_image") in seen
+    assert inst.lower == lower and inst.upper == upper
 
 
 def test_node_limit(moore_bard):

@@ -35,6 +35,8 @@ def test_solve_reports_oracle_savings(capsys):
     skipped, refuted = int(kv["oracle_skipped"]), int(kv["pool_refutations"])
     assert skipped > 0 and refuted > 0
     assert f"{skipped} skipped, {refuted} refuted from pool" in out
+    assert f"nodes: {kv['nodes']} ({kv['propagated']} more closed by propagation)" in out
+    assert int(kv["propagated"]) > 0
 
 
 def test_solve_flags_and_trace(capsys, tmp_path):
@@ -251,6 +253,8 @@ def test_bench_and_profile(tmp_path, capsys):
      "line 3: invalid literal for int"),
     (["mb", "id-milp", "Optimal", "0.1", "0.1", "3.7", "0.0", "0.0", "0.0"],
      "line 3: invalid literal for int"),
+    (["mb", "id-milp", "optimal", "0.1", "0.1", "3", "0.0", "0.0", "0.0"],
+     "line 3: unknown status 'optimal'"),
 ])
 def test_profile_refuses_a_malformed_csv(tmp_path, capsys, row, message):
     good = ["mb", "legacy", "Optimal", "0.2", "0.2", "5", "0.0", "0.0", "0.0"]

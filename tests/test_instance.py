@@ -10,7 +10,8 @@ from miblp.instance import (InstanceError, MiblpInstance, ParseError, Point,
                             generate_random_instance, parse_instance,
                             validate_assumptions, write_instance)
 
-from conftest import MOORE_BARD, THREE_D
+from conftest import DATA, MOORE_BARD, THREE_D
+from helpers import bench_corpus
 
 
 def test_moore_bard_shape(moore_bard):
@@ -217,6 +218,38 @@ def test_fractional_coefficients_parse():
     text = MOORE_BARD.replace("OBJ_LOWER 1", "OBJ_LOWER 1/2")
     inst = parse_instance(text)
     assert inst.d2 == (Fraction(1),)
+
+
+def test_fast_number_paths_parse_identical_instances(monkeypatch):
+    """A plain integer token skips Fraction's string regex, and a follower
+    vector already integral is kept as it is; every corpus instance, every
+    tests/data file and a text of every token shape parse to the very
+    instance the Fraction(token) path gives."""
+    from miblp import instance
+    corpus = bench_corpus()
+    texts = [write_instance(corpus.generate(seed)) for seed in corpus.CORPUS_SEEDS]
+    texts += [path.read_text() for path in sorted(DATA.glob("*.miblp"))]
+    texts.append(MOORE_BARD.replace("OBJ_UPPER -1 -10", "OBJ_UPPER -007 -1e1")
+                 .replace("OBJ_LOWER 1", "OBJ_LOWER +1.5")
+                 .replace("BOUNDS 0 8 0 5", "BOUNDS -0 16/2 0 5.0"))
+    fast = [parse_instance(text) for text in texts]
+
+    def number(token, lineno):
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"not a number: {token!r}") from None
+
+    def integral(vec):
+        scale = math.lcm(*(v.denominator for v in vec))
+        return tuple(v * scale for v in vec)
+    monkeypatch.setattr(instance, "_number", number)
+    monkeypatch.setattr(instance, "_integral", integral)
+    assert [parse_instance(text) for text in texts] == fast
+    for inst in fast:
+        assert all(type(v) is Fraction for v in inst.c + inst.d1 + inst.d2 + inst.b1
+                   + inst.b2 + inst.lower + inst.upper + sum(inst.a1 + inst.g1, ())
+                   + sum(inst.a2 + inst.g2, ()))
 
 
 # -- the scope gate ------------------------------------------------------------

@@ -364,29 +364,32 @@ def _random_mixed_lp(rng):
 
 
 def test_lattice_rounded_dual_bound_stays_below_the_mixed_integer_optimum():
+    """Every bound is finite: where float noise leaves a reduced cost on the
+    basic column with an open bound, the bound comes from the duals
+    re-derived exactly from the final basis."""
     rng = random.Random(23)
-    rounded = 0
+    rounded = noisy = 0
     for _ in range(200):
         prob, ints = _random_mixed_lp(rng)
         sol = solve_lp(prob)
         if sol.status is not LpStatus.OPTIMAL:
             continue
-        bound = dual_bound(prob, sol.y, ints)
+        bound = dual_bound(prob, sol.y, ints, basis=sol.basis)
+        assert bound > -math.inf
+        noisy += dual_bound(prob, sol.y, ints) == -math.inf
         status, value = mixed_grid_optimum(prob, ints)
         if status == "optimal":
             assert bound <= value
-        if bound == -math.inf:
-            # float noise on the reduced cost of a column with an open bound
-            continue
+        plain = dual_bound(prob, sol.y, basis=sol.basis)
         costs = [Fraction(c) for c in prob.objective if c]
         if prob.objective[-1] == 0 and costs:
             den = math.lcm(*(c.denominator for c in costs))
             step = Fraction(math.gcd(*(int(c * den) for c in costs)), den)
             assert (bound / step).denominator == 1
-            rounded += bound > dual_bound(prob, sol.y)
+            rounded += bound > plain
         else:
-            assert bound == dual_bound(prob, sol.y)
-    assert rounded > 20
+            assert bound == plain
+    assert rounded > 20 and noisy == 1
 
 
 @pytest.mark.parametrize("warm", [False, True])
