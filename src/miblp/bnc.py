@@ -550,9 +550,10 @@ class BranchAndCut:
                         decision = (j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
                         break
             if decision is None:
-                if proven and self.inst.is_pure_integer():
-                    # every variable is integer and fixed, so the box is the
-                    # single vertex just certified not bilevel feasible
+                if proven:
+                    # every integer variable is fixed and continuous leaders
+                    # stay out of the follower rows: the whole box shares the
+                    # linking x and the y just certified not bilevel feasible
                     self._trace(node, bound, "pruned-exhausted")
                     continue
                 if self.inst.is_pure_integer():
@@ -586,8 +587,7 @@ class BranchAndCut:
         value = None if self.value is None else float(self.value)
         if limited:
             status = SolveStatus.LIMIT_REACHED
-            open_bounds = [b for b, _, _ in queue if not math.isinf(b)]
-            lb = min(open_bounds) if open_bounds else (-math.inf if value is None else value)
+            lb = min((b for b, _, _ in queue), default=-math.inf if value is None else value)
             gap = math.inf
             if value is not None and not math.isinf(lb):
                 gap = max(0.0, (value - lb) / max(1.0, abs(value)))

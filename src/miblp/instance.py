@@ -30,8 +30,10 @@ ignored)::
 Numbers are decimals or p/q rationals.  Parsing ends in
 ``validate_assumptions``, the solver's one scope gate: it refuses continuous
 follower variables, continuous leader variables in follower rows and an
-unbounded relaxation, scales the follower data to integers and makes every
-bound finite, so no downstream module re-checks any of this.
+open bound it cannot close, scales the follower data to integers and makes
+every bound finite, so no downstream module re-checks any of this.  Leader
+rows never bound a follower variable: they constrain (x, y) but never
+shrink the follower's reaction set.
 """
 from __future__ import annotations
 
@@ -375,18 +377,20 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
     """Refuse what the solver's theory does not cover; normalize the rest.
 
     Raises InstanceError for continuous follower variables (r2 < n2), for
-    continuous leader variables in follower rows, and for a relaxation that
-    is unbounded in a variable declared ``inf`` (a recession direction
-    raises it).  Each follower row (A2|G2, b2) and d2 are scaled by the LCM
+    continuous leader variables in follower rows, and for a variable
+    declared ``inf`` that is unbounded over its region (below).  Each
+    follower row (A2|G2, b2) and d2 are scaled by the LCM
     of their denominators, which keeps the follower's feasible set and
     argmin and makes every follower value change an integer: "no step
     improves by >= 1" then certifies a best response, and free sets relax by
     one unit.  Bounds of integer variables are rounded inward.  A number
     beyond the float range, after that scaling, raises InstanceError, as the
     simplex steers by a float image of the data.  A bound declared ``inf``
-    becomes the variable's exact maximum over the relaxation, found under a
-    doubling cap so that every LP starts dual feasible (collapsing to the
-    lower bound when the relaxation is empty).
+    becomes the variable's exact maximum (``kopt.region_extrema``), rounded
+    down if integer, over its region: the relaxation for a leader variable;
+    the follower rows and the box, leader bounds closed, for a follower
+    variable.  Every ``inf`` bound collapses to its lower bound when the
+    relaxation is empty.
     """
     if inst.r2 < inst.n2:
         raise InstanceError(f"continuous follower variables are not supported "
@@ -410,9 +414,22 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
                    b2=tuple(row[-1] for row in rows2),
                    lower=tuple(lower), upper=tuple(upper))
     _refuse_overflow(inst)
-    if None in upper:
-        inst = replace(inst, upper=_tightened_upper(inst, integer))
-    return inst
+    if None not in upper:
+        return inst
+    from .kopt import region_extrema     # kopt imports this module
+    for rows, columns, region in (
+            (inst.all_rows(), range(inst.n1), "the relaxation"),
+            (inst.follower_rows(), range(inst.n1, inst.num_vars), "the follower rows")):
+        columns = [j for j in columns if upper[j] is None]
+        extrema = region_extrema(rows, inst.lower, upper, columns, region)
+        if extrema is None:
+            return replace(inst, upper=tuple(lo if hi is None else hi
+                                             for lo, hi in zip(inst.lower, upper)))
+        for j, hi in zip(columns, extrema[1]):
+            upper[j] = Fraction(math.floor(hi)) if j in integer else hi
+        if None not in upper:
+            break
+    return replace(inst, upper=tuple(upper))
 
 
 def _refuse_overflow(inst: MiblpInstance) -> None:
@@ -444,62 +461,6 @@ def _integral(vec: Vec) -> Vec:
     """vec times the LCM of its denominators; vec itself when that is 1."""
     scale = math.lcm(*(v.denominator for v in vec))
     return vec if scale == 1 else tuple(v * scale for v in vec)
-
-
-def _tightened_upper(inst: MiblpInstance, integer) -> tuple:
-    """Each ``inf`` upper bound replaced by its exact maximum over the
-    relaxation, or by its lower bound when the relaxation is empty.
-
-    Every LP here starts dual feasible, as ``simplex.solve_lp`` needs: a
-    zero-objective LP settles emptiness; a recession direction d with
-    rows . d >= 0, d in [0, 1] on the ``inf`` variables and 0 elsewhere, of
-    maximum sum, names an unbounded variable where its vertex is nonzero;
-    and each ``inf`` variable is maximized under a cap on it alone, doubled
-    (in span above its lower bound) until the vertex lies strictly below it.
-    A vertex where the cap is slack is a local, hence global, maximum of the
-    uncapped LP.
-    """
-    from . import simplex
-
-    zero = [Fraction(0)] * inst.num_vars
-    base = simplex.LpProblem(zero, [list(coeffs) for coeffs, _ in inst.all_rows()],
-                             [rhs for _, rhs in inst.all_rows()],
-                             list(inst.lower), list(inst.upper))
-    infinite = [j for j, hi in enumerate(inst.upper) if hi is None]
-
-    def vertex(prob, what):
-        sol = simplex.solve_lp(prob)
-        if sol.status is simplex.LpStatus.INFEASIBLE:
-            return None
-        exact = None
-        if sol.status is simplex.LpStatus.OPTIMAL:
-            exact = simplex.exact_primal(prob, sol)
-        if exact is None:
-            raise InstanceError(f"cannot recover an exact upper bound: no exact {what} "
-                                f"(LP status {sol.status.name})")
-        return exact
-
-    if vertex(base, "point of the relaxation") is None:
-        return tuple(lo if hi is None else hi for lo, hi in zip(inst.lower, inst.upper))
-    one = [Fraction(int(j in infinite)) for j in range(inst.num_vars)]
-    cone = simplex.LpProblem([-v for v in one], base.rows, [Fraction(0)] * base.m, zero, one)
-    d = vertex(cone, "recession direction")
-    unbounded = next((j for j in infinite if d[j] > 0), None)
-    if unbounded is not None:
-        raise InstanceError(f"variable {unbounded} is unbounded over the relaxation")
-    upper = list(inst.upper)
-    for j in infinite:
-        obj = list(zero)
-        obj[j] = Fraction(-1)
-        prob, capped, span = base.with_objective(obj), list(inst.upper), 1
-        while True:
-            capped[j] = inst.lower[j] + span
-            z = vertex(prob.with_bounds(inst.lower, capped), f"maximum of variable {j}")
-            if z is not None and z[j] < capped[j]:
-                break
-            span *= 2
-        upper[j] = Fraction(math.floor(z[j])) if j in integer else z[j]
-    return tuple(upper)
 
 
 # ---------------------------------------------------------------------------

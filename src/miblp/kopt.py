@@ -9,9 +9,10 @@ points of level > k, so k = 0 accepts everything and k = k_bar accepts only
 true best responses.
 
 All set computations here are exhaustive integer enumeration (pure-integer
-instances only, budget-guarded); only the radius cap uses LP extrema, and
-those are exact rationals recovered from vertex solves over the follower
-rows.  Leader rows are deliberately left out of those solves: follower
+instances only, budget-guarded).  The one LP routine is ``region_extrema``,
+the exact per-variable extrema over a region of rows and a box; the scope
+gate (``instance.validate_assumptions``) uses it too, to close ``inf``
+bounds.  The radius cap takes it over the follower rows alone: follower
 improvement steps only respect the follower's own constraints, so a cap
 taken over the jointly-feasible region can undershoot when leader rows
 pinch the follower variables.  Parsing has already made every follower
@@ -35,48 +36,78 @@ from .simplex import LpProblem, LpStatus, exact_primal, solve_lp
 class KoptContext:
     inst: MiblpInstance
     k_bar: int
-    follower_min: tuple   # exact extrema of each follower variable over the
-    follower_max: tuple   # follower-feasible region (follower rows + boxes)
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _follower_extrema(inst: MiblpInstance):
-    """Exact per-variable extrema over {boxes : follower rows hold}, via 2*n2
-    vertex solves; None when that region is empty.  Falls back to the
-    declared box bound when a vertex cannot be recovered exactly (a wider cap
-    stays valid)."""
-    rows = [list(a) + list(g) for a, g in zip(inst.a2, inst.g2)]
-    zero = [Fraction(0)] * inst.num_vars
-    base = LpProblem(zero, rows, list(inst.b2), list(inst.lower), list(inst.upper))
-    fmin, fmax = [], []
-    for i in range(inst.n2):
-        j = inst.n1 + i
-        for sign, out in ((1, fmin), (-1, fmax)):
-            obj = list(zero)
-            obj[j] = Fraction(sign)
-            problem = base.with_objective(obj)
-            sol = solve_lp(problem)
-            if sol.status is LpStatus.INFEASIBLE:
-                return None
-            if sol.status is not LpStatus.OPTIMAL:
-                raise InstanceError(
-                    "follower region extrema are undefined "
-                    f"(LP status {sol.status.name})")
-            vertex = exact_primal(problem, sol)
-            if vertex is not None:
-                out.append(vertex[j])
-            else:
-                out.append(inst.lower[j] if sign > 0 else inst.upper[j])
-    return tuple(fmin), tuple(fmax)
+def region_extrema(rows, lower, upper, columns, region):
+    """Exact (minima, maxima) of each listed column over {rows, box}, or None
+    when that region is empty; ``rows`` are (coeffs, rhs) pairs, ">=", and
+    an ``upper`` entry may be None for +inf.
+
+    Every LP starts dual feasible, as ``solve_lp`` needs.  An infeasible
+    minimum proves the region empty (a zero-objective LP does, with no
+    column listed).  A recession direction d with rows . d >= 0, d in [0, 1]
+    on the open columns and 0 elsewhere, of maximum sum over the listed open
+    columns, is nonzero on a listed column exactly when one is unbounded
+    above, and InstanceError names it.  A listed open column is maximized
+    under a cap on it alone, doubled (in span above its lower bound) until
+    the vertex lies strictly below it: a vertex where the cap is slack is a
+    local, hence global, maximum.  An LP without an exact vertex raises
+    InstanceError.
+    """
+    zero = [Fraction(0)] * len(lower)
+    base = LpProblem(zero, [list(r) for r, _ in rows], [b for _, b in rows],
+                     list(lower), list(upper))
+
+    def vertex(prob, what):
+        sol = solve_lp(prob)
+        if sol.status is LpStatus.INFEASIBLE:
+            return None
+        exact = exact_primal(prob, sol) if sol.status is LpStatus.OPTIMAL else None
+        if exact is None:
+            raise InstanceError(f"cannot recover an exact upper bound: no exact {what} "
+                                f"(LP status {sol.status.name})")
+        return exact
+
+    def objective(j, sign):
+        return base.with_objective([Fraction(sign * (i == j)) for i in range(len(lower))])
+
+    mins = [vertex(objective(j, 1), f"minimum of variable {j}") for j in columns]
+    if None in mins or not columns and vertex(base, f"point of {region}") is None:
+        return None
+    open_cols = [j for j in columns if upper[j] is None]
+    if open_cols:
+        box = [Fraction(int(hi is None)) for hi in upper]
+        cost = [Fraction(-int(j in open_cols)) for j in range(len(lower))]
+        d = vertex(LpProblem(cost, base.rows, [Fraction(0)] * base.m, zero, box),
+                   "recession direction")
+        unbounded = next((j for j in open_cols if d[j] > 0), None)
+        if unbounded is not None:
+            raise InstanceError(f"variable {unbounded} is unbounded over {region}")
+    maxima = []
+    for j in columns:
+        prob, what = objective(j, -1), f"maximum of variable {j}"
+        if upper[j] is not None:
+            maxima.append(vertex(prob, what)[j])
+            continue
+        capped, span = list(upper), 1
+        while True:
+            capped[j] = lower[j] + span
+            z = vertex(prob.with_bounds(lower, capped), what)
+            if z is not None and z[j] < capped[j]:
+                break
+            span *= 2
+        maxima.append(z[j])
+    return tuple(z[j] for j, z in zip(columns, mins)), tuple(maxima)
 
 
 def make_context(inst: MiblpInstance) -> KoptContext:
-    extrema = _follower_extrema(inst)
+    extrema = region_extrema(inst.follower_rows(), inst.lower, inst.upper,
+                             range(inst.n1, inst.num_vars), "the follower rows")
     if extrema is None:
-        return KoptContext(inst, 0, (), ())
-    fmin, fmax = extrema
-    k_bar = sum(max(0, math.floor(hi) - math.ceil(lo)) for lo, hi in zip(fmin, fmax))
-    return KoptContext(inst, k_bar, fmin, fmax)
+        return KoptContext(inst, 0)
+    return KoptContext(inst, sum(max(0, math.floor(hi) - math.ceil(lo))
+                                 for lo, hi in zip(*extrema)))
 
 
 def compute_k_bar(inst: MiblpInstance) -> int:

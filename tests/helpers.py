@@ -13,11 +13,13 @@ import importlib.util
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from miblp.exactlin import dot
+from miblp.instance import generate_random_instance, validate_assumptions
 from miblp.simplex import (AT_LOWER, BASIC, DegenerateConeError, LpProblem,
                            LpStatus, SimplicialCone)
 
@@ -275,3 +277,67 @@ def bench_corpus():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def mixed_leader_instance(seed: int):
+    """The corpus family's instance ``seed`` plus a continuous leader x2 in
+    [0, 17/2], appended as leader index 2, that stays out of the follower
+    rows; its leader-row coefficients, then its cost, are drawn from
+    ``random.Random(1000 + seed)``."""
+    base = generate_random_instance(seed, 2, 3, 2, 4, bound=8)
+    rng = random.Random(1000 + seed)
+    column = [Fraction(rng.randint(-5, 5)) for _ in range(base.m1)]
+    cost = Fraction(rng.randint(-5, 5))
+    return validate_assumptions(replace(
+        base, n1=3, r1=2, c=base.c + (cost,),
+        a1=tuple(a + (v,) for a, v in zip(base.a1, column)),
+        a2=tuple(a + (Fraction(0),) for a in base.a2),
+        lower=base.lower[:2] + (Fraction(0),) + base.lower[2:],
+        upper=base.upper[:2] + (Fraction(17, 2),) + base.upper[2:]))
+
+
+def mixed_bilevel_optimum(inst):
+    """Optimal value of an instance with one continuous leader variable
+    outside the follower rows, or None when it is infeasible: every integer
+    leader part is enumerated, the follower's best responses at it are found
+    on its integer grid, and the continuous variable takes the best end of
+    the interval that the leader rows leave it."""
+    (c,) = range(inst.r1, inst.n1)
+    ints = range(inst.r1)
+    grid = list(itertools.product(*(range(int(inst.lower[inst.n1 + i]),
+                                          int(inst.upper[inst.n1 + i]) + 1)
+                                    for i in range(inst.n2))))
+    rows2, b2 = inst.follower_ints
+    d2 = [int(v) for v in inst.d2]
+    activity = [tuple(sum(r * v for r, v in zip(row[inst.n1:], y)) for row in rows2)
+                for y in grid]
+    best = None
+    for xi in itertools.product(*(range(int(inst.lower[j]), int(inst.upper[j]) + 1)
+                                  for j in ints)):
+        need = [b - sum(r * v for r, v in zip(row, xi)) for row, b in zip(rows2, b2)]
+        slice_ = [y for y, act in zip(grid, activity)
+                  if all(v >= n for v, n in zip(act, need))]
+        if not slice_:
+            continue
+        values = [sum(d * v for d, v in zip(d2, y)) for y in slice_]
+        phi = min(values)
+        for y, v in zip(slice_, values):
+            if v != phi:
+                continue
+            lo, hi = inst.lower[c], inst.upper[c]
+            for a, g, b in zip(inst.a1, inst.g1, inst.b1):
+                # a[c] * x_c >= the rest of the row
+                rest = b - dot(a[:inst.r1], xi) - dot(g, y)
+                if a[c] > 0:
+                    lo = max(lo, rest / a[c])
+                elif a[c] < 0:
+                    hi = min(hi, rest / a[c])
+                elif rest > 0:
+                    lo, hi = 1, 0
+            if lo > hi:
+                continue
+            value = (dot(inst.c[:inst.r1], xi) + inst.c[c] * (lo if inst.c[c] >= 0 else hi)
+                     + dot(inst.d1, y))
+            if best is None or value < best:
+                best = value
+    return best

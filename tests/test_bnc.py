@@ -14,6 +14,8 @@ from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
 from miblp.oracle import DirectionMethod, OracleConfig, OracleInconclusive, OutcomeKind
 
+from helpers import mixed_bilevel_optimum, mixed_leader_instance
+
 LS2 = OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)
 
 
@@ -427,6 +429,44 @@ def test_node_limit(moore_bard):
     res = solve(moore_bard, SolverConfig(time_limit=0.0))
     assert res.status is SolveStatus.LIMIT_REACHED
     assert res.stats.nodes == 0
+
+
+def test_limit_bound_counts_nodes_whose_lp_failed(monkeypatch):
+    """The root's LP fails twice, so its children carry bound -inf; a limit
+    reached before they are bounded leaves -inf as the proven bound, where
+    the queue's finite keys alone would claim -76 above the optimum -78."""
+    solve_lp, failed = simplex.solve_lp, []
+
+    def failing(*args):
+        if len(failed) < 2:
+            failed.append(args)
+            return simplex.LpSolution(simplex.LpStatus.UNSTABLE)
+        return solve_lp(*args)
+
+    monkeypatch.setattr(simplex, "solve_lp", failing)
+    res = solve(generate_random_instance(2, 2, 3, 2, 4, bound=8), SolverConfig(node_limit=3))
+    assert len(failed) == 2
+    assert res.status is SolveStatus.LIMIT_REACHED
+    assert res.bound <= -78
+
+
+# corpus-family seeds with a continuous leader that stalled before a proven,
+# fully fixed integer box was pruned whatever its continuous leaders
+MIXED_STALLED = (5, 10, 11, 13, 14, 18, 19, 27, 29, 33, 36)
+
+
+@pytest.mark.parametrize("seed", MIXED_STALLED)
+def test_fixed_integer_box_closes_whatever_its_continuous_leaders(seed):
+    inst = mixed_leader_instance(seed)
+    assert not inst.is_pure_integer()
+    res = solve(inst, SolverConfig(trace=True))
+    assert not any(line.endswith("stalled") for line in res.trace)
+    value = mixed_bilevel_optimum(inst)
+    if value is None:
+        assert res.status is SolveStatus.INFEASIBLE
+    else:
+        assert res.status is SolveStatus.OPTIMAL and res.value == value
+        assert inst.in_relaxation(res.incumbent)
 
 
 def test_cut_log(moore_bard):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from miblp import kopt
 from miblp.bnc import OracleMode, SolverConfig, SolveStatus, solve
 from miblp.bruteforce import optimal_by_enumeration
 from miblp.instance import (InstanceError, MiblpInstance, ParseError, Point,
@@ -140,9 +141,8 @@ LOWER 1
 def test_infinite_bound_found_under_a_doubling_cap(monkeypatch):
     # x1 is a continuous leader variable outside the follower rows, with
     # maximum 1000/3: the cap x1 <= 2^k binds up to 2^8 and is slack at 2^9
-    from miblp import simplex
-    solve_lp, calls = simplex.solve_lp, []
-    monkeypatch.setattr(simplex, "solve_lp", lambda prob: calls.append(prob) or solve_lp(prob))
+    solve_lp, calls = kopt.solve_lp, []
+    monkeypatch.setattr(kopt, "solve_lp", lambda prob: calls.append(prob) or solve_lp(prob))
     text = """MIBLP 1
 VARS 2 1 1 1
 OBJ_UPPER 0 -1 1
@@ -154,8 +154,75 @@ LOWER 1
 1 0 1 <= 4
 """
     assert parse_instance(text).upper == (3, Fraction(1000, 3), 5)
-    # the emptiness LP, the recession LP, then caps 1, 2, 4, ..., 512
+    # the minimum (which settles emptiness), the recession LP, then caps
+    # 1, 2, 4, ..., 512
     assert [p.upper[1] for p in calls[2:]] == [2**k for k in range(10)]
+
+
+# -- an open follower bound comes from the follower's own rows ------------------
+
+LEADER_ROW_PINCHES_Y = """MIBLP 1
+VARS 1 1 1 1
+OBJ_UPPER 0 1
+OBJ_LOWER -1
+BOUNDS 0 1 0 inf
+UPPER 1
+0 1 <= 5
+LOWER 1
+0 1 <= 10
+"""
+
+
+def test_leader_row_never_bounds_the_follower():
+    # the follower's only response is y = 10, which breaks the leader row
+    # y <= 5; a bound of 5 would have accepted y = 5 as optimal
+    inst = parse_instance(LEADER_ROW_PINCHES_Y)
+    assert inst.upper == (1, 10)
+    assert solve(inst).status is SolveStatus.INFEASIBLE
+
+
+def _open_follower_bounds(seed):
+    """Corpus-family instance ``seed`` with every follower bound ``inf``,
+    as text."""
+    inst = generate_random_instance(seed, 2, 3, 2, 4, bound=8)
+    return write_instance(replace(inst, upper=inst.upper[:2] + (None,) * 3))
+
+
+def test_open_follower_bounds_come_from_the_follower_rows():
+    inst = parse_instance(_open_follower_bounds(47))
+    assert inst.upper == (8, 8, 18, 24, 11)
+    assert solve(inst).status is SolveStatus.INFEASIBLE
+
+
+def test_follower_unbounded_over_its_rows_is_refused():
+    with pytest.raises(InstanceError,
+                       match="variable 4 is unbounded over the follower rows"):
+        parse_instance(_open_follower_bounds(5))
+
+
+def test_no_leader_row_tightens_a_follower_bound():
+    """Each open follower bound is the floor of its maximum over the
+    follower rows and the box, whatever the leader rows say; on some seeds
+    the maximum over the whole relaxation is lower."""
+    pinched = 0
+    for seed in range(2, 31):
+        try:
+            inst = parse_instance(_open_follower_bounds(seed))
+        except InstanceError as err:
+            assert "unbounded over the follower rows" in str(err)
+            continue
+        upper = inst.upper[:2] + (None,) * 3
+
+        def extrema(rows):
+            return kopt.region_extrema(rows, inst.lower, upper, range(2, 5), "")
+        whole = extrema(inst.all_rows())
+        if whole is None:       # an empty relaxation collapses every open bound
+            assert inst.upper[2:] == inst.lower[2:]
+            continue
+        follower = extrema(inst.follower_rows())[1]
+        assert inst.upper[2:] == tuple(math.floor(hi) for hi in follower)
+        pinched += whole[1] != follower
+    assert pinched
 
 
 def test_unbounded_variable_is_named():
@@ -273,10 +340,9 @@ def test_integer_bounds_rounded():
 
 
 def test_unrecoverable_bound_refused(monkeypatch):
-    from miblp import simplex
     text = MOORE_BARD.replace("BOUNDS 0 8 0 5", "BOUNDS 0 8 0 inf")
     assert parse_instance(text).upper == (8, 4)
-    monkeypatch.setattr(simplex, "exact_primal", lambda problem, sol: None)
+    monkeypatch.setattr(kopt, "exact_primal", lambda problem, sol: None)
     with pytest.raises(InstanceError, match="exact upper bound"):
         parse_instance(text)
 
