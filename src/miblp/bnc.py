@@ -69,7 +69,6 @@ from .simplex import DegenerateConeError, LpProblem, LpStatus
 CUT_VIOLATION_MIN = 1e-7
 CUT_COEFF_CAP = 1e12    # beyond this the float image of the row is garbage
 MAX_CUT_ROUNDS = 20
-TAILING_OFF_EPS = 1e-6
 TAILING_OFF_ROUNDS = 3
 
 
@@ -119,6 +118,9 @@ class SolveStats:
     phi_calls: int = 0
     certificates: int = 0
     propagated: int = 0         # boxes closed by propagation, without an LP
+    # cuts computed and not pooled, by reason
+    cut_rejects: dict = field(default_factory=lambda: dict.fromkeys(
+        ("not-separable", "duplicate", "coefficient-cap", "weak-violation"), 0))
 
 
 @dataclass(frozen=True)
@@ -377,17 +379,20 @@ class BranchAndCut:
             y_star = tuple(a + b for a, b in zip(point.y, direction.w))
             if all(v.denominator == 1 for v in y_star):
                 free_sets.append(("isic", cuts_mod.bfs_from_solution(self.inst, y_star)))
+        rejects = self.stats.cut_rejects
         for family, fs in free_sets:
             try:
                 cut = cuts_mod.intersection_cut(cone, fs, self.inst.n1)
             except NotSeparableError:
+                rejects["not-separable"] += 1
                 continue
-            if cut.key() in self.pool_keys:
-                continue
-            if any(abs(c) > CUT_COEFF_CAP for c in cut.row()) or \
-                    abs(cut.beta) > CUT_COEFF_CAP:
-                continue
-            if cuts_mod.cut_violation(cut, point) < CUT_VIOLATION_MIN:
+            row = cut.row() + [cut.beta]
+            reject = ("duplicate" if cut.key() in self.pool_keys else
+                      "coefficient-cap" if max(map(abs, row)) > CUT_COEFF_CAP else
+                      "weak-violation" if cuts_mod.cut_violation(cut, point) < CUT_VIOLATION_MIN
+                      else None)
+            if reject:
+                rejects[reject] += 1
                 continue
             self.pool.append(cut)
             self.pool_keys.add(cut.key())
@@ -426,7 +431,7 @@ class BranchAndCut:
             prev = bound
             bound = simplex.dual_bound(prob, sol.y, self.integer, basis=sol.basis)
             if prev is not None:
-                tail = tail + 1 if bound - prev < TAILING_OFF_EPS else 0
+                tail = tail + 1 if bound <= prev else 0
             if self.value is not None and bound >= self.value:
                 return "prune", "bound"
             exact = simplex.exact_primal(prob, sol)

@@ -142,8 +142,10 @@ def _cmd_solve(parser, args) -> int:
         print(f"value: {res.value}")
     print(f"bound: {res.bound:.9g}")
     print(f"gap: {res.gap:.9g}")
+    rejects = res.stats.cut_rejects
     print(f"nodes: {res.stats.nodes} ({res.stats.propagated} more closed by propagation)  "
-          f"cuts: {res.stats.cuts_idic} idic, {res.stats.cuts_isic} isic")
+          f"cuts: {res.stats.cuts_idic} idic, {res.stats.cuts_isic} isic (rejected: "
+          + ", ".join(f"{n} {reason}" for reason, n in rejects.items()) + ")")
     print(f"oracle: {res.stats.oracle_calls} calls, "
           f"{res.stats.oracle_time:.3f}s finding directions, "
           f"{res.stats.oracle_skipped} skipped, "
@@ -157,6 +159,7 @@ def _cmd_solve(parser, args) -> int:
                  bound=f"{res.bound:.9g}", gap=f"{res.gap:.9g}",
                  nodes=res.stats.nodes, propagated=res.stats.propagated,
                  cuts=res.stats.cuts_idic + res.stats.cuts_isic,
+                 cut_rejects=",".join(f"{reason}:{n}" for reason, n in rejects.items()),
                  oracle_calls=res.stats.oracle_calls,
                  oracle_skipped=res.stats.oracle_skipped,
                  pool_refutations=res.stats.pool_refutations,

@@ -11,20 +11,19 @@ no integral feasible point.
 
 The intersection cut of a free set with a simplicial cone containing the
 feasible region is the hyperplane through the points where the cone's rays
-leave the free set.  The cone's facets meet its rays in the identity, so the
+leave the free set.  Facet p of the cone meets ray q at 0 for p != q, so the
 cut is Balas's closed form: the sum over rays q of facet_q (z - vertex) /
-lambda_q >= 1, with lambda_q the step at which ray q leaves the set.  With
-the exact rational cones produced by the simplex module it needs no linear
-solve, and it is normalized to coprime integer coefficients, so identical
-cuts deduplicate by equality.
+(lambda_q facet_q ray_q) >= 1, with lambda_q the step at which ray q leaves
+the set.  Free sets, rays and facets are ints and the vertex is scaled to
+ints once, so the cut needs no linear solve and no Fraction, and its
+coprime integer coefficients deduplicate identical cuts by equality.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
-from .exactlin import dot
 from .instance import MiblpInstance, Point
 from .simplex import SimplicialCone
 
@@ -41,14 +40,22 @@ class ConeContainedError(Exception):
 
 @dataclass(frozen=True)
 class BilevelFreeSet:
-    """Row system a_i (x,y) >= b_i over the joint space, interior-free of F."""
+    """Row system a_i (x,y) >= b_i over the joint space, interior-free of F;
+    every a_i and b_i is a Python int."""
 
     rows: tuple           # tuple of (coeffs over n1+n2, rhs)
     origin: tuple         # ("direction", w) | ("solution", y_star)
 
     def strictly_contains(self, point: Point) -> bool:
         z = point.joint()
-        return all(dot(a, z) > b for a, b in self.rows)
+        return all(sum(map(mul, a, z)) > b for a, b in self.rows)
+
+
+def _integral_vector(v, n: int, what: str) -> tuple:
+    v = tuple(v)
+    if len(v) != n or any(x != math.floor(x) for x in v):
+        raise ValueError(f"{what} must be an integral vector over the follower space")
+    return tuple(map(int, v))
 
 
 def bfs_from_direction(inst: MiblpInstance, w) -> BilevelFreeSet:
@@ -58,54 +65,40 @@ def bfs_from_direction(inst: MiblpInstance, w) -> BilevelFreeSet:
     of y + w, relaxed; and, for coordinates stepping upward, the upper box
     side of y + w (within the box the other coordinates cannot exceed it).
     """
-    w = tuple(Fraction(v) for v in getattr(w, "w", w))
-    if len(w) != inst.n2:
-        raise ValueError("direction length does not match the follower space")
-    if dot(inst.d2, w) > -1:
+    w = _integral_vector(getattr(w, "w", w), inst.n2, "direction")
+    if sum(map(mul, inst.step_rows[0], w)) < 1:
         raise ValueError("not an improving direction (needs d2 w <= -1)")
-    if any(v.denominator != 1 for v in w):
-        raise ValueError("direction must be integral")
-    n1, n2 = inst.n1, inst.n2
-    zero = Fraction(0)
-    rows = []
-    for a, g, b in zip(inst.a2, inst.g2, inst.b2):
-        rows.append((tuple(a) + tuple(g), b - 1 - dot(g, w)))
-    for j in range(n2):
-        coeffs = tuple(zero if i != n1 + j else Fraction(1) for i in range(n1 + n2))
-        rows.append((coeffs, inst.lower[n1 + j] - 1 - w[j]))
-    for j in range(n2):
-        if w[j] > 0:
-            coeffs = tuple(zero if i != n1 + j else Fraction(-1) for i in range(n1 + n2))
-            rows.append((coeffs, -inst.upper[n1 + j] - 1 + w[j]))
+    n1 = inst.n1
+    rows = [(coeffs, b - 1 - sum(map(mul, coeffs[n1:], w)))
+            for coeffs, b in zip(*inst.follower_ints)]
+    units = [tuple(int(i == j) for i in range(inst.num_vars)) for j in range(n1, inst.num_vars)]
+    rows += [(e, math.ceil(lo) - 1 - v) for e, lo, v in zip(units, inst.lower[n1:], w)]
+    rows += [(tuple(-c for c in e), -math.floor(hi) - 1 + v)
+             for e, hi, v in zip(units, inst.upper[n1:], w) if v > 0]
     return BilevelFreeSet(rows=tuple(rows), origin=("direction", w))
 
 
 def bfs_from_solution(inst: MiblpInstance, y_star) -> BilevelFreeSet:
     """Free set of an improving solution: everywhere inside, y* beats y."""
-    y_star = tuple(Fraction(v) for v in y_star)
-    if len(y_star) != inst.n2:
-        raise ValueError("solution length does not match the follower space")
-    if any(v.denominator != 1 for v in y_star):
-        raise ValueError("improving solution must satisfy follower integrality")
+    y_star = _integral_vector(y_star, inst.n2, "solution")
     for j in range(inst.n2):
         if not inst.lower[inst.n1 + j] <= y_star[j] <= inst.upper[inst.n1 + j]:
             raise ValueError("improving solution must lie inside the follower box")
-    zero = Fraction(0)
-    rows = [(tuple(zero for _ in range(inst.n1)) + tuple(inst.d2),
-             dot(inst.d2, y_star))]
-    for a, g, b in zip(inst.a2, inst.g2, inst.b2):
-        rows.append((tuple(a) + tuple(zero for _ in range(inst.n2)),
-                     b - dot(g, y_star) - 1))
+    d2 = tuple(-v for v in inst.step_rows[0])
+    rows = [((0,) * inst.n1 + d2, sum(map(mul, d2, y_star)))]
+    for coeffs, b in zip(*inst.follower_ints):
+        rows.append((coeffs[:inst.n1] + (0,) * inst.n2,
+                     b - sum(map(mul, coeffs[inst.n1:], y_star)) - 1))
     return BilevelFreeSet(rows=tuple(rows), origin=("solution", y_star))
 
 
 @dataclass(frozen=True)
 class Cut:
-    """alpha_x x + alpha_y y >= beta, coefficients coprime integers."""
+    """alpha_x x + alpha_y y >= beta, coefficients coprime Python ints."""
 
     alpha_x: tuple
     alpha_y: tuple
-    beta: Fraction
+    beta: int
     origin: tuple = ()
 
     def row(self):
@@ -115,22 +108,9 @@ class Cut:
         return (self.alpha_x, self.alpha_y, self.beta)
 
 
-def cut_violation(cut: Cut, point: Point) -> Fraction:
+def cut_violation(cut: Cut, point: Point):
     """beta minus the cut activity; positive means the point is cut off."""
-    return cut.beta - dot(cut.row(), point.joint())
-
-
-def _normalize(alpha, beta):
-    denom = 1
-    for v in list(alpha) + [beta]:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in alpha] + [int(beta * denom)]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1])
+    return cut.beta - sum(map(mul, cut.row(), point.joint()))
 
 
 def intersection_cut(cone: SimplicialCone, free_set: BilevelFreeSet,
@@ -141,21 +121,36 @@ def intersection_cut(cone: SimplicialCone, free_set: BilevelFreeSet,
     vertices cannot be cut off) and ConeContainedError when no ray ever
     leaves the set, which certifies the cone holds no feasible point.
     """
-    v = list(cone.vertex)
-    slacks = [dot(coeffs, v) - b for coeffs, b in free_set.rows]
-    if min(float(s) for s in slacks) < INTERIOR_MARGIN:
+    d = math.lcm(*(v.denominator for v in cone.vertex))
+    vertex = [v.numerator * (d // v.denominator) for v in cone.vertex]
+    # d times each row's slack at the vertex
+    slacks = [sum(map(mul, coeffs, vertex)) - b * d for coeffs, b in free_set.rows]
+    if min(slacks) / d < INTERIOR_MARGIN:
         raise NotSeparableError("cone vertex is not strictly interior to the free set")
 
     # ray q leaves the set at the step lambda_q where a row it decreases
-    # first loses its slack; 1/lambda_q is 0 when the ray never leaves
-    inv_lambda = [max([Fraction(0)] + [-dot(coeffs, ray) / slack for (coeffs, _), slack
-                                       in zip(free_set.rows, slacks)])
-                  for ray in cone.rays]
-    if all(u == 0 for u in inv_lambda):
+    # first loses its slack: 1/lambda_q = d max(-a ray / slack), or 0 when
+    # it never leaves, and facet q enters alpha times num_q / den_q =
+    # 1 / (d lambda_q facet_q ray_q), exits compared by cross-multiplication
+    terms = []
+    for ray, facet in zip(cone.rays, cone.facets):
+        num, den = 0, 1
+        for (coeffs, _), slack in zip(free_set.rows, slacks):
+            t = -sum(map(mul, coeffs, ray))
+            if t * den > num * slack:
+                num, den = t, slack
+        if num:
+            terms.append((num, den * sum(map(mul, facet, ray)), facet))
+    if not terms:
         raise ConeContainedError("free set contains the whole cone")
 
-    alpha = [dot(inv_lambda, column) for column in zip(*cone.facets)]
-    beta = 1 + dot(alpha, v)
-    alpha, beta = _normalize(alpha, beta)
-    return Cut(alpha_x=alpha[:n1], alpha_y=alpha[n1:],
-               beta=beta, origin=(free_set.origin, tuple(cone.vertex)))
+    # with L the LCM of the den_q and a = sum_q num_q (L / den_q) facet_q,
+    # alpha = d a / L, and alpha z >= 1 + alpha vertex times L is d a z >= L + a V
+    lcm = math.lcm(*(den for _, den, _ in terms))
+    terms = [(num * (lcm // den), facet) for num, den, facet in terms]
+    alpha = [sum(f * facet[j] for f, facet in terms) for j in range(len(vertex))]
+    row = [d * a for a in alpha] + [lcm + sum(map(mul, alpha, vertex))]
+    g = math.gcd(*row)
+    row = [v // g for v in row]
+    return Cut(alpha_x=tuple(row[:n1]), alpha_y=tuple(row[n1:-1]), beta=row[-1],
+               origin=(free_set.origin, tuple(cone.vertex)))

@@ -43,14 +43,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import dot
-
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 FORMAT_TAG = "MIBLP"
 FORMAT_VERSION = "1"
 SENSES = ("<=", ">=", "=")
+
+
+def dot(a, b) -> Fraction:
+    """Exact dot product of the instance's rational data with a point."""
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 class InstanceError(ValueError):

@@ -56,9 +56,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from . import simplex
-from .exactlin import dot
 from .simplex import LpProblem, LpStatus
 
 INTEGRALITY_TOL = 1e-6
@@ -170,7 +170,7 @@ def solve_milp(problem: MilpProblem,
             # integral in floating point, but a fractional exact value is branched on
             branch_j = next((j for j in int_set if z[j].denominator != 1), None)
             if branch_j is None:
-                obj = dot([Fraction(v) for v in lp.objective], z)
+                obj = sum(map(mul, lp.objective, z))
                 if best_obj is None or obj < best_obj:
                     best_x, best_obj = z, obj
                     diving = False

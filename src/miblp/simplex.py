@@ -41,7 +41,8 @@ integer image gives the rest by fraction-free elimination.  ``exact_primal``
 returns that vertex as Fractions once every row and bound holds;
 ``extract_cone`` adds one exact ray per tight constraint, a simplicial cone
 that provably contains the feasible region, together with the tight
-constraints themselves as the cone's facets.
+constraints themselves as the cone's facets.  Rays and facets are ints,
+straight from the elimination; only the vertex is a Fraction.
 """
 from __future__ import annotations
 
@@ -528,10 +529,11 @@ class SimplicialCone:
     """Exact translated simplicial cone vertex + cone(rays) containing the
     LP's feasible region.
 
-    ``facets`` are the cone's n tight constraints, normalized so that
-    facet p meets ray q at exactly [p == q]: the problem row itself for a
-    row, sigma e_j for a bound (sigma = -1 at an upper bound).  The cone is
-    then {z : facet_p (z - vertex) >= 0 for every p}.
+    ``vertex`` holds Fractions, ``rays`` and ``facets`` Python ints.  The
+    facets are the n tight constraints: a row's integer image, sigma e_j for
+    a bound (sigma = -1 at an upper bound).  Facet p meets ray q at 0 for
+    p != q and at a positive int for p = q, and the cone is
+    {z : facet_p (z - vertex) >= 0 for every p}.
     ``bound_supports`` lists the (variable index, at_upper) bound constraints
     among them; callers that share cuts across a search tree use it to
     reject cones resting on node-local bounds.
@@ -636,30 +638,33 @@ def tight_bound_supports(problem: LpProblem, solution: LpSolution) -> tuple:
 
 
 def extract_cone(problem: LpProblem, solution: LpSolution) -> SimplicialCone:
-    """Simplicial cone at the solved basis's vertex, exactly.
+    """Simplicial cone at the solved basis's vertex, exactly, in ints.
 
     The n constraints are the tight set, rows first, then bounds; ray q
     relaxes constraint q and keeps the others tight.  Any feasible point z
     then satisfies z = vertex + sum lambda_q ray_q with lambda >= 0, so the
-    cone contains the feasible region regardless of degeneracy.
+    cone contains the feasible region regardless of degeneracy.  Every ray
+    meets its own facet at |det|, the determinant of the eliminated rows.
     """
     rows, bounds, vertex = _recovered(problem, solution)
     n, image = problem.n, problem.integer_rows()
     fixed = [j for j, _ in bounds]
     free = [j for j in range(n) if j not in fixed]
-    # a row's ray meets its scaled row at its scale and the other tight rows
-    # at 0; a bound's ray moves its variable by sigma, which the rows absorb
-    cols = [[image[i][2] * (i == r) for r in rows] for i in rows]
+    # a row's ray meets its integer row at det and the other tight rows at 0;
+    # a bound's ray moves its variable by sigma det, which the rows absorb
+    cols = [[int(i == r) for r in rows] for i in rows]
     cols += [[-image[i][0][j] for i in rows] for j in fixed]
     det, nums = _fraction_free_solve([[image[i][0][j] for j in free] for i in rows], cols)
+    sign, det = (1, det) if det > 0 else (-1, -det)
     sigmas = [1] * len(rows) + [-1 if up else 1 for _, up in bounds]
-    rays, facets = [], [tuple(map(Fraction, problem.rows[i])) for i in rows]
+    rays, facets = [], [tuple(image[i][0]) for i in rows]
     for sigma, own, num in zip(sigmas, [None] * len(rows) + fixed, nums):
-        ray = [Fraction(sigma * (j == own)) for j in range(n)]
+        ray = [sigma * (j == own) for j in range(n)]
         if own is not None:
             facets.append(tuple(ray))       # sigma e_own
+            ray[own] *= det
         for j, v in zip(free, num):
-            ray[j] = Fraction(sigma * v, det)
+            ray[j] = sigma * sign * v
         rays.append(tuple(ray))
     return SimplicialCone(vertex=vertex, rays=tuple(rays), bound_supports=bounds,
                           facets=tuple(facets))

@@ -18,8 +18,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from miblp.exactlin import dot
-from miblp.instance import generate_random_instance, validate_assumptions
+from miblp.instance import dot, generate_random_instance, validate_assumptions
 from miblp.simplex import (AT_LOWER, BASIC, DegenerateConeError, LpProblem,
                            LpStatus, SimplicialCone)
 

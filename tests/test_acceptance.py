@@ -26,8 +26,7 @@ from miblp.bench import (RunRecord, baseline_profile, cumulative_profile,
                          write_profile_data)
 from miblp.bnc import Branching, OracleMode, SolveStatus, SolverConfig, solve
 from miblp.cuts import cut_violation
-from miblp.exactlin import dot
-from miblp.instance import GenerationError, Point, generate_random_instance
+from miblp.instance import GenerationError, Point, dot, generate_random_instance
 from miblp.milp import MilpProblem, MilpStatus, solve_milp
 from miblp.oracle import (DirectionMethod, OracleConfig, OutcomeKind,
                           build_k_id_milp, certify_bilevel_feasible,

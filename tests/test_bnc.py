@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from miblp import bnc, milp, oracle, simplex
+from miblp import bnc, cuts, milp, oracle, simplex
 from miblp.bnc import (BranchAndCut, Branching, DirectionPool, OracleMode, SolveStatus,
                        SolverConfig, choose_branch_variable, solve)
 from miblp.bruteforce import enumerate_F, enumerate_S, optimal_by_enumeration
@@ -14,7 +15,7 @@ from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
 from miblp.oracle import DirectionMethod, OracleConfig, OracleInconclusive, OutcomeKind
 
-from helpers import mixed_bilevel_optimum, mixed_leader_instance
+from helpers import bench_corpus, mixed_bilevel_optimum, mixed_leader_instance
 
 LS2 = OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)
 
@@ -486,6 +487,35 @@ def test_cut_log(moore_bard):
         assert all(abs(c) <= 1e12 for c in rec.cut.row() + [rec.cut.beta])
         for p in f_points:
             assert cut_violation(rec.cut, p) <= 0
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(oracle=LS2)])
+def test_corpus_cuts_are_primitive_int_rows_and_every_reject_is_counted(monkeypatch, cfg):
+    """On the benchmark corpus every pooled cut is a row of Python ints with
+    gcd 1, and every cut computed, that is each intersection_cut call that
+    does not prune its node, is either pooled or counted as a reject."""
+    calls = Counter()
+    intersection_cut = cuts.intersection_cut
+
+    def counted(*args):
+        try:
+            cut = intersection_cut(*args)
+        except cuts.NotSeparableError:
+            calls["not separable"] += 1
+            raise
+        calls["cuts"] += 1
+        return cut
+    monkeypatch.setattr(cuts, "intersection_cut", counted)
+    pooled = rejects = 0
+    for seed in bench_corpus().CORPUS_SEEDS:
+        res = solve(bench_corpus().generate(seed), cfg)
+        for rec in res.cut_log:
+            row = rec.cut.row() + [rec.cut.beta]
+            assert all(type(v) is int for v in row) and math.gcd(*row) == 1
+        pooled += len(res.cut_log)
+        rejects += sum(res.stats.cut_rejects.values())
+    assert pooled > 0 and rejects > 0
+    assert pooled + rejects == calls["cuts"] + calls["not separable"]
 
 
 def test_cut_rounds_disabled(moore_bard, monkeypatch):

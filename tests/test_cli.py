@@ -7,7 +7,8 @@ from miblp import cli, kopt
 from miblp.bnc import OracleMode
 from miblp.bench import CSV_HEADER, read_records
 from miblp.cli import agreement_failures, main
-from miblp.instance import InstanceError, parse_instance
+from miblp.instance import (InstanceError, generate_random_instance, parse_instance,
+                            write_instance)
 
 MB = str(DATA / "moore_bard.miblp")
 TD = str(DATA / "three_d.miblp")
@@ -37,6 +38,20 @@ def test_solve_reports_oracle_savings(capsys):
     assert f"{skipped} skipped, {refuted} refuted from pool" in out
     assert f"nodes: {kv['nodes']} ({kv['propagated']} more closed by propagation)" in out
     assert int(kv["propagated"]) > 0
+
+
+def test_solve_reports_cut_rejects(capsys, tmp_path):
+    # corpus seed 19: one of its five intersection cuts is over the cap
+    path = tmp_path / "seed19.miblp"
+    path.write_text(write_instance(generate_random_instance(19, 2, 3, 2, 4, bound=8)))
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    kv = result_kv(out, "solve")
+    assert kv["cuts"] == "4"
+    assert kv["cut_rejects"] == \
+        "not-separable:0,duplicate:0,coefficient-cap:1,weak-violation:0"
+    assert "cuts: 4 idic, 0 isic (rejected: 0 not-separable, 0 duplicate, " \
+        "1 coefficient-cap, 0 weak-violation)" in out
 
 
 def test_solve_flags_and_trace(capsys, tmp_path):

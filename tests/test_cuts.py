@@ -83,12 +83,9 @@ def test_cut_coefficients_coprime(moore_bard):
     cut = intersection_cut(root_cone(moore_bard),
                            bfs_from_direction(moore_bard, (-1,)),
                            moore_bard.n1)
-    ints = [int(v) for v in cut.row()] + [int(cut.beta)]
-    assert all(v.denominator == 1 for v in list(cut.row()) + [cut.beta])
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    assert g == 1
+    ints = list(cut.row()) + [cut.beta]
+    assert all(type(v) is int for v in ints)
+    assert math.gcd(*ints) == 1
 
 
 def test_solution_free_set_cut(moore_bard):
@@ -109,35 +106,25 @@ def test_solution_free_set_rejects_bad_y(moore_bard):
         bfs_from_solution(moore_bard, (2, 2))              # wrong length
 
 
+def _unit_cone(vertex):
+    return SimplicialCone(vertex=vertex, rays=((1, 0), (0, 1)), bound_supports=(),
+                          facets=((1, 0), (0, 1)))
+
+
 def test_not_separable_on_boundary_vertex():
-    fs = BilevelFreeSet(rows=(((Fraction(0), Fraction(1)), Fraction(0)),),
-                        origin=("direction", (Fraction(-1),)))
-    cone = SimplicialCone(vertex=(Fraction(0), Fraction(0)),
-                          rays=((Fraction(1), Fraction(0)),
-                                (Fraction(0), Fraction(1))),
-                          bound_supports=(),
-                          facets=((Fraction(1), Fraction(0)),
-                                  (Fraction(0), Fraction(1))))
+    fs = BilevelFreeSet(rows=(((0, 1), 0),), origin=("direction", (-1,)))
     with pytest.raises(NotSeparableError):
-        intersection_cut(cone, fs, 1)
+        intersection_cut(_unit_cone((Fraction(0), Fraction(0))), fs, 1)
 
 
 def test_cone_contained_detected():
-    fs = BilevelFreeSet(rows=(((Fraction(0), Fraction(1)), Fraction(0)),),
-                        origin=("direction", (Fraction(-1),)))
-    cone = SimplicialCone(vertex=(Fraction(0), Fraction(1)),
-                          rays=((Fraction(1), Fraction(0)),
-                                (Fraction(0), Fraction(1))),
-                          bound_supports=(),
-                          facets=((Fraction(1), Fraction(0)),
-                                  (Fraction(0), Fraction(1))))
+    fs = BilevelFreeSet(rows=(((0, 1), 0),), origin=("direction", (-1,)))
     with pytest.raises(ConeContainedError):
-        intersection_cut(cone, fs, 1)
+        intersection_cut(_unit_cone((Fraction(0), Fraction(1))), fs, 1)
 
 
 def test_cut_violation_sign():
-    cut = Cut(alpha_x=(Fraction(0),), alpha_y=(Fraction(-1),),
-              beta=Fraction(-2))
+    cut = Cut(alpha_x=(0,), alpha_y=(-1,), beta=-2)
     assert cut_violation(cut, Point.make((2,), (4,))) == 2    # cut off
     assert cut_violation(cut, Point.make((2,), (1,))) == -1   # satisfied
-    assert cut.key() == ((Fraction(0),), (Fraction(-1),), Fraction(-2))
+    assert cut.key() == ((0,), (-1,), -2)

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from miblp import milp
-from miblp.exactlin import dot
 from miblp.bruteforce import follower_points
-from miblp.instance import Point, generate_random_instance
+from miblp.instance import Point, dot, generate_random_instance
 from miblp.milp import MilpSolution, MilpStatus, solve_milp
 from miblp.oracle import (Direction, DirectionMethod, DirectionObjective,
                           OracleConfig, OracleInconclusive, OutcomeKind,

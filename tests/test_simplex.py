@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,7 @@ from helpers import (lp_vertex_optimum, mixed_grid_optimum, random_lp,
                      reference_intersection_cut, solve_vector)
 from miblp import simplex
 from miblp.cuts import ConeContainedError, bfs_from_direction, intersection_cut
-from miblp.exactlin import dot
-from miblp.instance import MiblpInstance
+from miblp.instance import MiblpInstance, dot
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
                            LpProblem, LpSolution, LpStatus, dual_bound, exact_primal,
                            extract_cone, farkas, solve_lp, tight_bound_supports)
@@ -451,40 +451,65 @@ def _free_set_around(vertex, rng):
 
 def _check_cut(cone, tally):
     """The closed-form intersection cut equals the one the reference gets by
-    solving the rays for it, on a free set around the cone's vertex."""
+    solving the rays for it, on a free set around the cone's vertex, and
+    stays the same when each ray and each facet is scaled by a positive int."""
     rng = random.Random(repr(cone))        # a fixed free set per cone
     free_set, n1 = _free_set_around(cone.vertex, rng)
     want = reference_intersection_cut(cone, free_set, n1)
+    scaled = replace(cone, rays=tuple(tuple((q + 2) * v for v in ray)
+                                      for q, ray in enumerate(cone.rays)),
+                     facets=tuple(tuple((2 * q + 3) * v for v in facet)
+                                  for q, facet in enumerate(cone.facets)))
     try:
         cut = intersection_cut(cone, free_set, n1)
     except ConeContainedError:
         assert want is None
+        with pytest.raises(ConeContainedError):
+            intersection_cut(scaled, free_set, n1)
         tally["cone contained"] += 1
         return
     assert (cut.alpha_x, cut.alpha_y, cut.beta) == want
+    assert intersection_cut(scaled, free_set, n1).key() == cut.key()
     tally["cuts"] += 1
+
+
+def _scale_normal_form(cone):
+    """The cone with each facet scaled to coprime ints and each ray to meet
+    its own facet at 1; two cones with the same form are the same cone."""
+    if cone == "degenerate":
+        return cone
+    facets, rays = [], []
+    for facet, ray in zip(cone.facets, cone.rays):
+        ints = [int(v * math.lcm(*(Fraction(u).denominator for u in facet))) for v in facet]
+        facet = tuple(v // math.gcd(*ints) for v in ints)
+        facets.append(facet)
+        rays.append(tuple(Fraction(v) / dot(facet, ray) for v in ray))
+    return replace(cone, rays=tuple(rays), facets=tuple(facets))
 
 
 def _check_recovery(prob, sol, tally):
     """exact_primal, extract_cone and tight_bound_supports agree with the
-    reference in both call orders, facets included; facet p meets ray q at
-    exactly [p == q]; and the cone's intersection cut matches the reference.
-    The outcome kinds go into ``tally``."""
+    reference in both call orders, cones compared in their scale normal
+    form; facet p meets ray q at 0 for p != q and at a positive int for
+    p = q; and the cone's intersection cut matches the reference.  The
+    outcome kinds go into ``tally``."""
     vertex = _outcome(reference_exact_primal, prob, sol)
-    cone = _outcome(reference_extract_cone, prob, sol)
+    cone = _scale_normal_form(_outcome(reference_extract_cone, prob, sol))
     fresh = LpSolution(sol.status, col_status=sol.col_status)
     assert exact_primal(prob, fresh) == vertex
-    assert _outcome(extract_cone, prob, fresh) == cone
+    assert _scale_normal_form(_outcome(extract_cone, prob, fresh)) == cone
     fresh = LpSolution(sol.status, col_status=sol.col_status)
     got = _outcome(extract_cone, prob, fresh)
-    assert got == cone
+    assert _scale_normal_form(got) == cone
     assert exact_primal(prob, fresh) == vertex
     if cone == "degenerate":
         tally["degenerate"] += 1
     else:
         assert tight_bound_supports(prob, fresh) == cone.bound_supports
-        assert [[dot(f, r) for r in got.rays] for f in got.facets] == \
-            [[int(p == q) for q in range(prob.n)] for p in range(prob.n)]
+        meets = [[dot(f, r) for r in got.rays] for f in got.facets]
+        for p, row in enumerate(meets):
+            assert all(type(v) is int for v in got.facets[p] + got.rays[p])
+            assert all(v == 0 for q, v in enumerate(row) if q != p) and row[p] > 0
         _check_cut(got, tally)
         tally["bound rays"] += len(cone.bound_supports) > 0
         tally["upper bound rays"] += any(up for _, up in cone.bound_supports)
