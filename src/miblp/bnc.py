@@ -113,6 +113,7 @@ class SolveStats:
     cuts_isic: int = 0
     oracle_calls: int = 0
     oracle_time: float = 0.0
+    oracle_nodes: int = 0       # node LPs of the direction-search MILPs
     oracle_skipped: int = 0     # fractional vertices branched without a query
     pool_refutations: int = 0   # integral vertices refuted by a pooled direction
     phi_calls: int = 0
@@ -317,6 +318,7 @@ class BranchAndCut:
             outcome = oracle_mod.find_improving_direction(self.inst, point, depth, cfg)
         finally:
             self.stats.oracle_time += time.perf_counter() - t0
+        self.stats.oracle_nodes += outcome.nodes
         if outcome.kind is OutcomeKind.FOUND:
             self.directions.add(outcome.direction.w)
         return outcome

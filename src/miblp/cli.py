@@ -147,6 +147,7 @@ def _cmd_solve(parser, args) -> int:
           f"cuts: {res.stats.cuts_idic} idic, {res.stats.cuts_isic} isic (rejected: "
           + ", ".join(f"{n} {reason}" for reason, n in rejects.items()) + ")")
     print(f"oracle: {res.stats.oracle_calls} calls, "
+          f"{res.stats.oracle_nodes} direction-MILP nodes, "
           f"{res.stats.oracle_time:.3f}s finding directions, "
           f"{res.stats.oracle_skipped} skipped, "
           f"{res.stats.pool_refutations} refuted from pool")
@@ -161,6 +162,7 @@ def _cmd_solve(parser, args) -> int:
                  cuts=res.stats.cuts_idic + res.stats.cuts_isic,
                  cut_rejects=",".join(f"{reason}:{n}" for reason, n in rejects.items()),
                  oracle_calls=res.stats.oracle_calls,
+                 oracle_nodes=res.stats.oracle_nodes,
                  oracle_skipped=res.stats.oracle_skipped,
                  pool_refutations=res.stats.pool_refutations,
                  ifd_time=f"{res.stats.oracle_time:.6f}",
@@ -188,8 +190,9 @@ def _cmd_oracle(parser, args) -> int:
         _result_line("oracle", outcome="inconclusive")
         return 1
     print(f"outcome: {outcome.kind.value}")
+    print(f"direction-MILP nodes: {outcome.nodes}")
     kv = {"outcome": outcome.kind.value.replace(" ", "-"),
-          "in_s": "yes" if in_s else "no"}
+          "in_s": "yes" if in_s else "no", "nodes": outcome.nodes}
     if outcome.kind is OutcomeKind.FOUND:
         d = outcome.direction
         print(f"direction w: {_fmt_vec(d.w)}")

@@ -31,6 +31,16 @@ counts node LPs solved, ``propagated`` the boxes closed without one.
 the package: the branch-and-cut driver runs them at its own nodes, over the
 instance rows and its pooled cuts.
 
+A problem may declare complementary pairs (j, k) of integer columns, as a
+split z = z+ - z- has (``MilpProblem.complements``).  Each pair has lower
+bounds 0, a_j + a_k <= 0 in every row and c_j + c_k >= 0 in the objective,
+so lowering both columns by min(z_j, z_k) keeps a point feasible and does
+not raise its objective: some optimum, and some feasible point if any,
+has z_j * z_k = 0.  The search keeps only such points.  Propagation sets
+upper[k] = 0 once lower[j] >= 1, and closes the box when lower[k] >= 1 as
+well; k's rows then join the same worklist.  Without the rule, a child with
+z+_j >= 1 still holds every value of the step through z-_j.
+
 Each child's LP starts from its parent's final basis.  An LP verdict of
 infeasible prunes a node only on the simplex's exact Farkas certificate; an
 LP the simplex cannot settle raises MilpError.  A node closes once
@@ -78,11 +88,25 @@ class MilpStatus(Enum):
 class MilpProblem:
     lp: LpProblem
     integer_indices: tuple
+    complements: tuple = ()         # pairs (j, k); see the module docstring
 
     def __post_init__(self):
-        n = self.lp.n
-        if any(j < 0 or j >= n for j in self.integer_indices):
+        lp = self.lp
+        if any(j < 0 or j >= lp.n for j in self.integer_indices):
             raise ValueError("integer index out of range")
+        integer = set(self.integer_indices)
+        paired = [j for pair in self.complements for j in pair]
+        if len(set(paired)) != len(paired):
+            raise ValueError("a column is in two complementary pairs")
+        for j, k in self.complements:
+            if j not in integer or k not in integer:
+                raise ValueError(f"complementary pair ({j}, {k}) is not two integer columns")
+            if lp.lower[j] != 0 or lp.lower[k] != 0:
+                raise ValueError(f"complementary pair ({j}, {k}) has a nonzero lower bound")
+            if any(row[j] + row[k] > 0 for row in lp.rows):
+                raise ValueError(f"complementary pair ({j}, {k}) raises a row's activity")
+            if lp.objective[j] + lp.objective[k] < 0:
+                raise ValueError(f"complementary pair ({j}, {k}) lowers the objective")
 
 
 @dataclass
@@ -113,6 +137,9 @@ def solve_milp(problem: MilpProblem,
     deadline = None if time_limit is None else time.monotonic() + time_limit
 
     rows, by_col, visits = propagation_rows(lp, int_set)
+    partner = {}
+    for j, k in problem.complements:
+        partner[j], partner[k] = k, j
     lower, upper = list(lp.lower), list(lp.upper)
     for j in int_set:       # rounded inward, as ints
         lower[j] = -(-lower[j].numerator // lower[j].denominator)
@@ -144,7 +171,7 @@ def solve_milp(problem: MilpProblem,
         if best_obj is not None and node.bound >= best_obj:
             continue
         moved = int_set if node.branched is None else (node.branched,)
-        if not propagate(rows, by_col, node.lower, node.upper, moved, visits):
+        if not propagate(rows, by_col, node.lower, node.upper, moved, visits, partner):
             propagated += 1
             continue
 
@@ -199,15 +226,22 @@ def propagation_rows(lp: LpProblem, int_set):
     return rows, by_col, len(rows) * (len(int_set) + 1)
 
 
-def propagate(rows, by_col, lower, upper, moved, visits) -> bool:
+def propagate(rows, by_col, lower, upper, moved, visits, partner=None) -> bool:
     """Tighten the integer bounds in place, from the rows of the columns in
     ``moved``, for at most ``visits`` row visits; False when the box holds no
     integer point.  Bounds of integer columns are ints, an upper one may be
-    None; see the module docstring for the rules."""
+    None.  ``partner`` maps each column of a complementary pair to the other;
+    see the module docstring for the rules."""
+    partner = partner or {}
     work, queued = [], set()
-    for j in moved:
+    moved = list(moved)
+    for j in moved:                 # runs on over the partners fixed here
         if upper[j] is not None and lower[j] > upper[j]:
             return False
+        k = partner.get(j)
+        if k is not None and lower[j] > 0 and upper[k] != 0:
+            upper[k] = 0
+            moved.append(k)
         for i in by_col[j]:
             if i not in queued:
                 queued.add(i)
@@ -256,6 +290,15 @@ def propagate(rows, by_col, lower, upper, moved, visits) -> bool:
                     if r != i and r not in queued:
                         queued.add(r)
                         work.append(r)
+                k = partner.get(j)
+                if k is not None and lower[j] > 0 and upper[k] != 0:
+                    if lower[k] > 0:
+                        return False
+                    upper[k] = 0
+                    for r in by_col[k]:
+                        if r not in queued:
+                            queued.add(r)
+                            work.append(r)
     return True
 
 

@@ -19,7 +19,7 @@ exact MILP whenever a certificate is required (point in S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from operator import ge, mul
@@ -76,6 +76,7 @@ class Direction:
 class OracleOutcome:
     kind: OutcomeKind
     direction: Direction | None = None
+    nodes: int = field(default=0, compare=False)    # direction-MILP node LPs
 
     @classmethod
     def found(cls, direction: Direction) -> "OracleOutcome":
@@ -153,7 +154,14 @@ def step_image(inst: MiblpInstance, point: Point) -> StepImage:
 
 def _split_problem(image: StepImage, k: int | None,
                    objective: DirectionObjective) -> MilpProblem:
-    """(ID)/(k-ID) over split variables w = w+ − w−, plus aux s for IdicFriendly."""
+    """(ID)/(k-ID) over split variables w = w+ − w−, plus aux s for IdicFriendly.
+
+    Each pair (w+_j, w−_j) is complementary (see ``milp``): every row reads
+    the step only through w+ − w−, except the radius row, which has −1 on
+    both; and both cost 1 under Norm1 and IdicFriendly, and d_j and −d_j
+    under Steepest.  So no step needs both halves nonzero, and a branch with
+    w+_j >= 1 fixes w−_j = 0.
+    """
     n2 = len(image.box)
     with_s = objective is DirectionObjective.IDIC_FRIENDLY
     ns = len(image.rows) - 1 if with_s else 0
@@ -176,7 +184,7 @@ def _split_problem(image: StepImage, k: int | None,
     else:
         obj = [1] * (2 * n2 + ns)
     lp = LpProblem(obj, rows, rhs, lower, upper)
-    return MilpProblem(lp, tuple(range(2 * n2)))
+    return MilpProblem(lp, tuple(range(2 * n2)), tuple((j, n2 + j) for j in range(n2)))
 
 
 def _plain_problem(image: StepImage, objective) -> MilpProblem:
@@ -226,12 +234,14 @@ def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
 
 
 def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, cfg: OracleConfig,
-                          infeasible: OracleOutcome) -> OracleOutcome:
-    """The step found, or ``infeasible``, which names what that certifies."""
+                          infeasible: OutcomeKind, spent: int = 0) -> OracleOutcome:
+    """The step found, or ``infeasible``, which names what that certifies;
+    either counts the MILP's nodes on top of the ``spent`` ones."""
     sol = _solve(problem, "direction search", cfg.time_limit)
+    nodes = spent + sol.nodes
     if sol.status is MilpStatus.INFEASIBLE:
-        return infeasible
-    return OracleOutcome.found(decode_direction(inst, cfg.objective, sol.x))
+        return OracleOutcome(infeasible, nodes=nodes)
+    return OracleOutcome(OutcomeKind.FOUND, decode_direction(inst, cfg.objective, sol.x), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +316,21 @@ def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
     """
     method = cfg.method
     in_window = cfg.depth_lb <= depth <= cfg.depth_ub
+    spent = 0           # nodes of a failed k-ID search
     if method is not DirectionMethod.EXACT_MILP and in_window:
         if method is DirectionMethod.LOCAL_SEARCH:
             outcome = local_search_neighbors(inst, cfg.k, point, cfg.objective)
         else:
             problem = build_k_id_milp(inst, point, cfg.k, cfg.objective)
-            outcome = _solve_direction_milp(inst, problem, cfg, OracleOutcome.exhausted())
+            outcome = _solve_direction_milp(inst, problem, cfg,
+                                            OutcomeKind.HEURISTIC_EXHAUSTED)
         if outcome.kind is OutcomeKind.FOUND:
             return outcome
         if not inst.in_s(point):
             return outcome
+        spent = outcome.nodes
     problem = build_id_milp(inst, point, cfg.objective)
-    return _solve_direction_milp(inst, problem, cfg, OracleOutcome.no_direction())
+    return _solve_direction_milp(inst, problem, cfg, OutcomeKind.NO_IMPROVING_DIRECTION, spent)
 
 
 def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:

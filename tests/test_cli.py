@@ -38,6 +38,9 @@ def test_solve_reports_oracle_savings(capsys):
     assert f"{skipped} skipped, {refuted} refuted from pool" in out
     assert f"nodes: {kv['nodes']} ({kv['propagated']} more closed by propagation)" in out
     assert int(kv["propagated"]) > 0
+    # the direction-search MILPs of its 7 queries solve 4 node LPs in all
+    assert kv["oracle_calls"] == "7" and kv["oracle_nodes"] == "4"
+    assert "oracle: 7 calls, 4 direction-MILP nodes, " in out
 
 
 def test_solve_reports_cut_rejects(capsys, tmp_path):
@@ -87,8 +90,10 @@ def test_solve_usage_errors(tmp_path):
 
 def test_oracle_found(capsys):
     assert main(["oracle", MB, "--x", "2", "--y", "4"]) == 0
-    kv = result_kv(capsys.readouterr().out, "oracle")
-    assert kv["outcome"] == "found"
+    out = capsys.readouterr().out
+    kv = result_kv(out, "oracle")
+    assert kv["outcome"] == "found" and kv["nodes"] == "1"
+    assert "direction-MILP nodes: 1" in out
     assert kv["w"] == "-1" and kv["norm1"] == "1" and kv["d2w"] == "-1"
     assert kv["in_s"] == "yes" and kv["bilevel_feasible"] == "no"
 
@@ -106,7 +111,7 @@ def test_oracle_heuristic_window(capsys):
                "--ls-depth-lb", "0", "--ls-depth-ub", "inf"])
     assert rc == 0
     kv = result_kv(capsys.readouterr().out, "oracle")
-    assert kv["outcome"] == "found"
+    assert kv["outcome"] == "found" and kv["nodes"] == "0"     # local search
     with pytest.raises(SystemExit):
         main(["oracle", MB, "--x", "2", "--y", "4,4"])   # wrong dimension
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import milp_grid_optimum, mixed_grid_optimum, random_milp
 from miblp import simplex
-from miblp.milp import MilpProblem, MilpStatus, solve_milp
+from miblp.milp import MilpProblem, MilpStatus, propagate, propagation_rows, solve_milp
 from miblp.simplex import LpProblem
 
 
@@ -89,6 +89,85 @@ def test_validation():
     lp = LpProblem([1], [[1]], [0], [0], [1])
     with pytest.raises(ValueError):
         MilpProblem(lp, (2,))          # index out of range
+
+
+# z = (z+_0, z+_1, z-_0, z-_1): rows and costs read z+ - z- and a radius row
+SPLIT = LpProblem([1, 0, 1, 2], [[2, -1, -2, 1], [-1, -1, -1, -1]], [1, -4],
+                  [0, 0, 0, 0], [3, 3, 3, 3])
+
+
+@pytest.mark.parametrize("change, complements", [
+    (lambda lp: lp, ((0, 2), (1, 3), (0, 1))),          # a column in two pairs
+    (lambda lp: lp, ((0, 0),)),
+    (lambda lp: lp.with_bounds([1, 0, 0, 0], lp.upper), ((0, 2),)),
+    (lambda lp: lp.with_extra_rows([[1, 0, 0, 0]], [0]), ((0, 2),)),
+    (lambda lp: lp.with_objective([1, -1, 1, 0]), ((1, 3),)),
+])
+def test_complements_refuse_a_pair_that_could_need_both_halves(change, complements):
+    assert MilpProblem(SPLIT, (0, 1, 2, 3), ((0, 2), (1, 3))).complements
+    with pytest.raises(ValueError):
+        MilpProblem(change(SPLIT), (0, 1, 2, 3), complements)
+
+
+def test_complements_refuse_a_continuous_column():
+    with pytest.raises(ValueError):
+        MilpProblem(SPLIT, (0, 1, 2), ((0, 2), (1, 3)))
+
+
+def test_propagate_fixes_the_partner():
+    rows, by_col, visits = propagation_rows(SPLIT, range(4))
+    partner = {0: 2, 2: 0, 1: 3, 3: 1}
+    lower, upper = [1, 0, 0, 0], [3, 3, 3, 3]
+    assert propagate(rows, by_col, lower, upper, (0,), visits, partner)
+    assert upper[2] == 0 and lower == [1, 0, 0, 0]
+    lower, upper = [1, 0, 1, 0], [3, 3, 3, 3]
+    assert not propagate(rows, by_col, lower, upper, (0,), visits, partner)
+    # without the pairs the same box propagates as it always did
+    lower, upper = [1, 0, 0, 0], [3, 3, 3, 3]
+    assert propagate(rows, by_col, lower, upper, (0,), visits)
+    assert upper == [3, 3, 3, 3]
+
+
+def _random_split_milp(rng):
+    """A random MILP of ``helpers.random_milp`` in split form x = mid + z+ - z-
+    around an integer mid of its box, as the direction search builds it: an
+    optional radius row, and a cost c z+ - c z- plus t (z+ + z-), t in {0, 1}."""
+    prob, _ = random_milp(rng)
+    n = prob.n
+    mid = [rng.randint(lo, hi) for lo, hi in zip(prob.lower, prob.upper)]
+    rows = [list(row) + [-a for a in row] for row in prob.rows]
+    rhs = [b - sum(a * v for a, v in zip(row, mid)) for row, b in zip(prob.rows, prob.rhs)]
+    if rng.random() < 0.5:
+        rows.append([-1] * (2 * n))
+        rhs.append(-rng.randint(1, 4))
+    t = rng.randint(0, 1)
+    objective = [c + t for c in prob.objective] + [t - c for c in prob.objective]
+    upper = [hi - v for hi, v in zip(prob.upper, mid)] + \
+        [v - lo for lo, v in zip(prob.lower, mid)]
+    lp = LpProblem(objective, rows, rhs, [0] * (2 * n), upper)
+    return lp, tuple(range(2 * n)), tuple((j, n + j) for j in range(n))
+
+
+def test_complements_keep_the_optimum_in_fewer_nodes():
+    rng = random.Random(22)
+    plain_nodes = paired_nodes = optimal = 0
+    for _ in range(120):
+        lp, ints, pairs = _random_split_milp(rng)
+        status, value, _ = milp_grid_optimum(lp, ints)
+        plain = solve_milp(MilpProblem(lp, ints))
+        paired = solve_milp(MilpProblem(lp, ints, pairs))
+        plain_nodes += plain.nodes
+        paired_nodes += paired.nodes
+        assert plain.status is paired.status
+        if status == "infeasible":
+            assert paired.status is MilpStatus.INFEASIBLE
+            continue
+        optimal += 1
+        assert paired.status is MilpStatus.OPTIMAL
+        assert paired.objective == plain.objective == value
+        assert all(paired.x[j] * paired.x[k] == 0 for j, k in pairs)
+    assert optimal > 20
+    assert paired_nodes < plain_nodes
 
 
 def test_against_grid_enumeration():

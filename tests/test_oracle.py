@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -334,3 +335,33 @@ def test_direction_from_w_refuses_a_fractional_step(moore_bard):
     assert all(type(v) is int for v in (*d.w, d.norm1, d.improvement))
     with pytest.raises(ValueError):
         Direction.from_w(moore_bard, (Fraction(-1, 2),))
+
+
+def test_outcome_counts_the_nodes_of_its_direction_milps(monkeypatch):
+    """``OracleOutcome.nodes`` sums the node LPs of every direction MILP a
+    query solves, a failed k-ID search included; local search adds none, and
+    the count takes no part in comparing outcomes."""
+    spent = []
+    solve = milp.solve_milp
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        spent.append(sol.nodes)
+        return sol
+
+    monkeypatch.setattr(milp, "solve_milp", recording)
+    configs = [EXACT, OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1),
+               OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=1)]
+    inst = generate_random_instance(2, 2, 3, 2, 4, bound=8)     # a corpus seed
+    escalated = 0
+    for x, y in itertools.product(((0, 6), (1, 7), (2, 7)), itertools.product(range(9), repeat=3)):
+        point = Point.make(x, y)
+        if not inst.in_s(point):
+            continue
+        for cfg in configs:
+            spent.clear()
+            out = find_improving_direction(inst, point, 0, cfg)
+            assert out.nodes == sum(spent), (point, cfg)
+            assert out == replace(out, nodes=out.nodes + 1)
+            escalated += len(spent) == 2 and all(spent)
+    assert escalated > 0
