@@ -6,15 +6,23 @@ the instance's box, and a split puts floor(v) and floor(v) + 1 into the
 children.  Each popped node first tightens its box with ``milp.propagate``,
 the activity-bound propagation with integer rounding that the direction
 MILP runs too, over the instance rows and the pooled cuts whose columns are
-all integer; the rows are rebuilt only when the pool has grown, and a child
-propagates from its branched column unless the pool has grown since its
-parent's box was.  A box left with no integer point closes without an LP
-(``SolveStats.propagated``, trace action ``pruned-propagated``) and is not
-counted in ``SolveStats.nodes``, which counts the nodes whose LP was solved.
-The root's propagated box follows from the rows and the instance's box
-alone, so it becomes the root box of the globality test below.  Node boxes
-never reach the follower's problem: the oracle, the value function and the
-free sets read the instance's own bounds.
+all integer, and then the incumbent's objective cutoff.  With the costs
+scaled to ints by their common denominator cden and step their gcd, c . z
+at an integer point is a multiple of step / cden, so every integer point
+better than the incumbent's value v meets cost . z <= v cden - step.  No
+such row exists while a continuous column has a cost, and it is a
+propagation row only: the node LP never holds it.  The rows are rebuilt
+when the pool has grown or the incumbent has improved, and a child
+propagates from its branched column unless they have been rebuilt since its
+parent's box was.  A box left with no integer point better than the
+incumbent closes without an LP (``SolveStats.propagated``, trace action
+``pruned-propagated``) and is not counted in ``SolveStats.nodes``, which
+counts the nodes whose LP was solved.  The root is popped before any
+incumbent exists, so its propagated box follows from the rows and the
+instance's box alone, and it becomes the root box of the globality test
+below; a bound the cutoff moved is not a root bound, so no pooled cut rests
+on it.  Node boxes never reach the follower's problem: the oracle, the
+value function and the free sets read the instance's own bounds.
 
 Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
@@ -23,9 +31,11 @@ previous round's; rows the pool has gained since enter with their surplus
 columns basic.  The root and a retried node start from the slack basis.
 Every prune is exact: a node closes once ``simplex.dual_bound`` of its LP's
 multipliers, rounded up to the objective's lattice, or its parent's bound
-when it is popped, reaches the incumbent's value, and "infeasible" rests on
-the simplex's Farkas certificate.  An unproven verdict is a numerical
-failure, which retries the node once and then branches.
+when it is popped, reaches the incumbent's value, "infeasible" rests on
+the simplex's Farkas certificate, and a box that propagation closes rests
+on integer rows that every better bilevel-feasible point meets.  An
+unproven verdict is a numerical failure, which retries the node once and
+then branches.
 
 The improving-direction oracle is queried only where its answer can change
 the tree: where a found direction can still become a cut (cut rounds remain
@@ -154,7 +164,7 @@ class _Node:
     retried: bool = False
     start: simplex.Basis | None = None     # the parent's final LP basis
     branched: int | None = None            # the column split to make it; None at the root
-    cuts_seen: int = 0                     # pooled cuts its box was propagated over
+    epoch: int = 0                         # the propagation rows its box was propagated over
 
 
 class DirectionPool:
@@ -251,7 +261,8 @@ class BranchAndCut:
         self.base = LpProblem(obj, rows, rhs, self.root_lower, self.root_upper)
         self._pooled_lp = self.base
         self._pooled_size = 0
-        self._propagation = propagation_rows(self.base, self.integer)
+        self._propagated_for = None     # (pool size, incumbent value) of the rows
+        self._epoch = 0                 # rises each time the rows are rebuilt
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
         self.phi_cache: dict = {}
@@ -261,28 +272,53 @@ class BranchAndCut:
     # -- plumbing -------------------------------------------------------
 
     def _pooled(self) -> LpProblem:
-        """The LP over the instance rows and the pool, and the rows that
-        propagate over it, rebuilt only when the pool has grown."""
+        """The LP over the instance rows and the pool, rebuilt only when the
+        pool has grown.  The rows that propagate over it, followed by the
+        incumbent's objective cutoff, are rebuilt when the pool has grown or
+        the incumbent has improved, and each rebuild starts a new epoch."""
         if self._pooled_size != len(self.pool):
             rows = [c.row() for c in self.pool]
             rhs = [c.beta for c in self.pool]
             self._pooled_lp = self.base.with_extra_rows(rows, rhs)
             self._pooled_size = len(self.pool)
-            self._propagation = propagation_rows(self._pooled_lp, self.integer)
+        if self._propagated_for != (self._pooled_size, self.value):
+            self._propagated_for = (self._pooled_size, self.value)
+            self._epoch += 1
+            rows, by_col, _ = propagation_rows(self._pooled_lp, self.integer)
+            cutoff = self._cutoff()
+            if cutoff is not None:
+                for j, _ in cutoff[0]:
+                    by_col[j].append(len(rows))
+                rows.append(cutoff)
+            self._propagation = rows, by_col, len(rows) * (len(self.integer) + 1)
         return self._pooled_lp
+
+    def _cutoff(self):
+        """The row (terms, rhs) in the ``propagate`` form of cost . z <=
+        v cden - step, which every integer point better than the incumbent's
+        value v meets, or None without an incumbent or with a cost on a
+        continuous column."""
+        if self.value is None:
+            return None
+        cost, cden, step = simplex._cost_image(self.base, self.integer)
+        target = self.value * cden
+        if not step or target.denominator != 1:
+            return None
+        return [(j, -c) for j, c in enumerate(cost) if c], step - target.numerator
 
     def _node_lp(self, node: _Node) -> LpProblem:
         return self._pooled().with_bounds(node.lower, node.upper)
 
     def _tighten(self, node: _Node) -> bool:
         """Propagate the node's integer bounds in place over the instance
-        rows and the pool; False when its box holds no integer point.  A
-        child starts from its branched column, unless the pool has grown
-        since its parent's box was propagated."""
+        rows, the pool and the incumbent's cutoff; False when its box holds
+        no integer point better than the incumbent.  A child starts from its
+        branched column, unless the rows have been rebuilt since its
+        parent's box was propagated."""
         self._pooled()
-        moved = (self.integer if node.branched is None or node.cuts_seen != self._pooled_size
+        moved = (self.integer if node.branched is None or node.epoch != self._epoch
                  else (node.branched,))
-        node.cuts_seen = self._pooled_size
+        node.epoch = self._epoch
         rows, by_col, visits = self._propagation
         return propagate(rows, by_col, node.lower, node.upper, moved, visits)
 
@@ -587,7 +623,7 @@ class BranchAndCut:
                 hi = list(node.upper)
                 lo[j], hi[j] = lo_j, hi_j
                 child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi,
-                              start=node.start, branched=j, cuts_seen=node.cuts_seen)
+                              start=node.start, branched=j, epoch=node.epoch)
                 heapq.heappush(queue, (float(child_bound), next(seq), child))
             self._trace(node, bound, f"branched on {j}")
 

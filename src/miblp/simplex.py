@@ -582,15 +582,17 @@ def _recover(problem: LpProblem, solution: LpSolution):
     bounds = tuple((j, st[j] == AT_UPPER) for j in range(n) if st[j] != BASIC)
     if len(rows) + len(bounds) != n:
         raise DegenerateConeError(f"{len(rows) + len(bounds)} tight constraints, not n = {n}")
-    fixed = {j: Fraction(problem.upper[j] if up else problem.lower[j]) for j, up in bounds}
+    fixed = {j: problem.upper[j] if up else problem.lower[j] for j, up in bounds}
     free = [j for j in range(n) if j not in fixed]
+    # int bounds stay ints: scale is 1 unless a fixed bound is a Fraction
     scale = math.lcm(*(v.denominator for v in fixed.values()))
-    rhs = [image[i][1] * scale - sum(image[i][0][j] * v.numerator * (scale // v.denominator)
-                                     for j, v in fixed.items()) for i in rows]
+    values = [v.numerator * (scale // v.denominator) for v in fixed.values()]
+    rhs = [image[i][1] * scale - sum(map(mul, [image[i][0][j] for j in fixed], values))
+           for i in rows]
     solved = _fraction_free_solve([[image[i][0][j] for j in free] for i in rows], [rhs])
     if solved is None:
         raise DegenerateConeError("tight constraints are rank deficient")
-    vertex = [fixed.get(j) for j in range(n)]
+    vertex = [Fraction(fixed[j]) if j in fixed else None for j in range(n)]
     for j, v in zip(free, solved[1][0]):
         vertex[j] = Fraction(v, solved[0] * scale)
     return rows, bounds, tuple(vertex)
@@ -623,7 +625,7 @@ def exact_primal(problem: LpProblem, solution: LpSolution) -> list | None:
     denom = math.lcm(*(v.denominator for v in vertex))
     scaled = [v.numerator * (denom // v.denominator) for v in vertex]
     for coeffs, b, _ in problem.integer_rows():
-        if sum(a * v for a, v in zip(coeffs, scaled)) < b * denom:
+        if sum(map(mul, coeffs, scaled)) < b * denom:
             return None
     for v, lo, hi in zip(scaled, problem.lower, problem.upper):
         if v * lo.denominator < lo.numerator * denom or \
