@@ -12,9 +12,9 @@ at an integer point is a multiple of step / cden, so every integer point
 better than the incumbent's value v meets cost . z <= v cden - step.  No
 such row exists while a continuous column has a cost, and it is a
 propagation row only: the node LP never holds it.  The rows are rebuilt
-when the pool has grown or the incumbent has improved, and a child
-propagates from its branched column unless they have been rebuilt since its
-parent's box was.  A box left with no integer point better than the
+when the pool has grown or the incumbent has improved.  As in the direction
+MILP, the root propagates from every integer column and a child from its
+branched column only.  A box left with no integer point better than the
 incumbent closes without an LP (``SolveStats.propagated``, trace action
 ``pruned-propagated``) and is not counted in ``SolveStats.nodes``, which
 counts the nodes whose LP was solved.  The root is popped before any
@@ -61,6 +61,7 @@ import heapq
 import itertools
 import math
 import operator
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -76,8 +77,6 @@ from .oracle import (DirectionMethod, OracleConfig, OracleInconclusive,
                      OutcomeKind)
 from .simplex import DegenerateConeError, LpProblem, LpStatus
 
-CUT_VIOLATION_MIN = 1e-7
-CUT_COEFF_CAP = 1e12    # beyond this the float image of the row is garbage
 MAX_CUT_ROUNDS = 20
 TAILING_OFF_ROUNDS = 3
 
@@ -131,7 +130,7 @@ class SolveStats:
     propagated: int = 0         # boxes closed by propagation, without an LP
     # cuts computed and not pooled, by reason
     cut_rejects: dict = field(default_factory=lambda: dict.fromkeys(
-        ("not-separable", "duplicate", "coefficient-cap", "weak-violation"), 0))
+        ("not-separable", "duplicate", "coefficient-cap"), 0))
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ class _Node:
     retried: bool = False
     start: simplex.Basis | None = None     # the parent's final LP basis
     branched: int | None = None            # the column split to make it; None at the root
-    epoch: int = 0                         # the propagation rows its box was propagated over
 
 
 class DirectionPool:
@@ -262,7 +260,6 @@ class BranchAndCut:
         self._pooled_lp = self.base
         self._pooled_size = 0
         self._propagated_for = None     # (pool size, incumbent value) of the rows
-        self._epoch = 0                 # rises each time the rows are rebuilt
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
         self.phi_cache: dict = {}
@@ -273,9 +270,9 @@ class BranchAndCut:
 
     def _pooled(self) -> LpProblem:
         """The LP over the instance rows and the pool, rebuilt only when the
-        pool has grown.  The rows that propagate over it, followed by the
-        incumbent's objective cutoff, are rebuilt when the pool has grown or
-        the incumbent has improved, and each rebuild starts a new epoch."""
+        pool has grown.  Its propagation rows, followed by the incumbent's
+        objective cutoff, are rebuilt when the pool has grown or the
+        incumbent has improved."""
         if self._pooled_size != len(self.pool):
             rows = [c.row() for c in self.pool]
             rhs = [c.beta for c in self.pool]
@@ -283,14 +280,9 @@ class BranchAndCut:
             self._pooled_size = len(self.pool)
         if self._propagated_for != (self._pooled_size, self.value):
             self._propagated_for = (self._pooled_size, self.value)
-            self._epoch += 1
-            rows, by_col, _ = propagation_rows(self._pooled_lp, self.integer)
             cutoff = self._cutoff()
-            if cutoff is not None:
-                for j, _ in cutoff[0]:
-                    by_col[j].append(len(rows))
-                rows.append(cutoff)
-            self._propagation = rows, by_col, len(rows) * (len(self.integer) + 1)
+            self._propagation = propagation_rows(
+                self._pooled_lp, self.integer, () if cutoff is None else (cutoff,))
         return self._pooled_lp
 
     def _cutoff(self):
@@ -312,13 +304,10 @@ class BranchAndCut:
     def _tighten(self, node: _Node) -> bool:
         """Propagate the node's integer bounds in place over the instance
         rows, the pool and the incumbent's cutoff; False when its box holds
-        no integer point better than the incumbent.  A child starts from its
-        branched column, unless the rows have been rebuilt since its
-        parent's box was propagated."""
+        no integer point better than the incumbent.  The root starts from
+        every integer column, a child from its branched column."""
         self._pooled()
-        moved = (self.integer if node.branched is None or node.epoch != self._epoch
-                 else (node.branched,))
-        node.epoch = self._epoch
+        moved = self.integer if node.branched is None else (node.branched,)
         rows, by_col, visits = self._propagation
         return propagate(rows, by_col, node.lower, node.upper, moved, visits)
 
@@ -408,7 +397,13 @@ class BranchAndCut:
                 and self._cone_is_global(simplex.tight_bound_supports(prob, sol)))
 
     def _make_cuts(self, cone, point: Point, direction) -> int:
-        """Generate enabled cuts from the direction; returns cuts added."""
+        """Generate enabled cuts from the direction; returns cuts added.
+
+        A cut is pooled unless it is a duplicate or one of its ints has more
+        bits than a float's mantissa: the node LP's float image of a row
+        that fits is exact, as its row scaling is by a power of two.  The
+        cut needs no violation test, since the point is the cone's vertex,
+        which every cut computed there cuts off."""
         added = 0
         free_sets = []
         if self.cfg.use_idic:
@@ -426,8 +421,8 @@ class BranchAndCut:
                 continue
             row = cut.row() + [cut.beta]
             reject = ("duplicate" if cut.key() in self.pool_keys else
-                      "coefficient-cap" if max(map(abs, row)) > CUT_COEFF_CAP else
-                      "weak-violation" if cuts_mod.cut_violation(cut, point) < CUT_VIOLATION_MIN
+                      "coefficient-cap"
+                      if max(map(abs, row)).bit_length() > sys.float_info.mant_dig
                       else None)
             if reject:
                 rejects[reject] += 1
@@ -623,7 +618,7 @@ class BranchAndCut:
                 hi = list(node.upper)
                 lo[j], hi[j] = lo_j, hi_j
                 child = _Node(next(next_id), node.depth + 1, child_bound, lo, hi,
-                              start=node.start, branched=j, epoch=node.epoch)
+                              start=node.start, branched=j)
                 heapq.heappush(queue, (float(child_bound), next(seq), child))
             self._trace(node, bound, f"branched on {j}")
 

@@ -27,8 +27,6 @@ from operator import mul
 from .instance import MiblpInstance, Point
 from .simplex import SimplicialCone
 
-INTERIOR_MARGIN = 1e-7
-
 
 class NotSeparableError(Exception):
     """The cone vertex is not strictly interior to the free set."""
@@ -125,7 +123,7 @@ def intersection_cut(cone: SimplicialCone, free_set: BilevelFreeSet,
     vertex = [v.numerator * (d // v.denominator) for v in cone.vertex]
     # d times each row's slack at the vertex
     slacks = [sum(map(mul, coeffs, vertex)) - b * d for coeffs, b in free_set.rows]
-    if min(slacks) / d < INTERIOR_MARGIN:
+    if min(slacks) <= 0:
         raise NotSeparableError("cone vertex is not strictly interior to the free set")
 
     # ray q leaves the set at the step lambda_q where a row it decreases

@@ -210,15 +210,17 @@ def solve_milp(problem: MilpProblem,
     return MilpSolution(status, best_x, best_obj, nodes, propagated)
 
 
-def propagation_rows(lp: LpProblem, int_set):
+def propagation_rows(lp: LpProblem, int_set, extra=()):
     """(rows, by_col, visits) for ``propagate``: (terms, rhs) of each row of
-    the integer image whose nonzero coefficients all sit on integer columns,
-    terms as (column, coefficient); per column the indices of those rows
-    that hold it; and the row visits one propagation may make."""
+    the integer image, then of ``extra`` (rows given in that form already),
+    whose nonzero coefficients all sit on integer columns, terms as (column,
+    coefficient); per column the indices of those rows that hold it; and the
+    row visits one propagation may make."""
     integer = set(int_set)
+    image = (([(j, a) for j, a in enumerate(coeffs) if a], b)
+             for coeffs, b, _ in lp.integer_rows())
     rows, by_col = [], [[] for _ in range(lp.n)]
-    for coeffs, b, _ in lp.integer_rows():
-        terms = [(j, a) for j, a in enumerate(coeffs) if a]
+    for terms, b in itertools.chain(image, extra):
         if all(j in integer for j, _ in terms):
             for j, _ in terms:
                 by_col[j].append(len(rows))

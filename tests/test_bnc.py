@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -335,9 +336,10 @@ def test_infeasible_prunes_need_a_farkas_certificate(seed, bound, optimum):
 
 
 def test_every_infeasible_verdict_is_proven_under_large_cuts(monkeypatch):
-    # family 3 3 2 5 10 pools cuts with coefficients up to ~2.5e11; with
-    # those rows scaled by powers of two every "infeasible" the dual loop
-    # reaches carries a certificate, so no node pays a retry and a branch
+    # seed 38 of family 3 3 2 5 10 pools cuts with coefficients up to
+    # ~1.2e11 (37 bits; the family's seeds 2-40 pool up to ~5.1e14, 49 bits);
+    # with those rows scaled by powers of two every "infeasible" the dual
+    # loop reaches carries a certificate, so no node pays a retry and a branch
     certified, unproven = simplex._Simplex._certified, []
 
     def spy(self, *args):
@@ -545,7 +547,8 @@ def test_cut_log(moore_bard):
         assert cut_violation(rec.cut, src) > 0
         assert rec.free_set.strictly_contains(src)
         # pooled rows must survive the float image used by the node LPs
-        assert all(abs(c) <= 1e12 for c in rec.cut.row() + [rec.cut.beta])
+        assert all(abs(c).bit_length() <= sys.float_info.mant_dig
+                   for c in rec.cut.row() + [rec.cut.beta])
         for p in f_points:
             assert cut_violation(rec.cut, p) <= 0
 
@@ -553,8 +556,9 @@ def test_cut_log(moore_bard):
 @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(oracle=LS2)])
 def test_corpus_cuts_are_primitive_int_rows_and_every_reject_is_counted(monkeypatch, cfg):
     """On the benchmark corpus every pooled cut is a row of Python ints with
-    gcd 1, and every cut computed, that is each intersection_cut call that
-    does not prune its node, is either pooled or counted as a reject."""
+    gcd 1, each of which a float holds exactly, and every cut computed, that
+    is each intersection_cut call that does not prune its node, is either
+    pooled or counted as a reject."""
     calls = Counter()
     intersection_cut = cuts.intersection_cut
 
@@ -573,10 +577,27 @@ def test_corpus_cuts_are_primitive_int_rows_and_every_reject_is_counted(monkeypa
         for rec in res.cut_log:
             row = rec.cut.row() + [rec.cut.beta]
             assert all(type(v) is int for v in row) and math.gcd(*row) == 1
+            assert all(float(v) == v for v in row)
         pooled += len(res.cut_log)
         rejects += sum(res.stats.cut_rejects.values())
     assert pooled > 0 and rejects > 0
     assert pooled + rejects == calls["cuts"] + calls["not separable"]
+
+
+def test_a_cut_is_pooled_when_a_float_holds_each_of_its_ints(moore_bard, monkeypatch):
+    """A row whose largest entry has as many bits as a float's mantissa is
+    pooled; one with a bit more is counted as over the coefficient cap."""
+    solver = BranchAndCut(moore_bard, SolverConfig())
+    mantissa = sys.float_info.mant_dig
+    cone = SimpleNamespace(vertex=(Fraction(2), Fraction(4)))
+    for bits, added in ((mantissa, 1), (mantissa + 1, 0)):
+        cut = cuts.Cut(alpha_x=(1 - 2 ** bits,), alpha_y=(1,), beta=-3)
+        monkeypatch.setattr(cuts, "intersection_cut", lambda *args, cut=cut: cut)
+        assert solver._make_cuts(cone, Point.make((2,), (4,)), (-1,)) == added
+    assert [c.alpha_x for c in solver.pool] == [(1 - 2 ** mantissa,)]
+    assert float(solver.pool[0].alpha_x[0]) == solver.pool[0].alpha_x[0]
+    assert solver.stats.cut_rejects == {"not-separable": 0, "duplicate": 0,
+                                        "coefficient-cap": 1}
 
 
 def test_cut_rounds_disabled(moore_bard, monkeypatch):

@@ -51,10 +51,9 @@ def test_solve_reports_cut_rejects(capsys, tmp_path):
     out = capsys.readouterr().out
     kv = result_kv(out, "solve")
     assert kv["cuts"] == "4"
-    assert kv["cut_rejects"] == \
-        "not-separable:0,duplicate:0,coefficient-cap:1,weak-violation:0"
+    assert kv["cut_rejects"] == "not-separable:0,duplicate:0,coefficient-cap:1"
     assert "cuts: 4 idic, 0 isic (rejected: 0 not-separable, 0 duplicate, " \
-        "1 coefficient-cap, 0 weak-violation)" in out
+        "1 coefficient-cap)" in out
 
 
 def test_solve_flags_and_trace(capsys, tmp_path):

@@ -9,6 +9,8 @@ from miblp.cuts import (BilevelFreeSet, ConeContainedError, Cut,
 from miblp.instance import Point, parse_instance
 from miblp.simplex import LpProblem, SimplicialCone, extract_cone, solve_lp
 
+from helpers import reference_intersection_cut
+
 
 def root_cone(inst):
     rows = [list(co) for co, _ in inst.all_rows()]
@@ -115,6 +117,18 @@ def test_not_separable_on_boundary_vertex():
     fs = BilevelFreeSet(rows=(((0, 1), 0),), origin=("direction", (-1,)))
     with pytest.raises(NotSeparableError):
         intersection_cut(_unit_cone((Fraction(0), Fraction(0))), fs, 1)
+
+
+def test_separability_is_exact():
+    # a vertex 1e-8 inside the free set x >= 0 is strictly interior, so the
+    # cut through the point where ray (-1, 0) leaves the set is x <= 0
+    fs = BilevelFreeSet(rows=(((1, 0), 0),), origin=("direction", (-1,)))
+    cone = SimplicialCone(vertex=(Fraction(1, 10 ** 8), Fraction(0)),
+                          rays=((-1, 0), (0, 1)), bound_supports=(),
+                          facets=((-1, 0), (0, 1)))
+    cut = intersection_cut(cone, fs, 1)
+    assert (cut.alpha_x, cut.alpha_y, cut.beta) == ((-1,), (0,), 0) == \
+        reference_intersection_cut(cone, fs, 1)
 
 
 def test_cone_contained_detected():

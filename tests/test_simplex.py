@@ -10,8 +10,9 @@ from helpers import (lp_vertex_optimum, mixed_grid_optimum, random_lp,
                      reference_exact_primal, reference_extract_cone,
                      reference_intersection_cut, solve_vector)
 from miblp import simplex
-from miblp.cuts import ConeContainedError, bfs_from_direction, intersection_cut
-from miblp.instance import MiblpInstance, dot
+from miblp.cuts import (ConeContainedError, bfs_from_direction, cut_violation,
+                        intersection_cut)
+from miblp.instance import MiblpInstance, Point, dot
 from miblp.simplex import (AT_LOWER, AT_UPPER, BASIC, DegenerateConeError,
                            LpProblem, LpSolution, LpStatus, dual_bound, exact_primal,
                            extract_cone, farkas, solve_lp, tight_bound_supports)
@@ -469,6 +470,7 @@ def _check_cut(cone, tally):
         tally["cone contained"] += 1
         return
     assert (cut.alpha_x, cut.alpha_y, cut.beta) == want
+    assert cut_violation(cut, Point(cone.vertex[:n1], cone.vertex[n1:])) > 0
     assert intersection_cut(scaled, free_set, n1).key() == cut.key()
     tally["cuts"] += 1
 
@@ -491,8 +493,8 @@ def _check_recovery(prob, sol, tally):
     """exact_primal, extract_cone and tight_bound_supports agree with the
     reference in both call orders, cones compared in their scale normal
     form; facet p meets ray q at 0 for p != q and at a positive int for
-    p = q; and the cone's intersection cut matches the reference.  The
-    outcome kinds go into ``tally``."""
+    p = q; and the cone's intersection cut matches the reference and cuts
+    off the vertex, exactly.  The outcome kinds go into ``tally``."""
     vertex = _outcome(reference_exact_primal, prob, sol)
     cone = _scale_normal_form(_outcome(reference_extract_cone, prob, sol))
     fresh = LpSolution(sol.status, col_status=sol.col_status)
