@@ -17,12 +17,29 @@ MILP, the root propagates from every integer column and a child from its
 branched column only.  A box left with no integer point better than the
 incumbent closes without an LP (``SolveStats.propagated``, trace action
 ``pruned-propagated``) and is not counted in ``SolveStats.nodes``, which
-counts the nodes whose LP was solved.  The root is popped before any
+counts the other popped nodes.  The root is popped before any
 incumbent exists, so its propagated box follows from the rows and the
 instance's box alone, and it becomes the root box of the globality test
 below; a bound the cutoff moved is not a root bound, so no pooled cut rests
 on it.  Node boxes never reach the follower's problem: the oracle, the
 value function and the free sets read the instance's own bounds.
+
+A box that fixes every linking variable (the leader columns of the
+follower rows) at x needs no LP either.  The follower's value phi(x) is
+then one number, so a point of the box is bilevel feasible exactly when it
+meets the rows, the pool and d2 . y <= phi(x).  Two exact MILPs settle the
+box (Tahernejad, Ralphs and DeNegre, Math. Prog. Comp. 12, 2020): phi(x)
+over the instance's follower box, cached by the linking values and shared
+with legacy mode's checks, and the leader's problem over the box, the
+pooled rows, that row and the incumbent's cutoff, whose optimum, if any,
+is offered as the incumbent.  The box then closes
+(``SolveStats.linking_closed``, trace action ``pruned-linking-fixed``;
+``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs get the
+time left in the solve; a limit or a failure in either leaves the box to
+the node LP.  A box whose integer variables are all fixed fixes the linking
+ones, so the LP path meets one only after such a fallback, and then stops
+(``stalled``, LIMIT_REACHED) rather than guess.  Linking-priority
+branching, the default, fixes the linking variables first.
 
 Each node solves its LP over the instance rows, the global cut pool,
 and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
@@ -68,11 +85,12 @@ from enum import Enum
 from fractions import Fraction
 
 from . import cuts as cuts_mod
+from . import milp
 from . import oracle as oracle_mod
 from . import simplex
 from .cuts import ConeContainedError, NotSeparableError
 from .instance import MiblpInstance, Point
-from .milp import propagate, propagation_rows
+from .milp import MilpProblem, MilpStatus, propagate, propagation_rows
 from .oracle import (DirectionMethod, OracleConfig, OracleInconclusive,
                      OutcomeKind)
 from .simplex import DegenerateConeError, LpProblem, LpStatus
@@ -103,7 +121,7 @@ class SolverConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     use_idic: bool = True
     use_isic: bool = False
-    branching: Branching = Branching.FRACTIONAL
+    branching: Branching = Branching.LINKING_PRIORITY
     node_limit: int | None = None
     time_limit: float | None = None
     trace: bool = False
@@ -128,6 +146,8 @@ class SolveStats:
     phi_calls: int = 0
     certificates: int = 0
     propagated: int = 0         # boxes closed by propagation, without an LP
+    linking_closed: int = 0     # boxes with every linking variable fixed, closed by MILPs
+    linking_nodes: int = 0      # node LPs of those boxes' value-function and leader MILPs
     # cuts computed and not pooled, by reason
     cut_rejects: dict = field(default_factory=lambda: dict.fromkeys(
         ("not-separable", "duplicate", "coefficient-cap"), 0))
@@ -246,6 +266,7 @@ class BranchAndCut:
         self.pool_keys = set()
         self.cut_log = []
         self.integer = inst.integer_indices()
+        self.linking = inst.linking_indices()
         # integer columns' bounds are ints, rounded inward; the root's
         # propagated box replaces these once the root is popped
         integer = set(self.integer)
@@ -262,7 +283,7 @@ class BranchAndCut:
         self._propagated_for = None     # (pool size, incumbent value) of the rows
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
-        self.phi_cache: dict = {}
+        self.phi_cache: dict = {}      # linking values -> phi there, None for +inf
         self.directions = DirectionPool(inst)
         self._deadline = None
 
@@ -353,33 +374,63 @@ class BranchAndCut:
         return self._oracle(point, 0, replace(self.cfg.oracle,
                                               method=DirectionMethod.EXACT_MILP))
 
+    def _phi(self, x):
+        """(phi(x), node LPs its MILP took): phi is None for +inf and is
+        cached by the linking values, which alone decide it, so a cached
+        value took 0.  A limit or failure raises OracleInconclusive."""
+        key = tuple(x[j] for j in self.linking)
+        if key in self.phi_cache:
+            return self.phi_cache[key], 0
+        sol = oracle_mod.solve_phi(self.inst, x, self._time_limit(self.cfg.oracle))
+        self.phi_cache[key] = sol.objective
+        return sol.objective, sol.nodes
+
     def _legacy_check(self, point: Point) -> bool:
         self.stats.phi_calls += 1
-        x = point.x
-        if x not in self.phi_cache:
-            self.phi_cache[x] = oracle_mod.evaluate_phi(
-                self.inst, x, self._time_limit(self.cfg.oracle))
-        phi = self.phi_cache[x]
+        phi, _ = self._phi(point.x)
         return phi is not None and self.inst.follower_value(point.y) <= phi
 
-    def _resolve_singleton(self, node: "_Node"):
-        """Decide a fully fixed pure-integer box exactly, without the node LP.
-
-        Returns the box's single point when it is bilevel feasible, the string
-        "infeasible" when it is not, and None when the check hit a limit.
-        """
-        z = Point.make(node.lower[:self.inst.n1], node.lower[self.inst.n1:])
-        if not self.inst.in_s(z):
-            return "infeasible"
+    def _close_fixed_linking(self, node: _Node) -> bool:
+        """Settle a box that fixes every linking variable at x with two exact
+        MILPs, phi(x) and the leader's problem over the box, the pooled
+        rows, d2 . y <= phi(x) and the incumbent's cutoff: a point of the box
+        is bilevel feasible exactly when it meets that row, so the leader
+        MILP's optimum, if any, is the best point the box has left.  False,
+        leaving the node to the LP path, when either MILP hit a limit or
+        failed."""
+        n1 = self.inst.n1
         try:
-            if self.cfg.oracle_mode is OracleMode.LEGACY:
-                feasible = self._legacy_check(z)
-            else:
-                feasible = (self._exact_direction(z).kind
-                            is OutcomeKind.NO_IMPROVING_DIRECTION)
-        except OracleInconclusive:
-            return None
-        return z if feasible else "infeasible"
+            phi, spent = self._phi(node.lower[:n1])
+            self.stats.linking_nodes += spent
+            sol = None if phi is None else milp.solve_milp(
+                self._leader_milp(node, phi), time_limit=self._time_limit(self.cfg.oracle))
+        except (OracleInconclusive, milp.MilpError):
+            return False
+        if sol is not None:
+            self.stats.linking_nodes += sol.nodes
+            if sol.status is MilpStatus.LIMIT_REACHED:
+                return False
+        self.stats.linking_closed += 1
+        self._trace(node, None, "pruned-linking-fixed")
+        if sol is not None and sol.status is MilpStatus.OPTIMAL:
+            self._accept(node, Point(tuple(sol.x[:n1]), tuple(sol.x[n1:])), sol.objective)
+        return True
+
+    def _leader_milp(self, node: _Node, phi) -> MilpProblem:
+        """The leader's MILP over the node's box, the pooled rows, -d2 . y >=
+        -phi and, with an incumbent, the cutoff row."""
+        n1, n = self.inst.n1, self.inst.num_vars
+        rows, rhs = [[0] * n1 + [-d for d in self.inst.d2]], [-phi]
+        cutoff = self._cutoff()
+        if cutoff is not None:
+            terms, b = cutoff
+            row = [0] * n
+            for j, a in terms:
+                row[j] = a
+            rows.append(row)
+            rhs.append(b)
+        lp = self._pooled().with_extra_rows(rows, rhs).with_bounds(node.lower, node.upper)
+        return MilpProblem(lp, self.integer)
 
     def _cone_is_global(self, bound_supports) -> bool:
         for j, at_upper in bound_supports:
@@ -443,9 +494,7 @@ class BranchAndCut:
         """Bound the node with the LP + cut loop.
 
         Returns (action, payload): ("prune", reason) | ("incumbent", (point,
-        bound)) | ("branch", (point, bound, proven)) | ("retry", None).
-        `proven` records whether the vertex was certified not bilevel
-        feasible, which is what licenses pruning a fully fixed box later.
+        bound)) | ("branch", (point, bound)) | ("retry", None).
         """
         self._current_lower = node.lower
         self._current_upper = node.upper
@@ -460,7 +509,7 @@ class BranchAndCut:
             if sol.status is LpStatus.INFEASIBLE:
                 return "prune", "infeasible"
             if sol.status is LpStatus.UNSTABLE:
-                return ("retry", None) if not node.retried else ("branch", (None, bound, False))
+                return ("retry", None) if not node.retried else ("branch", (None, bound))
             prev = bound
             bound = simplex.dual_bound(prob, sol.y, self.integer, basis=sol.basis)
             if prev is not None:
@@ -469,66 +518,60 @@ class BranchAndCut:
                 return "prune", "bound"
             exact = simplex.exact_primal(prob, sol)
             if exact is None:
-                return ("retry", None) if not node.retried else ("branch", (None, bound, False))
+                return ("retry", None) if not node.retried else ("branch", (None, bound))
             point = Point(tuple(exact[:self.inst.n1]), tuple(exact[self.inst.n1:]))
             integral = self.inst.is_integral(point)
             can_cut = self._can_cut(prob, sol, rounds, tail)
 
             if self.cfg.oracle_mode is OracleMode.LEGACY:
                 if not integral:
-                    return "branch", (point, bound, False)
+                    return "branch", (point, bound)
                 try:
                     feasible = self._legacy_check(point)
                 except OracleInconclusive:
-                    return "branch", (point, bound, False)
+                    return "branch", (point, bound)
                 if feasible:
                     self.stats.certificates += 1
                     return "incumbent", (point, bound)
                 # the value function already proved infeasibility; a direction
                 # is needed only to build cuts from
                 if not can_cut:
-                    return "branch", (point, bound, True)
+                    return "branch", (point, bound)
                 try:
                     outcome = self._exact_direction(point)
                 except OracleInconclusive:
-                    return "branch", (point, bound, True)
-                if outcome.kind is not OutcomeKind.FOUND:
-                    return "branch", (point, bound, True)
+                    return "branch", (point, bound)
             else:
                 if not can_cut:
                     # every oracle outcome at a fractional vertex branches; at
                     # an integral one any exactly checked direction refutes it
                     if not integral:
                         self.stats.oracle_skipped += 1
-                        return "branch", (point, bound, False)
+                        return "branch", (point, bound)
                     if self.directions.refute(point) is not None:
                         self.stats.pool_refutations += 1
-                        return "branch", (point, bound, True)
+                        return "branch", (point, bound)
                 try:
                     outcome = self._oracle(point, node.depth)
                 except OracleInconclusive:
-                    return "branch", (point, bound, False)
-                if outcome.kind is OutcomeKind.NO_IMPROVING_DIRECTION:
-                    if integral:
-                        self.stats.certificates += 1
-                        return "incumbent", (point, bound)
-                    return "branch", (point, bound, False)
-                if outcome.kind is OutcomeKind.HEURISTIC_EXHAUSTED:
-                    return "branch", (point, bound, False)
+                    return "branch", (point, bound)
+                if outcome.kind is OutcomeKind.NO_IMPROVING_DIRECTION and integral:
+                    self.stats.certificates += 1
+                    return "incumbent", (point, bound)
 
-            # a direction exists: the vertex is not bilevel feasible
-            if not can_cut:
-                return "branch", (point, bound, True)
+            # anything but a direction to cut from branches
+            if outcome.kind is not OutcomeKind.FOUND or not can_cut:
+                return "branch", (point, bound)
             try:
                 cone = simplex.extract_cone(prob, sol)
             except DegenerateConeError:
-                return "branch", (point, bound, True)
+                return "branch", (point, bound)
             try:
                 added = self._make_cuts(cone, point, outcome.direction)
             except ConeContainedError:
                 return "prune", "cone-contained"
             if added == 0:
-                return "branch", (point, bound, True)
+                return "branch", (point, bound)
             rounds += 1
             self.stats.cut_rounds += 1
 
@@ -562,6 +605,9 @@ class BranchAndCut:
                 # alone, so a cone resting on it is still global
                 self.root_lower, self.root_upper = list(node.lower), list(node.upper)
             self.stats.nodes += 1
+            if all(node.lower[j] == node.upper[j] for j in self.linking) and \
+                    self._close_fixed_linking(node):
+                continue
             action, payload = self.bound_node(node)
 
             if action == "retry":
@@ -578,7 +624,7 @@ class BranchAndCut:
                 continue
 
             # branch; the children, or a stalled node, keep the best bound known
-            point, bound, proven = payload
+            point, bound = payload
             child_bound = node.parent_bound if bound is None else bound
             decision = None if point is None else choose_branch_variable(
                 self.inst, point, node, cfg.branching)
@@ -588,23 +634,9 @@ class BranchAndCut:
                         decision = (j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
                         break
             if decision is None:
-                if proven:
-                    # every integer variable is fixed and continuous leaders
-                    # stay out of the follower rows: the whole box shares the
-                    # linking x and the y just certified not bilevel feasible
-                    self._trace(node, bound, "pruned-exhausted")
-                    continue
-                if self.inst.is_pure_integer():
-                    # the box is a single integer point: settle it exactly
-                    # instead of trusting a possibly unstable node LP
-                    resolved = self._resolve_singleton(node)
-                    if resolved == "infeasible":
-                        self._trace(node, bound, "pruned-exhausted")
-                        continue
-                    if resolved is not None:
-                        self._accept(node, resolved, bound)
-                        continue
-                # cannot split further and cannot certify: give up soundly
+                # every integer variable is fixed, so the linking ones are,
+                # and the MILPs that settle such a box hit a limit or failed:
+                # give up soundly
                 self._trace(node, bound, "stalled")
                 heapq.heappush(queue, (float(child_bound), next(seq), node))
                 limited = True

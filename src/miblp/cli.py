@@ -151,6 +151,8 @@ def _cmd_solve(parser, args) -> int:
           f"{res.stats.oracle_time:.3f}s finding directions, "
           f"{res.stats.oracle_skipped} skipped, "
           f"{res.stats.pool_refutations} refuted from pool")
+    print(f"fixed linking: {res.stats.linking_closed} boxes closed, "
+          f"{res.stats.linking_nodes} value-function and leader MILP nodes")
     if args.trace is not None:
         Path(args.trace).write_text("\n".join(res.trace) + "\n")
         print(f"trace written to {args.trace}")
@@ -163,6 +165,8 @@ def _cmd_solve(parser, args) -> int:
                  cut_rejects=",".join(f"{reason}:{n}" for reason, n in rejects.items()),
                  oracle_calls=res.stats.oracle_calls,
                  oracle_nodes=res.stats.oracle_nodes,
+                 linking_closed=res.stats.linking_closed,
+                 linking_nodes=res.stats.linking_nodes,
                  oracle_skipped=res.stats.oracle_skipped,
                  pool_refutations=res.stats.pool_refutations,
                  ifd_time=f"{res.stats.oracle_time:.6f}",
@@ -419,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cuts", default="idic",
                    help="comma list of cut families: idic,isic")
     p.add_argument("--branch", choices=["fractional", "linking"],
-                   default="fractional")
+                   default="linking")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--trace", metavar="PATH", default=None)

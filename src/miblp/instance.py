@@ -231,10 +231,17 @@ def _number(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"not a number: {token!r}") from None
 
 
-def _bound(token: str, lineno: int) -> Fraction | None:
-    if token.lower() in ("inf", "+inf"):
-        return None
-    return _number(token, lineno)
+def _numbers():
+    """A ``_number`` that parses each distinct token once; one per parse, so
+    nothing is cached across parses."""
+    memo = {}
+
+    def number(token: str, lineno: int) -> Fraction:
+        v = memo.get(token)
+        if v is None:
+            v = memo[token] = _number(token, lineno)
+        return v
+    return number
 
 
 def _parse_header_counts(tokens, lineno, keyword, count) -> list[int]:
@@ -250,14 +257,14 @@ def _parse_header_counts(tokens, lineno, keyword, count) -> list[int]:
     return out
 
 
-def _parse_row(tokens, lineno, width):
+def _parse_row(tokens, lineno, width, number):
     if len(tokens) != width + 2:
         raise ParseError(lineno, f"row needs {width} coefficients, a sense and a rhs")
     sense = tokens[width]
     if sense not in SENSES:
         raise ParseError(lineno, f"unknown sense {sense!r}")
-    coeffs = [_number(t, lineno) for t in tokens[:width]]
-    rhs = _number(tokens[width + 1], lineno)
+    coeffs = [number(t, lineno) for t in tokens[:width]]
+    rhs = number(tokens[width + 1], lineno)
     if sense == ">=":
         yield coeffs, rhs
     elif sense == "<=":
@@ -274,6 +281,7 @@ def parse_instance(text: str, name: str = "") -> MiblpInstance:
 
 def _parse_raw(text: str, name: str) -> MiblpInstance:
     cur = _Cursor(text)
+    number = _numbers()
 
     tokens = cur.next("header")
     if tokens != [FORMAT_TAG, FORMAT_VERSION]:
@@ -289,14 +297,14 @@ def _parse_raw(text: str, name: str) -> MiblpInstance:
         raise ParseError(cur.lineno, "expected OBJ_UPPER")
     if len(tokens) != n + 1:
         raise ParseError(cur.lineno, f"OBJ_UPPER needs {n} coefficients")
-    upper_obj = [_number(t, cur.lineno) for t in tokens[1:]]
+    upper_obj = [number(t, cur.lineno) for t in tokens[1:]]
 
     tokens = cur.next("OBJ_LOWER")
     if tokens[0] != "OBJ_LOWER":
         raise ParseError(cur.lineno, "expected OBJ_LOWER")
     if len(tokens) != n2 + 1:
         raise ParseError(cur.lineno, f"OBJ_LOWER needs {n2} coefficients")
-    d2 = [_number(t, cur.lineno) for t in tokens[1:]]
+    d2 = [number(t, cur.lineno) for t in tokens[1:]]
 
     tokens = cur.next("BOUNDS")
     if tokens[0] != "BOUNDS":
@@ -305,8 +313,9 @@ def _parse_raw(text: str, name: str) -> MiblpInstance:
         raise ParseError(cur.lineno, f"BOUNDS needs {n} lo/hi pairs")
     lower, upper = [], []
     for j in range(n):
-        lo = _number(tokens[1 + 2 * j], cur.lineno)
-        hi = _bound(tokens[2 + 2 * j], cur.lineno)
+        lo = number(tokens[1 + 2 * j], cur.lineno)
+        hi = tokens[2 + 2 * j]
+        hi = None if hi.lower() in ("inf", "+inf") else number(hi, cur.lineno)
         if hi is not None and lo > hi:
             raise ParseError(cur.lineno, f"empty bound interval for variable {j}")
         lower.append(lo)
@@ -319,7 +328,7 @@ def _parse_raw(text: str, name: str) -> MiblpInstance:
         rows = []
         for _ in range(count):
             tokens = cur.next(f"{keyword} row")
-            rows.extend(_parse_row(tokens, cur.lineno, n))
+            rows.extend(_parse_row(tokens, cur.lineno, n, number))
         return rows
 
     upper_rows = read_block("UPPER")
@@ -348,8 +357,7 @@ def _parse_raw(text: str, name: str) -> MiblpInstance:
 
 def write_instance(inst: MiblpInstance) -> str:
     """Text form of an instance; parse(write(i)) reproduces i exactly."""
-    def num(v: Fraction) -> str:
-        return str(v)
+    num = str
 
     out = []
     if inst.name:
@@ -406,9 +414,11 @@ def validate_assumptions(inst: MiblpInstance) -> MiblpInstance:
     integer = set(inst.integer_indices())
     lower, upper = list(inst.lower), list(inst.upper)
     for j in integer:
-        lower[j] = Fraction(math.ceil(lower[j]))
+        if lower[j].denominator != 1:
+            lower[j] = Fraction(math.ceil(lower[j]))
         if upper[j] is not None:
-            upper[j] = Fraction(math.floor(upper[j]))
+            if upper[j].denominator != 1:
+                upper[j] = Fraction(math.floor(upper[j]))
             if upper[j] < lower[j]:
                 raise InstanceError(f"integer variable {j} has no value within its bounds")
     inst = replace(inst, d2=_integral(inst.d2),

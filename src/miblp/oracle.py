@@ -341,18 +341,23 @@ def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
-def evaluate_phi(inst: MiblpInstance, x,
-                 time_limit: float | None = None) -> Fraction | None:
-    """Follower's optimal value at x; None encodes +infinity."""
+def solve_phi(inst: MiblpInstance, x,
+              time_limit: float | None = None) -> milp.MilpSolution:
+    """The follower's problem at x, solved exactly: its ``objective`` is the
+    value function at x, None when the problem is infeasible, and its
+    ``nodes`` the node LPs it took."""
     # a step from y = 0 is y itself: the image's follower rows, with
     # rhs ceil(b2 - A2 x), and its box are the follower's problem at x
     image = step_image(inst, Point.make(x, [0] * inst.n2))
     follower = replace(image, rows=image.rows[1:], rhs=image.rhs[1:])
-    sol = _solve(_plain_problem(follower, [-v for v in image.rows[0]]),
-                 "value function solve", time_limit)
-    if sol.status is MilpStatus.INFEASIBLE:
-        return None
-    return sol.objective
+    return _solve(_plain_problem(follower, [-v for v in image.rows[0]]),
+                  "value function solve", time_limit)
+
+
+def evaluate_phi(inst: MiblpInstance, x,
+                 time_limit: float | None = None) -> Fraction | None:
+    """Follower's optimal value at x; None encodes +infinity."""
+    return solve_phi(inst, x, time_limit).objective
 
 
 def legacy_feasibility_check(inst: MiblpInstance, point: Point) -> bool:

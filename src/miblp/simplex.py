@@ -56,6 +56,7 @@ INF = float("inf")
 REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12
+PIVOT_TIE_REL = 1e-9
 FEASIBILITY_TOL = 1e-9
 REFACTOR_INTERVAL = 50
 ROW_SCALE_THRESHOLD = 2.0 ** 10
@@ -449,11 +450,15 @@ class _Simplex:
 
         The leaving row is the one furthest outside; the entering column
         keeps the reduced costs' signs (smallest ratio, then the largest
-        pivot, then the lowest index).  OPTIMAL once primal feasible, for
-        ``run`` to price.  When the leaving row has no entering column, that
-        row of B^-1, signed to the side the basic value must move, is the
-        Farkas candidate: INFEASIBLE if it passes, UNSTABLE if not, as on a
-        failed pivot or past the iteration cap.
+        pivot, then the lowest index).  Pivots within a relative
+        ``PIVOT_TIE_REL`` of the largest count as tied, so float noise in
+        two exactly equal pivots, which differs between interpreters (the
+        built-in ``sum`` is compensated since Python 3.12), never picks the
+        column.  OPTIMAL once primal feasible, for ``run`` to price.  When
+        the leaving row has no entering column, that row of B^-1, signed to
+        the side the basic value must move, is the Farkas candidate:
+        INFEASIBLE if it passes, UNSTABLE if not, as on a failed pivot or
+        past the iteration cap.
         """
         n, m = self.n, self.m
         lo, hi, status, vals, basis, RT, cost = (self.lo, self.hi, self.status, self.vals,
@@ -492,8 +497,11 @@ class _Simplex:
                 dk = cost[k] - sum(map(mul, y, RT[k])) if k < n else y[k - n]
                 candidates.append((max(dk if status[k] == AT_LOWER else -dk, 0.0) / a, a, k))
             limit = min(candidates)[0] + RATIO_TIE_TOL
-            j = max((c for c in candidates if c[0] <= limit),
-                    key=lambda c: (c[1], -c[2]))[2]
+            tied = [c for c in candidates if c[0] <= limit]
+            if len(tied) > 1:
+                top = max(c[1] for c in tied) * (1.0 - PIVOT_TIE_REL)
+                tied = [c for c in tied if c[1] >= top]
+            j = tied[0][2]      # candidates run by column index
             u = self._ftran(j)
             if abs(u[p]) < PIVOT_TOL:
                 return LpStatus.UNSTABLE

@@ -295,12 +295,15 @@ def mixed_leader_instance(seed: int):
         upper=base.upper[:2] + (Fraction(17, 2),) + base.upper[2:]))
 
 
-def mixed_bilevel_optimum(inst):
+def mixed_bilevel_optimum(inst, lower=None, upper=None):
     """Optimal value of an instance with one continuous leader variable
     outside the follower rows, or None when it is infeasible: every integer
     leader part is enumerated, the follower's best responses at it are found
     on its integer grid, and the continuous variable takes the best end of
-    the interval that the leader rows leave it."""
+    the interval that the leader rows leave it.  A box ``lower``, ``upper``
+    restricts the points to it, while the follower's best responses stay
+    those over the instance's own follower box."""
+    lower, upper = lower or inst.lower, upper or inst.upper
     (c,) = range(inst.r1, inst.n1)
     ints = range(inst.r1)
     grid = list(itertools.product(*(range(int(inst.lower[inst.n1 + i]),
@@ -311,7 +314,7 @@ def mixed_bilevel_optimum(inst):
     activity = [tuple(sum(r * v for r, v in zip(row[inst.n1:], y)) for row in rows2)
                 for y in grid]
     best = None
-    for xi in itertools.product(*(range(int(inst.lower[j]), int(inst.upper[j]) + 1)
+    for xi in itertools.product(*(range(int(lower[j]), int(upper[j]) + 1)
                                   for j in ints)):
         need = [b - sum(r * v for r, v in zip(row, xi)) for row, b in zip(rows2, b2)]
         slice_ = [y for y, act in zip(grid, activity)
@@ -321,9 +324,10 @@ def mixed_bilevel_optimum(inst):
         values = [sum(d * v for d, v in zip(d2, y)) for y in slice_]
         phi = min(values)
         for y, v in zip(slice_, values):
-            if v != phi:
+            if v != phi or any(not lower[inst.n1 + i] <= w <= upper[inst.n1 + i]
+                               for i, w in enumerate(y)):
                 continue
-            lo, hi = inst.lower[c], inst.upper[c]
+            lo, hi = lower[c], upper[c]
             for a, g, b in zip(inst.a1, inst.g1, inst.b1):
                 # a[c] * x_c >= the rest of the row
                 rest = b - dot(a[:inst.r1], xi) - dot(g, y)

@@ -6,13 +6,16 @@ of runs of the parent and of the change, the corpus seeds, and the counts
 of one traced run.  ``nodes`` repeats exactly from run to run, so the
 newest record's change-side value is the node count of the current tree.
 """
+import builtins
 import json
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from miblp.bnc import SolverConfig, solve
+from miblp import simplex
+from miblp.bnc import Branching, SolverConfig, solve
 from miblp.instance import generate_random_instance
 
 from helpers import bench_corpus
@@ -57,10 +60,35 @@ def test_record_schema(path):
             assert all(isinstance(v, (int, float)) for v in traced[side]["counts"].values())
 
 
-def test_newest_record_counts_the_current_tree():
-    record = json.loads(RECORDS[-1].read_text())
+def _corpus_nodes(record, cfg=SolverConfig()):
     corpus = record["corpus"]
     family = corpus["n1"], corpus["n2"], corpus["m1"], corpus["m2"]
-    nodes = sum(solve(generate_random_instance(seed, *family, bound=corpus["bound"]),
-                      SolverConfig()).stats.nodes for seed in corpus["seeds"])
-    assert nodes == record["workloads"]["solve-id-milp"]["change"]["nodes"]["median"]
+    return sum(solve(generate_random_instance(seed, *family, bound=corpus["bound"]),
+                     cfg).stats.nodes for seed in corpus["seeds"])
+
+
+def test_newest_record_counts_the_current_tree():
+    record = json.loads(RECORDS[-1].read_text())
+    assert _corpus_nodes(record) == record["workloads"]["solve-id-milp"]["change"]["nodes"]["median"]
+
+
+def _fsum_of_floats(values, start=0):
+    values = list(values)
+    if isinstance(start, float) or any(isinstance(v, float) for v in values):
+        return math.fsum(values) + start
+    return builtins.sum(values, start)
+
+
+def test_the_tree_does_not_read_float_summation_noise(monkeypatch):
+    """The built-in float sum is compensated since Python 3.12, which once
+    broke an exact tie in the simplex's ratio test the other way and grew
+    the corpus tree (under most-fractional branching, by 392 -> 468 nodes
+    with the fixed-linking rule); with every float sum in ``simplex``
+    taken by ``math.fsum``, both branchings take the same tree, and the
+    default one the newest record's."""
+    record = json.loads(RECORDS[-1].read_text())
+    configs = (SolverConfig(), SolverConfig(branching=Branching.FRACTIONAL))
+    before = [_corpus_nodes(record, cfg) for cfg in configs]
+    monkeypatch.setattr(simplex, "sum", _fsum_of_floats, raising=False)
+    assert [_corpus_nodes(record, cfg) for cfg in configs] == before
+    assert before[0] == record["workloads"]["solve-id-milp"]["change"]["nodes"]["median"]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -89,17 +90,18 @@ def test_determinism(three_d):
 
 
 @pytest.mark.parametrize("seed, cfg, counts", [
-    (14, SolverConfig(), (93, 2, 1)),
-    (19, SolverConfig(), (21, 4, 2)),
-    (19, SolverConfig(oracle=LS2), (11, 3, 2)),
+    (14, SolverConfig(), (32, 2, 0)),
+    (19, SolverConfig(), (16, 4, 1)),
+    (19, SolverConfig(oracle=LS2), (7, 3, 1)),
 ])
 def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
     """Every cone follows a passing globality test at the same vertex, and
     every passing test is followed by a cone or by an oracle outcome other
-    than FOUND; the cut and certificate counts are those of the driver
-    that queried the oracle at every vertex and built every cone before
-    testing it, the node counts those of the exact, lattice-rounded bound
-    prune over node boxes propagated under the incumbent's cutoff."""
+    than FOUND; the cut counts are those of the driver that queried the
+    oracle at every vertex and built every cone before testing it, the node
+    and certificate counts those of the exact, lattice-rounded bound prune
+    over node boxes propagated under the incumbent's cutoff, with each box
+    that fixes the linking variables closed by its MILPs."""
     solver = BranchAndCut(generate_random_instance(seed, 2, 3, 2, 4, bound=8), cfg)
     events = []
     is_global, supports = solver._cone_is_global, simplex.tight_bound_supports
@@ -185,7 +187,7 @@ def test_no_prune_or_queue_decision_reads_the_float_objective(monkeypatch):
 
 @pytest.mark.parametrize("seed, cfg", [
     (19, SolverConfig()),
-    (12, SolverConfig(oracle=LS2)),
+    (12, SolverConfig(oracle=LS2, branching=Branching.FRACTIONAL)),
     (13, SolverConfig(branching=Branching.LINKING_PRIORITY, use_isic=True)),
 ])
 def test_oracle_runs_only_where_its_answer_counts(monkeypatch, seed, cfg):
@@ -468,12 +470,12 @@ def test_the_follower_problem_never_sees_a_node_box(monkeypatch, cfg):
             return fn(instance, *args, **kwargs)
         return wrapper
     monkeypatch.setattr(oracle, "step_image", own_bounds(oracle.step_image))
-    monkeypatch.setattr(oracle, "evaluate_phi", own_bounds(oracle.evaluate_phi))
+    monkeypatch.setattr(oracle, "solve_phi", own_bounds(oracle.solve_phi))
     solver = BranchAndCut(inst, cfg)
     res = solver.run()
     assert res.stats.propagated > 0
     assert solver.root_upper[inst.n1:] == [4, 6, 2]     # the follower box, tightened
-    assert ("evaluate_phi" if cfg.oracle_mode is OracleMode.LEGACY else "step_image") in seen
+    assert {"solve_phi", "step_image"} <= set(seen)
     assert inst.lower == lower and inst.upper == upper
 
 
@@ -531,6 +533,124 @@ def test_fixed_integer_box_closes_whatever_its_continuous_leaders(monkeypatch, s
     else:
         assert res.status is SolveStatus.OPTIMAL and res.value == value
         assert inst.in_relaxation(res.incumbent)
+
+
+@functools.cache
+def _enumerated(family, seed):
+    """The instance and its feasible set F, as {joint point: leader value}."""
+    inst = generate_random_instance(seed, *family[:4], bound=family[4])
+    return inst, {p.joint(): inst.leader_value(p) for p in enumerate_F(inst)}
+
+
+def _in_box(z, lower, upper):
+    return all(lo <= v <= hi for v, lo, hi in zip(z, lower, upper))
+
+
+@pytest.mark.parametrize("family, seeds", [((2, 3, 2, 4, 4), range(2, 32)),
+                                           ((3, 3, 2, 5, 3), range(2, 12)),
+                                           ("mixed", range(2, 41, 2))])
+def test_boxes_closed_with_fixed_linking_keep_their_best_point(monkeypatch, family, seeds):
+    """Each box that the fixed-linking rule closes yields its best
+    bilevel-feasible point, or holds none better than the incumbent it was
+    closed under, against enumeration: the feasible set F on pure
+    instances, and on mixed-leader ones the best point of the box, whose
+    follower responses are the best over the instance's own follower box."""
+    accepted_boxes = empty_boxes = 0
+    for seed in seeds:
+        if family == "mixed":
+            inst, feasible = mixed_leader_instance(seed), None
+        else:
+            inst, feasible = _enumerated(family, seed)
+        for cfg in (SolverConfig(), SolverConfig(branching=Branching.FRACTIONAL)):
+            solver = BranchAndCut(inst, cfg)
+            close, accept, accepted = solver._close_fixed_linking, solver._accept, []
+
+            def recording_accept(node, point, bound):
+                accepted.append(point)
+                accept(node, point, bound)
+
+            def checked_close(node):
+                nonlocal accepted_boxes, empty_boxes
+                lower, upper, before = list(node.lower), list(node.upper), solver.value
+                accepted.clear()
+                assert close(node), inst.name
+                if feasible is None:
+                    best = mixed_bilevel_optimum(inst, lower, upper)
+                else:
+                    best = min((v for z, v in feasible.items() if _in_box(z, lower, upper)),
+                               default=None)
+                if accepted:
+                    (point,) = accepted
+                    z = point.joint()
+                    assert _in_box(z, lower, upper), inst.name
+                    assert inst.leader_value(point) == best, inst.name
+                    if feasible is None:
+                        assert mixed_bilevel_optimum(inst, z, z) == best, inst.name
+                    else:
+                        assert z in feasible, inst.name
+                    accepted_boxes += 1
+                else:
+                    assert best is None or before is not None and best >= before, inst.name
+                    empty_boxes += 1
+                return True
+
+            monkeypatch.setattr(solver, "_accept", recording_accept)
+            monkeypatch.setattr(solver, "_close_fixed_linking", checked_close)
+            solver.run()
+    assert accepted_boxes > 0 and empty_boxes > 0
+
+
+@pytest.mark.parametrize("failure", ["error", "limit"])
+def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failure):
+    """A MilpError or a limit in the value-function or leader MILP of a box
+    with fixed linking variables leaves that box to the node LP, so no
+    answer rests on an unfinished MILP.  When the MILPs fail at the first
+    such box that still has a free integer column, the LP bounds and
+    branches it, and every solve ends with the enumerated optimum.  When
+    they fail at every box, a solve may also stall at a box whose integer
+    columns are all fixed, which the LP path cannot settle, but it never
+    claims a wrong answer."""
+    solve_milp = milp.solve_milp
+    for fail_all in (False, True):
+        fallbacks = stalled = 0
+        for seed in range(2, 32):
+            inst, feasible = _enumerated((2, 3, 2, 4, 4), seed)
+            solver = BranchAndCut(inst, SolverConfig(trace=True))
+            close, failing_box, current = solver._close_fixed_linking, [], []
+
+            def closing(node):
+                free = any(node.lower[j] < node.upper[j] for j in solver.integer)
+                if fail_all or free and not failing_box:
+                    failing_box.append(node.id)
+                current[:] = [node.id]
+                closed = close(node)
+                current.clear()
+                assert closed is (node.id not in failing_box), inst.name
+                return closed
+
+            def failing(problem, node_limit=None, time_limit=None):
+                if current and current[0] in failing_box:
+                    if failure == "error":
+                        raise milp.MilpError("injected")
+                    return milp.MilpSolution(milp.MilpStatus.LIMIT_REACHED)
+                return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+
+            monkeypatch.setattr(solver, "_close_fixed_linking", closing)
+            monkeypatch.setattr(milp, "solve_milp", failing)
+            res = solver.run()
+            monkeypatch.setattr(milp, "solve_milp", solve_milp)
+            fallbacks += len(failing_box)
+            if res.status is SolveStatus.LIMIT_REACHED:
+                assert fail_all and res.trace[-1].endswith("stalled"), inst.name
+                stalled += 1
+            elif not feasible:
+                assert res.status is SolveStatus.INFEASIBLE, inst.name
+            else:
+                assert res.status is SolveStatus.OPTIMAL, inst.name
+                assert res.value == min(feasible.values()), inst.name
+                assert res.incumbent.joint() in feasible, inst.name
+        assert fallbacks > 0
+        assert stalled > 0 or not fail_all
 
 
 def test_cut_log(moore_bard):

@@ -30,7 +30,8 @@ def test_solve_reports_optimum(capsys):
 
 
 def test_solve_reports_oracle_savings(capsys):
-    assert main(["solve", TD]) == 0
+    # most-fractional branching reaches integral vertices that the pool refutes
+    assert main(["solve", TD, "--branch", "fractional"]) == 0
     out = capsys.readouterr().out
     kv = result_kv(out, "solve")
     skipped, refuted = int(kv["oracle_skipped"]), int(kv["pool_refutations"])
@@ -38,9 +39,12 @@ def test_solve_reports_oracle_savings(capsys):
     assert f"{skipped} skipped, {refuted} refuted from pool" in out
     assert f"nodes: {kv['nodes']} ({kv['propagated']} more closed by propagation)" in out
     assert int(kv["propagated"]) > 0
-    # the direction-search MILPs of its 7 queries solve 4 node LPs in all
-    assert kv["oracle_calls"] == "7" and kv["oracle_nodes"] == "4"
-    assert "oracle: 7 calls, 4 direction-MILP nodes, " in out
+    # the direction-search MILPs of its 4 queries solve 3 node LPs in all
+    assert kv["oracle_calls"] == "4" and kv["oracle_nodes"] == "3"
+    assert "oracle: 4 calls, 3 direction-MILP nodes, " in out
+    # 9 boxes fix the leader's one variable, each closed by its MILPs
+    assert kv["linking_closed"] == "9" and kv["linking_nodes"] == "9"
+    assert "fixed linking: 9 boxes closed, 9 value-function and leader MILP nodes" in out
 
 
 def test_solve_reports_cut_rejects(capsys, tmp_path):
