@@ -5,8 +5,7 @@ through one improving-direction search; enumeration tooling provides ground
 truth for tests, and a benchmark harness compares solver configurations.
 """
 
-from .bnc import (Branching, OracleMode, SolveResult, SolverConfig,
-                  SolveStatus, solve)
+from .bnc import OracleMode, SolveResult, SolverConfig, SolveStatus, solve
 from .bruteforce import (EnumerationBudgetError, enumerate_F, enumerate_S,
                          optimal_by_enumeration, phi_by_enumeration)
 from .cuts import (BilevelFreeSet, ConeContainedError, Cut, NotSeparableError,

@@ -36,23 +36,26 @@ is offered as the incumbent.  The box then closes
 (``SolveStats.linking_closed``, trace action ``pruned-linking-fixed``;
 ``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs get the
 time left in the solve; a limit or a failure in either leaves the box to
-the node LP.  A box whose integer variables are all fixed fixes the linking
-ones, so the LP path meets one only after such a fallback, and then stops
-(``stalled``, LIMIT_REACHED) rather than guess.  Linking-priority
-branching, the default, fixes the linking variables first.
+the node LP.  Each branch splits the most fractional unfixed linking
+variable, so only such a box branches on another integer column, and one
+with every integer column fixed that its LP cannot settle is set aside
+(``SolveStats.unsettled``, trace action ``unsettled``).  The search goes
+on, and ends LIMIT_REACHED at the least set-aside bound while one is below
+the final incumbent's value or there is no incumbent.
 
-Each node solves its LP over the instance rows, the global cut pool,
-and the node's own bounds, then runs a cut loop at the exact LP vertex.  The
-LP starts from the parent's final basis, or in a later cut round from the
+Each node solves its LP over the instance rows, the global cut pool, and the
+node's own bounds, then runs a cut loop at the exact LP vertex.  The LP
+starts from the parent's final basis, or in a later cut round from the
 previous round's; rows the pool has gained since enter with their surplus
-columns basic.  The root and a retried node start from the slack basis.
-Every prune is exact: a node closes once ``simplex.dual_bound`` of its LP's
-multipliers, rounded up to the objective's lattice, or its parent's bound
-when it is popped, reaches the incumbent's value, "infeasible" rests on
-the simplex's Farkas certificate, and a box that propagation closes rests
-on integer rows that every better bilevel-feasible point meets.  An
-unproven verdict is a numerical failure, which retries the node once and
-then branches.
+columns basic.  The root, and an LP its start cannot settle, use the slack
+basis.  Every prune is exact: a node closes once ``simplex.dual_bound`` of
+its LP's multipliers, rounded up to the objective's lattice, or its parent's
+bound when it is popped, reaches the incumbent's value, "infeasible" rests
+on the simplex's Farkas certificate, and a box that propagation closes rests
+on integer rows that every better bilevel-feasible point meets.  An unproven
+verdict, or a vertex with no exact recovery, is a numerical failure: the
+node splits its first unfixed integer column at the midpoint, and its
+children keep the best bound known.
 
 The improving-direction oracle is queried only where its answer can change
 the tree: where a found direction can still become a cut (cut rounds remain
@@ -104,11 +107,6 @@ class OracleMode(Enum):
     LEGACY = "legacy"
 
 
-class Branching(Enum):
-    FRACTIONAL = "fractional"
-    LINKING_PRIORITY = "linking"
-
-
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -121,7 +119,6 @@ class SolverConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     use_idic: bool = True
     use_isic: bool = False
-    branching: Branching = Branching.LINKING_PRIORITY
     node_limit: int | None = None
     time_limit: float | None = None
     trace: bool = False
@@ -143,11 +140,11 @@ class SolveStats:
     oracle_nodes: int = 0       # node LPs of the direction-search MILPs
     oracle_skipped: int = 0     # fractional vertices branched without a query
     pool_refutations: int = 0   # integral vertices refuted by a pooled direction
-    phi_calls: int = 0
     certificates: int = 0
     propagated: int = 0         # boxes closed by propagation, without an LP
     linking_closed: int = 0     # boxes with every linking variable fixed, closed by MILPs
     linking_nodes: int = 0      # node LPs of those boxes' value-function and leader MILPs
+    unsettled: int = 0          # boxes set aside with every integer column fixed
     # cuts computed and not pooled, by reason
     cut_rejects: dict = field(default_factory=lambda: dict.fromkeys(
         ("not-separable", "duplicate", "coefficient-cap"), 0))
@@ -180,7 +177,6 @@ class _Node:
     parent_bound: Fraction | float     # exact, or -inf
     lower: list
     upper: list
-    retried: bool = False
     start: simplex.Basis | None = None     # the parent's final LP basis
     branched: int | None = None            # the column split to make it; None at the root
 
@@ -215,14 +211,15 @@ def solve(inst: MiblpInstance, cfg: SolverConfig | None = None) -> SolveResult:
     return BranchAndCut(inst, cfg or SolverConfig()).run()
 
 
-def choose_branch_variable(inst: MiblpInstance, point: Point, node, strategy):
-    """Pick (index, exact value) to branch on, or None if every candidate
-    integer variable is fixed.
+def choose_branch_variable(inst: MiblpInstance, point: Point, node):
+    """Pick (index, exact value) to branch on, or None if every integer
+    variable is fixed.
 
-    Fractional: the integer variable with fractional part closest to 1/2,
-    ties by lowest index; if all are integral, the lowest-index unfixed one.
-    LinkingPriority: the most fractional unfixed linking variable (integral
-    values allowed), falling back to Fractional when all linking are fixed.
+    The most fractional unfixed linking variable, integral values allowed.
+    A box with every linking variable fixed reaches its LP only when its
+    fixed-linking MILPs failed; it takes the integer variable with
+    fractional part closest to 1/2, ties by lowest index, or if all are
+    integral, the lowest-index unfixed one.
     """
     z = point.joint()
 
@@ -242,10 +239,9 @@ def choose_branch_variable(inst: MiblpInstance, point: Point, node, strategy):
                 best_j, best_d, best_q = j, d, q
         return best_j, best_d
 
-    if strategy is Branching.LINKING_PRIORITY:
-        j, _ = most_fractional(j for j in inst.linking_indices() if unfixed(j))
-        if j is not None:
-            return j, z[j]
+    j, _ = most_fractional(j for j in inst.linking_indices() if unfixed(j))
+    if j is not None:
+        return j, z[j]
 
     j, d = most_fractional(inst.integer_indices())
     if d > 0:
@@ -386,7 +382,6 @@ class BranchAndCut:
         return sol.objective, sol.nodes
 
     def _legacy_check(self, point: Point) -> bool:
-        self.stats.phi_calls += 1
         phi, _ = self._phi(point.x)
         return phi is not None and self.inst.follower_value(point.y) <= phi
 
@@ -494,7 +489,7 @@ class BranchAndCut:
         """Bound the node with the LP + cut loop.
 
         Returns (action, payload): ("prune", reason) | ("incumbent", (point,
-        bound)) | ("branch", (point, bound)) | ("retry", None).
+        bound)) | ("branch", (point, or None on a numerical failure, bound)).
         """
         self._current_lower = node.lower
         self._current_upper = node.upper
@@ -509,7 +504,7 @@ class BranchAndCut:
             if sol.status is LpStatus.INFEASIBLE:
                 return "prune", "infeasible"
             if sol.status is LpStatus.UNSTABLE:
-                return ("retry", None) if not node.retried else ("branch", (None, bound))
+                return "branch", (None, bound)
             prev = bound
             bound = simplex.dual_bound(prob, sol.y, self.integer, basis=sol.basis)
             if prev is not None:
@@ -518,7 +513,7 @@ class BranchAndCut:
                 return "prune", "bound"
             exact = simplex.exact_primal(prob, sol)
             if exact is None:
-                return ("retry", None) if not node.retried else ("branch", (None, bound))
+                return "branch", (None, bound)
             point = Point(tuple(exact[:self.inst.n1]), tuple(exact[self.inst.n1:]))
             integral = self.inst.is_integral(point)
             can_cut = self._can_cut(prob, sol, rounds, tail)
@@ -586,6 +581,7 @@ class BranchAndCut:
         root = _Node(next(next_id), 0, -math.inf,
                      list(self.root_lower), list(self.root_upper))
         queue = [(-math.inf, next(seq), root)]      # (float(bound), FIFO, node)
+        unsettled = []                              # exact bounds of set-aside boxes
         limited = False
 
         while queue:
@@ -610,11 +606,6 @@ class BranchAndCut:
                 continue
             action, payload = self.bound_node(node)
 
-            if action == "retry":
-                node.retried, node.start = True, None
-                heapq.heappush(queue, (float(node.parent_bound), next(seq), node))
-                self._trace(node, None, "requeued")
-                continue
             if action == "prune":
                 self._trace(node, None, f"pruned-{payload}")
                 continue
@@ -623,24 +614,21 @@ class BranchAndCut:
                 self._accept(node, point, bound)
                 continue
 
-            # branch; the children, or a stalled node, keep the best bound known
+            # branch; the children, or a set-aside box, keep the best bound known
             point, bound = payload
             child_bound = node.parent_bound if bound is None else bound
-            decision = None if point is None else choose_branch_variable(
-                self.inst, point, node, cfg.branching)
-            if decision is None and point is None:
-                for j in self.integer:
-                    if node.lower[j] < node.upper[j]:
-                        decision = (j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
-                        break
+            if point is not None:
+                decision = choose_branch_variable(self.inst, point, node)
+            else:   # a numerical failure: the midpoint of the first unfixed column
+                decision = next(((j, node.lower[j] + (node.upper[j] - node.lower[j]) // 2)
+                                 for j in self.integer if node.lower[j] < node.upper[j]), None)
             if decision is None:
                 # every integer variable is fixed, so the linking ones are,
-                # and the MILPs that settle such a box hit a limit or failed:
-                # give up soundly
-                self._trace(node, bound, "stalled")
-                heapq.heappush(queue, (float(child_bound), next(seq), node))
-                limited = True
-                break
+                # and the MILPs that settle such a box hit a limit or failed
+                unsettled.append(child_bound)
+                self.stats.unsettled += 1
+                self._trace(node, child_bound, "unsettled")
+                continue
             j, v = decision
             # clamp the split inside the box so both children strictly shrink;
             # otherwise a child repeats its parent and the search cycles
@@ -655,9 +643,12 @@ class BranchAndCut:
             self._trace(node, bound, f"branched on {j}")
 
         value = None if self.value is None else float(self.value)
+        open_bounds = [float(b) for b in unsettled if self.value is None or b < self.value]
         if limited:
+            open_bounds += [b for b, _, _ in queue]
+        if open_bounds:
             status = SolveStatus.LIMIT_REACHED
-            lb = min((b for b, _, _ in queue), default=-math.inf if value is None else value)
+            lb = min(open_bounds)
             gap = math.inf
             if value is not None and not math.isinf(lb):
                 gap = max(0.0, (value - lb) / max(1.0, abs(value)))

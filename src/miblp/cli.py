@@ -23,7 +23,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import bruteforce, kopt
 from . import oracle as oracle_mod
-from .bnc import Branching, OracleMode, SolveStatus, SolverConfig, solve
+from .bnc import OracleMode, SolveStatus, SolverConfig, solve
 from .bruteforce import EnumerationBudgetError
 from .instance import (InstanceError, MiblpInstance, Point,
                        generate_random_instance, parse_instance,
@@ -120,8 +120,6 @@ def _solver_config(parser: argparse.ArgumentParser, args) -> SolverConfig:
         oracle=_oracle_config(parser, args),
         use_idic="idic" in families,
         use_isic="isic" in families,
-        branching=Branching.FRACTIONAL if args.branch == "fractional"
-        else Branching.LINKING_PRIORITY,
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         trace=args.trace is not None,
@@ -143,7 +141,8 @@ def _cmd_solve(parser, args) -> int:
     print(f"bound: {res.bound:.9g}")
     print(f"gap: {res.gap:.9g}")
     rejects = res.stats.cut_rejects
-    print(f"nodes: {res.stats.nodes} ({res.stats.propagated} more closed by propagation)  "
+    print(f"nodes: {res.stats.nodes} ({res.stats.propagated} more closed by propagation, "
+          f"{res.stats.unsettled} unsettled)  "
           f"cuts: {res.stats.cuts_idic} idic, {res.stats.cuts_isic} isic (rejected: "
           + ", ".join(f"{n} {reason}" for reason, n in rejects.items()) + ")")
     print(f"oracle: {res.stats.oracle_calls} calls, "
@@ -161,6 +160,7 @@ def _cmd_solve(parser, args) -> int:
                  value="none" if res.value is None else res.value,
                  bound=f"{res.bound:.9g}", gap=f"{res.gap:.9g}",
                  nodes=res.stats.nodes, propagated=res.stats.propagated,
+                 unsettled=res.stats.unsettled,
                  cuts=res.stats.cuts_idic + res.stats.cuts_isic,
                  cut_rejects=",".join(f"{reason}:{n}" for reason, n in rejects.items()),
                  oracle_calls=res.stats.oracle_calls,
@@ -422,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_oracle_flags(p)
     p.add_argument("--cuts", default="idic",
                    help="comma list of cut families: idic,isic")
-    p.add_argument("--branch", choices=["fractional", "linking"],
-                   default="linking")
     p.add_argument("--time-limit", type=float, default=None)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--trace", metavar="PATH", default=None)

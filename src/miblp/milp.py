@@ -4,7 +4,7 @@ Node selection is best-first on the parent dual bound, after an initial
 depth-first dive that hunts down a first incumbent quickly.  A feasibility
 question is asked with a zero objective: the first integral vertex then
 matches every open node's bound, so the bound prune closes the tree at once.
-Branching picks the integer variable whose fractional part is closest to
+Each branch splits the integer variable whose fractional part is closest to
 1/2, ties broken by lowest index.
 
 Before its LP, each node's box is tightened by activity-bound propagation

@@ -79,7 +79,7 @@ class LpProblem:
     """min objective . z  s.t.  rows . z >= rhs,  lower <= z <= upper.
 
     All data is exact, ints or Fractions; ``upper`` entries may be None for +inf.
-    Lower bounds must be finite.  Branching never edits rows, so the float
+    Lower bounds must be finite.  A branch never edits rows, so the float
     and integer images of the row data are cached and shared across
     ``with_bounds`` copies.
     """

@@ -24,7 +24,7 @@ from miblp import bruteforce, kopt
 from miblp.bench import (RunRecord, baseline_profile, cumulative_profile,
                          performance_profile, read_records, run_matrix,
                          write_profile_data)
-from miblp.bnc import Branching, OracleMode, SolveStatus, SolverConfig, solve
+from miblp.bnc import OracleMode, SolveStatus, SolverConfig, solve
 from miblp.cuts import cut_violation
 from miblp.instance import GenerationError, Point, dot, generate_random_instance
 from miblp.milp import MilpProblem, MilpStatus, solve_milp
@@ -119,13 +119,13 @@ def test_criterion_1_reference_instance_solves_under_all_16_configurations(moore
     assert truth == (Point.make((2,), (2,)), Fraction(-22))
     for mode in (OracleMode.IMPROVING_DIRECTION, OracleMode.LEGACY):
         for method_name, oracle_cfg in DIRECTION_METHODS:
-            for branching in (Branching.FRACTIONAL, Branching.LINKING_PRIORITY):
+            for use_isic in (False, True):
                 cfg = SolverConfig(oracle_mode=mode, oracle=oracle_cfg,
-                                   branching=branching)
+                                   use_isic=use_isic)
                 t0 = time.perf_counter()
                 res = solve(moore_bard, cfg)
                 elapsed = time.perf_counter() - t0
-                label = f"{mode.value}/{method_name}/{branching.value}"
+                label = f"{mode.value}/{method_name}/{'idic+isic' if use_isic else 'idic'}"
                 assert res.status is SolveStatus.OPTIMAL, label
                 assert res.incumbent == truth[0], label
                 assert res.value == Fraction(-22), label

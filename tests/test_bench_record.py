@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from miblp import simplex
-from miblp.bnc import Branching, SolverConfig, solve
+from miblp.bnc import SolverConfig, solve
 from miblp.instance import generate_random_instance
 
 from helpers import bench_corpus
@@ -82,13 +82,13 @@ def _fsum_of_floats(values, start=0):
 def test_the_tree_does_not_read_float_summation_noise(monkeypatch):
     """The built-in float sum is compensated since Python 3.12, which once
     broke an exact tie in the simplex's ratio test the other way and grew
-    the corpus tree (under most-fractional branching, by 392 -> 468 nodes
-    with the fixed-linking rule); with every float sum in ``simplex``
-    taken by ``math.fsum``, both branchings take the same tree, and the
-    default one the newest record's."""
+    the corpus tree; with every float sum in ``simplex`` taken by
+    ``math.fsum``, both solve workloads take the newest record's trees.
+    ``tests/test_simplex.py`` guards the tie itself, which these trees no
+    longer reach."""
     record = json.loads(RECORDS[-1].read_text())
-    configs = (SolverConfig(), SolverConfig(branching=Branching.FRACTIONAL))
-    before = [_corpus_nodes(record, cfg) for cfg in configs]
+    configs = bench_corpus().SOLVE_CONFIGS
     monkeypatch.setattr(simplex, "sum", _fsum_of_floats, raising=False)
-    assert [_corpus_nodes(record, cfg) for cfg in configs] == before
-    assert before[0] == record["workloads"]["solve-id-milp"]["change"]["nodes"]["median"]
+    for name, cfg in configs.items():
+        assert _corpus_nodes(record, cfg) == \
+            record["workloads"][name]["change"]["nodes"]["median"], name

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import pytest
 
 from miblp import bnc, cuts, milp, oracle, simplex
-from miblp.bnc import (BranchAndCut, Branching, DirectionPool, OracleMode, SolveStatus,
-                       SolverConfig, choose_branch_variable, solve)
+from miblp.bnc import (BranchAndCut, DirectionPool, OracleMode, SolveStatus, SolverConfig,
+                       choose_branch_variable, solve)
 from miblp.bruteforce import enumerate_F, enumerate_S, optimal_by_enumeration
 from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
@@ -24,8 +24,7 @@ LS2 = OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)
 
 def all_mode_configs(**kw):
     for mode in OracleMode:
-        for branching in Branching:
-            yield SolverConfig(oracle_mode=mode, branching=branching, **kw)
+        yield SolverConfig(oracle_mode=mode, **kw)
 
 
 def test_small_example_all_modes(moore_bard):
@@ -47,7 +46,7 @@ def test_three_d_example_matches_enumeration(three_d):
     for cfg in (SolverConfig(),
                 SolverConfig(use_isic=True),
                 SolverConfig(oracle_mode=OracleMode.LEGACY),
-                SolverConfig(oracle=LS2, branching=Branching.LINKING_PRIORITY)):
+                SolverConfig(oracle=LS2)):
         res = solve(three_d, cfg)
         assert res.status is SolveStatus.OPTIMAL
         assert res.value == value
@@ -59,7 +58,7 @@ def test_random_instances_match_enumeration():
     configs = [
         SolverConfig(),
         SolverConfig(oracle_mode=OracleMode.LEGACY, use_isic=True),
-        SolverConfig(oracle=LS2, branching=Branching.LINKING_PRIORITY),
+        SolverConfig(oracle=LS2),
         SolverConfig(use_isic=True, use_idic=False),
     ]
     checked = 0
@@ -187,8 +186,8 @@ def test_no_prune_or_queue_decision_reads_the_float_objective(monkeypatch):
 
 @pytest.mark.parametrize("seed, cfg", [
     (19, SolverConfig()),
-    (12, SolverConfig(oracle=LS2, branching=Branching.FRACTIONAL)),
-    (13, SolverConfig(branching=Branching.LINKING_PRIORITY, use_isic=True)),
+    (19, SolverConfig(oracle=LS2)),
+    (13, SolverConfig(use_isic=True)),
 ])
 def test_oracle_runs_only_where_its_answer_counts(monkeypatch, seed, cfg):
     """No query at a fractional vertex that cannot be cut from, and no pool
@@ -341,7 +340,7 @@ def test_every_infeasible_verdict_is_proven_under_large_cuts(monkeypatch):
     # seed 38 of family 3 3 2 5 10 pools cuts with coefficients up to
     # ~1.2e11 (37 bits; the family's seeds 2-40 pool up to ~5.1e14, 49 bits);
     # with those rows scaled by powers of two every "infeasible" the dual
-    # loop reaches carries a certificate, so no node pays a retry and a branch
+    # loop reaches carries a certificate, so no node pays a midpoint split
     certified, unproven = simplex._Simplex._certified, []
 
     def spy(self, *args):
@@ -489,9 +488,10 @@ def test_node_limit(moore_bard):
 
 
 def test_limit_bound_counts_nodes_whose_lp_failed(monkeypatch):
-    """The root's LP fails twice, so its children carry bound -inf; a limit
-    reached before they are bounded leaves -inf as the proven bound, where
-    the queue's finite keys alone would claim -76 above the optimum -78."""
+    """The first two node LPs fail, the root's and its first child's, so
+    the boxes they split carry bound -inf; a limit reached before those are
+    bounded leaves -inf as the proven bound, where the queue's finite keys
+    alone would claim -76 above the optimum -78."""
     solve_lp, failed = simplex.solve_lp, []
 
     def failing(*args):
@@ -507,8 +507,8 @@ def test_limit_bound_counts_nodes_whose_lp_failed(monkeypatch):
     assert res.bound <= -78
 
 
-# seeds 5, 10, 11, 13, 14, 18, 19, 27, 29, 33 and 36 stalled before a proven,
-# fully fixed integer box was pruned whatever its continuous leaders
+# seeds 5, 10, 11, 13, 14, 18, 19, 27, 29, 33 and 36 ended LIMIT_REACHED before
+# a proven, fully fixed integer box was pruned whatever its continuous leaders
 @pytest.mark.parametrize("seed", range(2, 41))
 def test_fixed_integer_box_closes_whatever_its_continuous_leaders(monkeypatch, seed):
     """Every box settles, and the answer is right.  A cost on the
@@ -525,7 +525,7 @@ def test_fixed_integer_box_closes_whatever_its_continuous_leaders(monkeypatch, s
 
     monkeypatch.setattr(solver, "_cutoff", recorded_cutoff)
     res = solver.run()
-    assert not any(line.endswith("stalled") for line in res.trace)
+    assert res.stats.unsettled == 0
     assert any(row is not None for row in rows) is (seed in (3, 8))
     value = mixed_bilevel_optimum(inst)
     if value is None:
@@ -561,42 +561,41 @@ def test_boxes_closed_with_fixed_linking_keep_their_best_point(monkeypatch, fami
             inst, feasible = mixed_leader_instance(seed), None
         else:
             inst, feasible = _enumerated(family, seed)
-        for cfg in (SolverConfig(), SolverConfig(branching=Branching.FRACTIONAL)):
-            solver = BranchAndCut(inst, cfg)
-            close, accept, accepted = solver._close_fixed_linking, solver._accept, []
+        solver = BranchAndCut(inst, SolverConfig())
+        close, accept, accepted = solver._close_fixed_linking, solver._accept, []
 
-            def recording_accept(node, point, bound):
-                accepted.append(point)
-                accept(node, point, bound)
+        def recording_accept(node, point, bound):
+            accepted.append(point)
+            accept(node, point, bound)
 
-            def checked_close(node):
-                nonlocal accepted_boxes, empty_boxes
-                lower, upper, before = list(node.lower), list(node.upper), solver.value
-                accepted.clear()
-                assert close(node), inst.name
+        def checked_close(node):
+            nonlocal accepted_boxes, empty_boxes
+            lower, upper, before = list(node.lower), list(node.upper), solver.value
+            accepted.clear()
+            assert close(node), inst.name
+            if feasible is None:
+                best = mixed_bilevel_optimum(inst, lower, upper)
+            else:
+                best = min((v for z, v in feasible.items() if _in_box(z, lower, upper)),
+                           default=None)
+            if accepted:
+                (point,) = accepted
+                z = point.joint()
+                assert _in_box(z, lower, upper), inst.name
+                assert inst.leader_value(point) == best, inst.name
                 if feasible is None:
-                    best = mixed_bilevel_optimum(inst, lower, upper)
+                    assert mixed_bilevel_optimum(inst, z, z) == best, inst.name
                 else:
-                    best = min((v for z, v in feasible.items() if _in_box(z, lower, upper)),
-                               default=None)
-                if accepted:
-                    (point,) = accepted
-                    z = point.joint()
-                    assert _in_box(z, lower, upper), inst.name
-                    assert inst.leader_value(point) == best, inst.name
-                    if feasible is None:
-                        assert mixed_bilevel_optimum(inst, z, z) == best, inst.name
-                    else:
-                        assert z in feasible, inst.name
-                    accepted_boxes += 1
-                else:
-                    assert best is None or before is not None and best >= before, inst.name
-                    empty_boxes += 1
-                return True
+                    assert z in feasible, inst.name
+                accepted_boxes += 1
+            else:
+                assert best is None or before is not None and best >= before, inst.name
+                empty_boxes += 1
+            return True
 
-            monkeypatch.setattr(solver, "_accept", recording_accept)
-            monkeypatch.setattr(solver, "_close_fixed_linking", checked_close)
-            solver.run()
+        monkeypatch.setattr(solver, "_accept", recording_accept)
+        monkeypatch.setattr(solver, "_close_fixed_linking", checked_close)
+        solver.run()
     assert accepted_boxes > 0 and empty_boxes > 0
 
 
@@ -607,12 +606,14 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
     answer rests on an unfinished MILP.  When the MILPs fail at the first
     such box that still has a free integer column, the LP bounds and
     branches it, and every solve ends with the enumerated optimum.  When
-    they fail at every box, a solve may also stall at a box whose integer
-    columns are all fixed, which the LP path cannot settle, but it never
-    claims a wrong answer."""
+    they fail at every box, a box whose integer columns are all fixed and
+    which its LP cannot settle is set aside and the search goes on: a solve
+    then ends LIMIT_REACHED, with a bound at or below the optimum, and few
+    such solves end without an incumbent (6 of these 30 when the first
+    set-aside box ended the search), or ends with the enumerated answer."""
     solve_milp = milp.solve_milp
     for fail_all in (False, True):
-        fallbacks = stalled = 0
+        fallbacks = limited = no_incumbent = 0
         for seed in range(2, 32):
             inst, feasible = _enumerated((2, 3, 2, 4, 4), seed)
             solver = BranchAndCut(inst, SolverConfig(trace=True))
@@ -641,8 +642,14 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
             monkeypatch.setattr(milp, "solve_milp", solve_milp)
             fallbacks += len(failing_box)
             if res.status is SolveStatus.LIMIT_REACHED:
-                assert fail_all and res.trace[-1].endswith("stalled"), inst.name
-                stalled += 1
+                assert fail_all and res.stats.unsettled > 0, inst.name
+                assert any(line.endswith(" unsettled") for line in res.trace), inst.name
+                assert not feasible or res.bound <= min(feasible.values()), inst.name
+                if res.incumbent is None:
+                    no_incumbent += 1
+                else:
+                    assert res.incumbent.joint() in feasible, inst.name
+                limited += 1
             elif not feasible:
                 assert res.status is SolveStatus.INFEASIBLE, inst.name
             else:
@@ -650,7 +657,8 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 assert res.value == min(feasible.values()), inst.name
                 assert res.incumbent.joint() in feasible, inst.name
         assert fallbacks > 0
-        assert stalled > 0 or not fail_all
+        assert limited > 0 or not fail_all
+        assert no_incumbent < 6
 
 
 def test_cut_log(moore_bard):
@@ -802,45 +810,43 @@ def node_stub(lower, upper):
                            upper=[Fraction(v) for v in upper])
 
 
-def test_choose_branch_variable_fractional(moore_bard):
-    node = node_stub([0, 0], [8, 5])
+def test_choose_branch_variable_fractional(three_d):
+    """A box whose linking variable is fixed, which reaches its LP only when
+    its fixed-linking MILPs failed, branches on its most fractional integer
+    variable, ties by lowest index, or if all are integral, on the
+    lowest-index unfixed one."""
+    fixed = node_stub([2, 0, 0], [2, 11, 5])
     pick = choose_branch_variable(
-        moore_bard, Point.make((Fraction(3, 2),), (Fraction(7, 3),)),
-        node, Branching.FRACTIONAL)
-    assert pick == (0, Fraction(3, 2))
+        three_d, Point.make((2,), (Fraction(7, 3), Fraction(3, 2))), fixed)
+    assert pick == (2, Fraction(3, 2))
     pick = choose_branch_variable(
-        moore_bard, Point.make((Fraction(3, 2),), (Fraction(5, 2),)),
-        node, Branching.FRACTIONAL)
-    assert pick == (0, Fraction(3, 2))          # tie goes to the lower index
+        three_d, Point.make((2,), (Fraction(5, 2), Fraction(3, 2))), fixed)
+    assert pick == (1, Fraction(5, 2))          # tie goes to the lower index
+    pick = choose_branch_variable(three_d, Point.make((2,), (7, 1)), fixed)
+    assert pick == (1, Fraction(7))             # integral: lowest unfixed
     pick = choose_branch_variable(
-        moore_bard, Point.make((2,), (4,)), node, Branching.FRACTIONAL)
-    assert pick == (0, Fraction(2))             # integral: lowest unfixed
-    pick = choose_branch_variable(
-        moore_bard, Point.make((2,), (4,)),
-        node_stub([2, 0], [2, 5]), Branching.FRACTIONAL)
-    assert pick == (1, Fraction(4))
+        three_d, Point.make((2,), (7, 1)), node_stub([2, 7, 0], [2, 7, 5]))
+    assert pick == (2, Fraction(1))
     assert choose_branch_variable(
-        moore_bard, Point.make((2,), (4,)),
-        node_stub([2, 4], [2, 4]), Branching.FRACTIONAL) is None
+        three_d, Point.make((2,), (7, 1)), node_stub([2, 7, 1], [2, 7, 1])) is None
 
 
 def test_choose_branch_variable_linking(moore_bard):
     node = node_stub([0, 0], [8, 5])
     pick = choose_branch_variable(
-        moore_bard, Point.make((2,), (Fraction(5, 2),)),
-        node, Branching.LINKING_PRIORITY)
+        moore_bard, Point.make((2,), (Fraction(5, 2),)), node)
     assert pick == (0, Fraction(2))             # linking beats fractionality
     pick = choose_branch_variable(
         moore_bard, Point.make((2,), (Fraction(5, 2),)),
-        node_stub([2, 0], [2, 5]), Branching.LINKING_PRIORITY)
+        node_stub([2, 0], [2, 5]))
     assert pick == (1, Fraction(5, 2))          # linking fixed: fall back
 
 
 @pytest.mark.parametrize("fail", ["unstable LP", "no exact vertex"])
-def test_numerical_failure_requeues_then_splits_at_the_midpoint(three_d, monkeypatch, fail):
-    """The root's LP fails twice: the first failure requeues the node, the
-    second branches at the midpoint of its first unfixed integer variable,
-    as no vertex names one, and the solve still ends at the optimum."""
+def test_numerical_failure_splits_at_the_midpoint(three_d, monkeypatch, fail):
+    """The root's LP fails: the node branches at once at the midpoint of its
+    first unfixed integer variable, as no vertex names one, and the solve
+    still ends at the optimum."""
     failed = []
     if fail == "unstable LP":
         target, name = simplex.solve_lp, "solve_lp"
@@ -849,7 +855,7 @@ def test_numerical_failure_requeues_then_splits_at_the_midpoint(three_d, monkeyp
         target, name, result = simplex.exact_primal, "exact_primal", None
 
     def failing(*args):
-        if len(failed) < 2:         # the first two calls are the root's
+        if not failed:              # the first call is the root's
             failed.append(name)
             return result
         return target(*args)
@@ -864,9 +870,8 @@ def test_numerical_failure_requeues_then_splits_at_the_midpoint(three_d, monkeyp
 
     monkeypatch.setattr(BranchAndCut, "bound_node", recording)
     res = solve(three_d, SolverConfig(trace=True))
-    assert len(failed) == 2
-    assert res.trace[0].startswith("node 0 depth 0 ") and res.trace[0].endswith(" requeued")
-    assert res.trace[1].startswith("node 0 depth 0 ") and res.trace[1].endswith(" branched on 0")
+    assert len(failed) == 1
+    assert res.trace[0].startswith("node 0 depth 0 ") and res.trace[0].endswith(" branched on 0")
     lo, hi = three_d.lower[0], three_d.upper[0]
     mid = lo + (hi - lo) // 2
     assert lo < hi

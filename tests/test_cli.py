@@ -29,22 +29,25 @@ def test_solve_reports_optimum(capsys):
     assert int(kv["nodes"]) < 100
 
 
-def test_solve_reports_oracle_savings(capsys):
-    # most-fractional branching reaches integral vertices that the pool refutes
-    assert main(["solve", TD, "--branch", "fractional"]) == 0
+def test_solve_reports_oracle_savings(capsys, tmp_path):
+    # seed 13 of the corpus family reaches integral vertices that the pool refutes
+    assert main(["gen", "--seed", "13", "--n1", "2", "--n2", "3", "--m1", "2",
+                 "--m2", "4", "--bound", "8", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(tmp_path / "rand_13.miblp")]) == 0
     out = capsys.readouterr().out
     kv = result_kv(out, "solve")
     skipped, refuted = int(kv["oracle_skipped"]), int(kv["pool_refutations"])
-    assert skipped > 0 and refuted > 0
+    assert (kv["nodes"], skipped, refuted) == ("58", 25, 4)
     assert f"{skipped} skipped, {refuted} refuted from pool" in out
-    assert f"nodes: {kv['nodes']} ({kv['propagated']} more closed by propagation)" in out
-    assert int(kv["propagated"]) > 0
-    # the direction-search MILPs of its 4 queries solve 3 node LPs in all
-    assert kv["oracle_calls"] == "4" and kv["oracle_nodes"] == "3"
-    assert "oracle: 4 calls, 3 direction-MILP nodes, " in out
-    # 9 boxes fix the leader's one variable, each closed by its MILPs
-    assert kv["linking_closed"] == "9" and kv["linking_nodes"] == "9"
-    assert "fixed linking: 9 boxes closed, 9 value-function and leader MILP nodes" in out
+    assert kv["propagated"] == "5" and kv["unsettled"] == "0"
+    assert "nodes: 58 (5 more closed by propagation, 0 unsettled)" in out
+    # the direction-search MILPs of its 3 queries solve 3 node LPs in all
+    assert kv["oracle_calls"] == "3" and kv["oracle_nodes"] == "3"
+    assert "oracle: 3 calls, 3 direction-MILP nodes, " in out
+    # 22 boxes fix both leader variables, each closed by its MILPs
+    assert kv["linking_closed"] == "22" and kv["linking_nodes"] == "64"
+    assert "fixed linking: 22 boxes closed, 64 value-function and leader MILP nodes" in out
 
 
 def test_solve_reports_cut_rejects(capsys, tmp_path):
@@ -63,7 +66,7 @@ def test_solve_reports_cut_rejects(capsys, tmp_path):
 def test_solve_flags_and_trace(capsys, tmp_path):
     trace = tmp_path / "trace.txt"
     rc = main(["solve", MB, "--oracle", "legacy", "--cuts", "idic,isic",
-               "--branch", "linking", "--direction-method", "local-search",
+               "--direction-method", "local-search",
                "--k", "2", "--trace", str(trace)])
     assert rc == 0
     kv = result_kv(capsys.readouterr().out, "solve")
@@ -87,6 +90,9 @@ def test_solve_usage_errors(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["solve", MB, "--ls-depth-lb", "3"])  # needs local-search
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", MB, "--branch", "fractional"])    # one branching rule
     assert exc.value.code == 2
     assert main(["solve", str(tmp_path / "missing.miblp")]) == 2
 

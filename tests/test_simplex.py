@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from collections import Counter
@@ -402,6 +403,36 @@ def test_unproven_infeasible_verdict_is_unstable(monkeypatch, warm):
     assert solve_lp(child, start).status is LpStatus.INFEASIBLE
     monkeypatch.setattr(simplex, "farkas", lambda problem, y: False)
     assert solve_lp(child, start).status is LpStatus.UNSTABLE
+
+
+def _ulp_noise(first_sign):
+    """A ``sum`` that moves each nonzero float result by one ulp, up and
+    down in turn, starting with ``first_sign``."""
+    sign = [first_sign]
+
+    def noisy(values, start=0):
+        total = builtins.sum(values, start)
+        if isinstance(total, float) and total:
+            total = math.nextafter(total, sign[0] * math.inf)
+            sign[0] = -sign[0]
+        return total
+    return noisy
+
+
+@pytest.mark.parametrize("first_sign", [1, -1])
+def test_an_exact_ratio_tie_goes_to_the_lowest_index_whatever_the_noise(monkeypatch,
+                                                                         first_sign):
+    """Columns 0 and 1 are identical, so they tie exactly in the ratio test
+    and their float pivots differ only by summation noise, which differs
+    between interpreters (the built-in ``sum`` is compensated since Python
+    3.12).  With every float sum in ``simplex`` one ulp off, favouring
+    either column, the basis takes column 0."""
+    prob = LpProblem([1, 1, 3], [[1, 1, 2], [1, 1, 1]], [3, 2], [0, 0, 0], [5, 5, 5])
+    monkeypatch.setattr(simplex, "sum", _ulp_noise(first_sign), raising=False)
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    assert 0 in sol.basis.header and 1 not in sol.basis.header
+    assert sol.x == pytest.approx([3, 0, 0])
 
 
 def test_infeasible_lp_with_an_open_upper_bound_is_certified(monkeypatch):
