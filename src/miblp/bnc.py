@@ -7,11 +7,14 @@ children.  Each popped node first tightens its box with ``milp.propagate``,
 the activity-bound propagation with integer rounding that the direction
 MILP runs too, over the instance rows and the pooled cuts whose columns are
 all integer, and then the incumbent's objective cutoff.  With the costs
-scaled to ints by their common denominator cden and step their gcd, c . z
-at an integer point is a multiple of step / cden, so every integer point
-better than the incumbent's value v meets cost . z <= v cden - step.  No
-such row exists while a continuous column has a cost, and it is a
-propagation row only: the node LP never holds it.  The rows are rebuilt
+scaled to ints by their common denominator cden, step the gcd of the
+integer columns' costs and low the least the continuous columns' costs
+reach over the instance's box, every point better than the incumbent's
+value v has cost_int . z < v cden - low, a multiple of step, so it meets
+cost_int . z <= step (ceil((v cden - low) / step) - 1); on a pure integer
+instance that is cost . z <= v cden - step.  No row is built when no
+integer column has a cost or a continuous cost points at an open bound,
+and it is a propagation row only: the node LP never holds it.  The rows are rebuilt
 when the pool has grown or the incumbent has improved.  As in the direction
 MILP, the root propagates from every integer column and a child from its
 branched column only.  A box left with no integer point better than the
@@ -32,14 +35,21 @@ box (Tahernejad, Ralphs and DeNegre, Math. Prog. Comp. 12, 2020): phi(x)
 over the instance's follower box, cached by the linking values and shared
 with legacy mode's checks, and the leader's problem over the box, the
 pooled rows, that row and the incumbent's cutoff, whose optimum, if any,
-is offered as the incumbent.  The box then closes
+is offered as the incumbent.  The leader MILP's rows are built once per
+pool size and cutoff presence, and each box shares them through
+``LpProblem.with_rhs``.  The box then closes
 (``SolveStats.linking_closed``, trace action ``pruned-linking-fixed``;
 ``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs get the
 time left in the solve; a limit or a failure in either leaves the box to
 the node LP.  Each branch splits the most fractional unfixed linking
-variable, so only such a box branches on another integer column, and one
-with every integer column fixed that its LP cannot settle is set aside
-(``SolveStats.unsettled``, trace action ``unsettled``).  The search goes
+variable, so only such a box branches on another integer column.  One
+with every integer column fixed closes at its LP's integral vertex: as
+incumbent where no step improves the follower there, and where a pooled
+or found step, or legacy mode's value-function check, refutes it, as
+infeasible (trace action ``pruned-refuted``), since its points share the
+vertex's integer part and continuous leaders stay out of the follower
+rows.  One whose LP cannot settle it, or whose direction search fails, is
+set aside (``SolveStats.unsettled``, trace action ``unsettled``).  The search goes
 on, and ends LIMIT_REACHED at the least set-aside bound while one is below
 the final incumbent's value or there is no incumbent.
 
@@ -277,6 +287,8 @@ class BranchAndCut:
         self._pooled_lp = self.base
         self._pooled_size = 0
         self._propagated_for = None     # (pool size, incumbent value) of the rows
+        self._leader_lp = None          # ((pool size, cutoff?), the leader MILP's LP)
+        self._cutoff_image = self._cutoff_terms()
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
         self.phi_cache: dict = {}      # linking values -> phi there, None for +inf
@@ -302,18 +314,38 @@ class BranchAndCut:
                 self._pooled_lp, self.integer, () if cutoff is None else (cutoff,))
         return self._pooled_lp
 
+    def _cutoff_terms(self):
+        """(terms, cden, step, low) of the objective cutoff, or None when no
+        row is built: the integer columns' costs times cden as ``propagate``
+        terms, negated; step, their gcd; and low, the least cost times cden
+        of the continuous columns over the instance's box.  None when no
+        integer column has a cost, or a continuous cost points at an open
+        bound."""
+        cost, cden, _ = simplex._cost_image(self.base, self.integer)
+        step = math.gcd(*(cost[j] for j in self.integer))
+        if not step:
+            return None
+        integer, low = set(self.integer), 0
+        for j, c in enumerate(cost):
+            if c and j not in integer:
+                bound = self.inst.lower[j] if c > 0 else self.inst.upper[j]
+                if bound is None:
+                    return None
+                low += c * bound
+        return [(j, -cost[j]) for j in self.integer if cost[j]], cden, step, low
+
     def _cutoff(self):
-        """The row (terms, rhs) in the ``propagate`` form of cost . z <=
-        v cden - step, which every integer point better than the incumbent's
-        value v meets, or None without an incumbent or with a cost on a
-        continuous column."""
-        if self.value is None:
+        """The row (terms, rhs) in the ``propagate`` form of cost_int . z <=
+        step (ceil((v cden - low) / step) - 1), or None without an incumbent
+        or a ``_cutoff_terms`` row.  A point better than the incumbent's value
+        v has cost_int . z < v cden - low, and cost_int . z is a multiple of
+        step, so it meets the row; with no continuous cost, low = 0 and the
+        bound is v cden - step."""
+        if self.value is None or self._cutoff_image is None:
             return None
-        cost, cden, step = simplex._cost_image(self.base, self.integer)
-        target = self.value * cden
-        if not step or target.denominator != 1:
-            return None
-        return [(j, -c) for j, c in enumerate(cost) if c], step - target.numerator
+        terms, cden, step, low = self._cutoff_image
+        gap = self.value * cden - low
+        return terms, step * (1 - -(-gap.numerator // (gap.denominator * step)))
 
     def _node_lp(self, node: _Node) -> LpProblem:
         return self._pooled().with_bounds(node.lower, node.upper)
@@ -413,19 +445,24 @@ class BranchAndCut:
 
     def _leader_milp(self, node: _Node, phi) -> MilpProblem:
         """The leader's MILP over the node's box, the pooled rows, -d2 . y >=
-        -phi and, with an incumbent, the cutoff row."""
-        n1, n = self.inst.n1, self.inst.num_vars
-        rows, rhs = [[0] * n1 + [-d for d in self.inst.d2]], [-phi]
+        -phi and, with an incumbent, the cutoff row.  Its rows are built
+        once per pool size and cutoff presence; only -phi, the cutoff's rhs
+        and the box change from one box to the next."""
+        pooled = self._pooled()
         cutoff = self._cutoff()
-        if cutoff is not None:
-            terms, b = cutoff
-            row = [0] * n
-            for j, a in terms:
-                row[j] = a
-            rows.append(row)
-            rhs.append(b)
-        lp = self._pooled().with_extra_rows(rows, rhs).with_bounds(node.lower, node.upper)
-        return MilpProblem(lp, self.integer)
+        key = self._pooled_size, cutoff is not None
+        if self._leader_lp is None or self._leader_lp[0] != key:
+            n1, n = self.inst.n1, self.inst.num_vars
+            rows = [[0] * n1 + [-d for d in self.inst.d2]]
+            if cutoff is not None:
+                row = [0] * n
+                for j, a in cutoff[0]:
+                    row[j] = a
+                rows.append(row)
+            self._leader_lp = key, pooled.with_extra_rows(rows, [0] * len(rows))
+        rhs = pooled.rhs + [-phi] + ([] if cutoff is None else [cutoff[1]])
+        return MilpProblem(self._leader_lp[1].with_rhs(rhs, node.lower, node.upper),
+                           self.integer)
 
     def _cone_is_global(self, bound_supports) -> bool:
         for j, at_upper in bound_supports:
@@ -490,6 +527,10 @@ class BranchAndCut:
 
         Returns (action, payload): ("prune", reason) | ("incumbent", (point,
         bound)) | ("branch", (point, or None on a numerical failure, bound)).
+        A box that fixes every integer column and whose vertex a step
+        refutes is pruned as "refuted": its points share the vertex's
+        integer part, and continuous leaders stay out of the follower rows,
+        so the step improves the follower at every point of the box.
         """
         self._current_lower = node.lower
         self._current_upper = node.upper
@@ -530,12 +571,13 @@ class BranchAndCut:
                     return "incumbent", (point, bound)
                 # the value function already proved infeasibility; a direction
                 # is needed only to build cuts from
+                refuted = True
                 if not can_cut:
-                    return "branch", (point, bound)
+                    return self._branch(node, point, bound, refuted)
                 try:
                     outcome = self._exact_direction(point)
                 except OracleInconclusive:
-                    return "branch", (point, bound)
+                    return self._branch(node, point, bound, refuted)
             else:
                 if not can_cut:
                     # every oracle outcome at a fractional vertex branches; at
@@ -545,7 +587,7 @@ class BranchAndCut:
                         return "branch", (point, bound)
                     if self.directions.refute(point) is not None:
                         self.stats.pool_refutations += 1
-                        return "branch", (point, bound)
+                        return self._branch(node, point, bound, refuted=True)
                 try:
                     outcome = self._oracle(point, node.depth)
                 except OracleInconclusive:
@@ -553,22 +595,30 @@ class BranchAndCut:
                 if outcome.kind is OutcomeKind.NO_IMPROVING_DIRECTION and integral:
                     self.stats.certificates += 1
                     return "incumbent", (point, bound)
+                refuted = integral and outcome.kind is OutcomeKind.FOUND
 
             # anything but a direction to cut from branches
             if outcome.kind is not OutcomeKind.FOUND or not can_cut:
-                return "branch", (point, bound)
+                return self._branch(node, point, bound, refuted)
             try:
                 cone = simplex.extract_cone(prob, sol)
             except DegenerateConeError:
-                return "branch", (point, bound)
+                return self._branch(node, point, bound, refuted)
             try:
                 added = self._make_cuts(cone, point, outcome.direction)
             except ConeContainedError:
                 return "prune", "cone-contained"
             if added == 0:
-                return "branch", (point, bound)
+                return self._branch(node, point, bound, refuted)
             rounds += 1
             self.stats.cut_rounds += 1
+
+    def _branch(self, node: _Node, point: Point, bound, refuted: bool):
+        """A branch at the vertex, or a prune where a step ``refuted`` it and
+        the box fixes every integer column (see ``bound_node``)."""
+        if refuted and all(node.lower[j] == node.upper[j] for j in self.integer):
+            return "prune", "refuted"
+        return "branch", (point, bound)
 
     # -- main loop --------------------------------------------------------
 

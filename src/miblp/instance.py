@@ -152,6 +152,12 @@ class MiblpInstance:
         """The rows [-d2; G2] of the follower's step conditions, as ints."""
         return tuple(tuple(map(_as_int, row)) for row in ((-d for d in self.d2), *self.g2))
 
+    @cached_property
+    def lp_templates(self) -> dict:
+        """The LPs of the oracle's subsolver MILPs by form, each built on its
+        first query; a query shares its rows through ``LpProblem.with_rhs``."""
+        return {}
+
     # -- exact membership tests ---------------------------------------
 
     def in_box(self, point: Point) -> bool:

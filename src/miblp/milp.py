@@ -29,7 +29,9 @@ The tightened box is the node's own, so children inherit it.  ``nodes``
 counts node LPs solved, ``propagated`` the boxes closed without one.
 ``propagation_rows`` and ``propagate`` are the one propagation routine of
 the package: the branch-and-cut driver runs them at its own nodes, over the
-instance rows and its pooled cuts.
+instance rows and its pooled cuts.  The rows' terms are cached with the
+LP's rows and their right-hand sides with its rhs, so an LP built by
+``LpProblem.with_rhs`` derives only the latter.
 
 A problem may declare complementary pairs (j, k) of integer columns, as a
 split z = z+ - z- has (``MilpProblem.complements``).  Each pair has lower
@@ -103,10 +105,15 @@ class MilpProblem:
                 raise ValueError(f"complementary pair ({j}, {k}) is not two integer columns")
             if lp.lower[j] != 0 or lp.lower[k] != 0:
                 raise ValueError(f"complementary pair ({j}, {k}) has a nonzero lower bound")
-            if any(row[j] + row[k] > 0 for row in lp.rows):
-                raise ValueError(f"complementary pair ({j}, {k}) raises a row's activity")
-            if lp.objective[j] + lp.objective[k] < 0:
-                raise ValueError(f"complementary pair ({j}, {k}) lowers the objective")
+        # the rows and objective are checked once per row-level cache
+        key = "complements", self.complements
+        if self.complements and key not in lp._row_cache:
+            for j, k in self.complements:
+                if any(row[j] + row[k] > 0 for row in lp.rows):
+                    raise ValueError(f"complementary pair ({j}, {k}) raises a row's activity")
+                if lp.objective[j] + lp.objective[k] < 0:
+                    raise ValueError(f"complementary pair ({j}, {k}) lowers the objective")
+            lp._row_cache[key] = True
 
 
 @dataclass
@@ -215,16 +222,38 @@ def propagation_rows(lp: LpProblem, int_set, extra=()):
     the integer image, then of ``extra`` (rows given in that form already),
     whose nonzero coefficients all sit on integer columns, terms as (column,
     coefficient); per column the indices of those rows that hold it; and the
-    row visits one propagation may make."""
-    integer = set(int_set)
-    image = (([(j, a) for j, a in enumerate(coeffs) if a], b)
-             for coeffs, b, _ in lp.integer_rows())
-    rows, by_col = [], [[] for _ in range(lp.n)]
-    for terms, b in itertools.chain(image, extra):
-        if all(j in integer for j, _ in terms):
-            for j, _ in terms:
-                by_col[j].append(len(rows))
+    row visits one propagation may make.  The terms and by_col of the image
+    are cached with its rows, the rows with the rhs (see ``LpProblem``); a
+    row whose rhs changes its integer scale gets its terms anew."""
+    key = "propagation", tuple(int_set)
+    if key not in lp._cache:
+        if key not in lp._row_cache:
+            integer = set(int_set)
+            kept, by_col = [], [[] for _ in range(lp.n)]
+            for i, (coeffs, lcm) in enumerate(lp.row_integers()):
+                terms = [(j, a) for j, a in enumerate(coeffs) if a]
+                if all(j in integer for j, _ in terms):
+                    for j, _ in terms:
+                        by_col[j].append(len(kept))
+                    kept.append((i, terms, lcm))
+            lp._row_cache[key] = kept, by_col
+        kept, by_col = lp._row_cache[key]
+        image, rows = lp.integer_rows(), []
+        for i, terms, lcm in kept:
+            coeffs, b, scale = image[i]
+            if scale != lcm:
+                terms = [(j, a) for j, a in enumerate(coeffs) if a]
             rows.append((terms, b))
+        lp._cache[key] = rows, by_col
+    rows, by_col = lp._cache[key]
+    if extra:
+        integer = set(int_set)
+        rows, by_col = list(rows), [list(col) for col in by_col]
+        for terms, b in extra:
+            if all(j in integer for j, _ in terms):
+                for j, _ in terms:
+                    by_col[j].append(len(rows))
+                rows.append((terms, b))
     return rows, by_col, len(rows) * (len(int_set) + 1)
 
 

@@ -15,6 +15,13 @@ directions of 1-norm at most k (cheap, no subsolver).  The restricted forms
 are heuristics: a failed search is only a certificate when the radius covers
 the whole follower box, so the dispatcher escalates a failed heuristic to the
 exact MILP whenever a certificate is required (point in S).
+
+The step rows [−d2; G2] are the instance's: only the rhs ceil(rho) and the
+box move from one point to the next.  So each MILP form, the (ID)/(k-ID)
+split problem per (k, objective) and the plain problems of Steepest,
+``certify_bilevel_feasible`` and ``solve_phi``, has its LP built once per
+instance, on its first query, and held in ``MiblpInstance.lp_templates``;
+every query shares its row-level caches through ``LpProblem.with_rhs``.
 """
 from __future__ import annotations
 
@@ -152,7 +159,7 @@ def step_image(inst: MiblpInstance, point: Point) -> StepImage:
     return StepImage(inst.step_rows, (1,) + tuple(-(-v // den) for v in nums), tuple(box))
 
 
-def _split_problem(image: StepImage, k: int | None,
+def _split_problem(inst: MiblpInstance, image: StepImage, k: int | None,
                    objective: DirectionObjective) -> MilpProblem:
     """(ID)/(k-ID) over split variables w = w+ − w−, plus aux s for IdicFriendly.
 
@@ -160,37 +167,45 @@ def _split_problem(image: StepImage, k: int | None,
     the step only through w+ − w−, except the radius row, which has −1 on
     both; and both cost 1 under Norm1 and IdicFriendly, and d_j and −d_j
     under Steepest.  So no step needs both halves nonzero, and a branch with
-    w+_j >= 1 fixes w−_j = 0.
+    w+_j >= 1 fixes w−_j = 0.  The rows and costs are the instance's, built
+    once per (k, objective); only the rhs and the box are the point's.
     """
     n2 = len(image.box)
     with_s = objective is DirectionObjective.IDIC_FRIENDLY
     ns = len(image.rows) - 1 if with_s else 0
-
-    rows = [list(row) + [-v for v in row] + [0] * ns for row in image.rows]
-    rhs = list(image.rhs)
-    if k is not None:
-        rows.append([-1] * (2 * n2) + [0] * ns)
-        rhs.append(-k)
-    if with_s:
-        for i, g in enumerate(image.rows[1:]):
-            rows.append([-v for v in g] + list(g) + [int(j == i) for j in range(ns)])
-            rhs.append(0)
-
+    rhs = list(image.rhs) + ([] if k is None else [-k]) + [0] * ns
     lower = [0] * (2 * n2 + ns)
     upper = [max(0, hi) for _, hi in image.box] + \
         [max(0, -lo) for lo, _ in image.box] + [None] * ns
-    if objective is DirectionObjective.STEEPEST:
-        obj = [-v for v in image.rows[0]] + list(image.rows[0])
-    else:
-        obj = [1] * (2 * n2 + ns)
-    lp = LpProblem(obj, rows, rhs, lower, upper)
-    return MilpProblem(lp, tuple(range(2 * n2)), tuple((j, n2 + j) for j in range(n2)))
+    key = "split", k, objective
+    template = inst.lp_templates.get(key)
+    if template is None:
+        rows = [list(row) + [-v for v in row] + [0] * ns for row in image.rows]
+        if k is not None:
+            rows.append([-1] * (2 * n2) + [0] * ns)
+        if with_s:
+            for i, g in enumerate(image.rows[1:]):
+                rows.append([-v for v in g] + list(g) + [int(j == i) for j in range(ns)])
+        if objective is DirectionObjective.STEEPEST:
+            obj = [-v for v in image.rows[0]] + list(image.rows[0])
+        else:
+            obj = [1] * (2 * n2 + ns)
+        template = inst.lp_templates[key] = LpProblem(obj, rows, rhs, lower, upper)
+    return MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(2 * n2)),
+                       tuple((j, n2 + j) for j in range(n2)))
 
 
-def _plain_problem(image: StepImage, objective) -> MilpProblem:
-    lp = LpProblem(list(objective), [list(row) for row in image.rows], list(image.rhs),
-                   [lo for lo, _ in image.box], [hi for _, hi in image.box])
-    return MilpProblem(lp, tuple(range(len(image.box))))
+def _plain_problem(inst: MiblpInstance, form: str, image: StepImage,
+                   objective) -> MilpProblem:
+    """The MILP over the image's rows and box with the given objective,
+    whose rows and costs are built once per ``form``."""
+    rhs, lower, upper = image.rhs, [lo for lo, _ in image.box], [hi for _, hi in image.box]
+    key = "plain", form
+    template = inst.lp_templates.get(key)
+    if template is None:
+        template = inst.lp_templates[key] = LpProblem(
+            list(objective), [list(row) for row in image.rows], list(rhs), lower, upper)
+    return MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(len(image.box))))
 
 
 def build_id_milp(inst: MiblpInstance, point: Point,
@@ -198,8 +213,8 @@ def build_id_milp(inst: MiblpInstance, point: Point,
     """Exact improving-direction search over the full follower box."""
     image = step_image(inst, point)
     if objective is DirectionObjective.STEEPEST:
-        return _plain_problem(image, [-v for v in image.rows[0]])
-    return _split_problem(image, None, objective)
+        return _plain_problem(inst, "steepest", image, [-v for v in image.rows[0]])
+    return _split_problem(inst, image, None, objective)
 
 
 def build_k_id_milp(inst: MiblpInstance, point: Point, k: int,
@@ -207,7 +222,7 @@ def build_k_id_milp(inst: MiblpInstance, point: Point, k: int,
     """Improving-direction search restricted to 1-norm radius k."""
     if k < 0:
         raise ValueError("radius k must be nonnegative")
-    return _split_problem(step_image(inst, point), k, objective)
+    return _split_problem(inst, step_image(inst, point), k, objective)
 
 
 def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
@@ -337,7 +352,7 @@ def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     """True iff no improving feasible direction exists (exact search)."""
     if not inst.in_s(point):
         raise ValueError("point not in S")
-    problem = _plain_problem(step_image(inst, point), [0] * inst.n2)
+    problem = _plain_problem(inst, "certify", step_image(inst, point), [0] * inst.n2)
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
@@ -350,7 +365,7 @@ def solve_phi(inst: MiblpInstance, x,
     # rhs ceil(b2 - A2 x), and its box are the follower's problem at x
     image = step_image(inst, Point.make(x, [0] * inst.n2))
     follower = replace(image, rows=image.rows[1:], rhs=image.rhs[1:])
-    return _solve(_plain_problem(follower, [-v for v in image.rows[0]]),
+    return _solve(_plain_problem(inst, "phi", follower, [-v for v in image.rows[0]]),
                   "value function solve", time_limit)
 
 

@@ -34,6 +34,14 @@ bound on the objective, and ``farkas``, its zero-objective case, proves
 "infeasible" from the row of B^-1 at which the dual loop finds no entering
 column.  Both exact re-derivations share one integer solve, ``_basis_solve``.
 
+A problem caches the float and integer images of its data in two parts
+(see ``LpProblem``).  The row-level part, everything the objective and the
+rows alone decide, is shared by ``with_bounds`` and ``with_rhs`` copies; the
+rhs-level part, the float and integer right-hand sides and each row's final
+integer scale, only by ``with_bounds`` copies.  A subsolver that asks one
+question at many points builds its rows once and moves only the rhs and
+the box.
+
 Because problem data arrives as exact rationals, the final basis can be
 re-solved exactly by one recovery routine: of its n tight constraints (the
 nonbasic columns), bounds fix their coordinates and the rows' cached
@@ -79,9 +87,15 @@ class LpProblem:
     """min objective . z  s.t.  rows . z >= rhs,  lower <= z <= upper.
 
     All data is exact, ints or Fractions; ``upper`` entries may be None for +inf.
-    Lower bounds must be finite.  A branch never edits rows, so the float
-    and integer images of the row data are cached and shared across
-    ``with_bounds`` copies.
+    Lower bounds must be finite.  No copy ever edits rows, so the float and
+    integer images of the data are cached in two parts.  The row-level part,
+    ``_row_cache``, holds what the objective and rows alone decide: the float
+    rows, their transpose and the row scales, each row's integer coefficients
+    and LCM, the cost image, and ``milp``'s propagation terms and complement
+    checks.  The rhs-level part, ``_cache``, holds the float rhs, the integer
+    rhs with each row's final scale and the propagation rows' right-hand
+    sides.  ``with_bounds`` shares both parts, ``with_rhs`` only the
+    row-level one, and ``with_extra_rows`` and ``with_objective`` neither.
     """
 
     objective: list
@@ -90,6 +104,7 @@ class LpProblem:
     lower: list
     upper: list
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _row_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -109,34 +124,55 @@ class LpProblem:
         scales are exact multipliers of the problem's own rows.
         """
         if "float" not in self._cache:
-            R, r, scales = [], [], []
-            for row, b in zip(self.rows, self.rhs):
-                fr = [float(v) for v in row]
-                big = max(map(abs, fr), default=0.0)
-                s = math.ldexp(1.0, -math.frexp(big)[1]) if big > ROW_SCALE_THRESHOLD else 1.0
-                R.append([v * s for v in fr])
-                r.append(float(b) * s)
-                scales.append(s)
-            self._cache["float"] = ([float(v) for v in self.objective], R,
-                                    [[row[j] for row in R] for j in range(self.n)],
-                                    r, scales)
+            if "float" not in self._row_cache:
+                R, scales = [], []
+                for row in self.rows:
+                    fr = [float(v) for v in row]
+                    big = max(map(abs, fr), default=0.0)
+                    s = math.ldexp(1.0, -math.frexp(big)[1]) if big > ROW_SCALE_THRESHOLD else 1.0
+                    R.append([v * s for v in fr])
+                    scales.append(s)
+                self._row_cache["float"] = ([float(v) for v in self.objective], R,
+                                            [[row[j] for row in R] for j in range(self.n)],
+                                            scales)
+            c, R, RT, scales = self._row_cache["float"]
+            self._cache["float"] = c, R, RT, [float(b) * s for b, s in zip(self.rhs, scales)], scales
         return self._cache["float"]
+
+    def row_integers(self):
+        """(coeffs, lcm) per row: the row times the LCM of its coefficients'
+        denominators, as Python ints."""
+        if "Z" not in self._row_cache:
+            image = []
+            for row in self.rows:
+                lcm = math.lcm(*(v.denominator for v in row))
+                image.append(([v.numerator * (lcm // v.denominator) for v in row], lcm))
+            self._row_cache["Z"] = image
+        return self._row_cache["Z"]
 
     def integer_rows(self):
         """(coeffs, rhs, scale) per row: the row and its rhs times ``scale``,
-        the LCM of their denominators, as Python ints."""
+        the LCM of their denominators, as Python ints.  A row whose rhs
+        denominator divides its ``row_integers`` LCM keeps that coefficient
+        list."""
         if "Z" not in self._cache:
             image = []
-            for row, b in zip(self.rows, self.rhs):
-                scale = math.lcm(b.denominator, *(v.denominator for v in row))
-                image.append(([v.numerator * (scale // v.denominator) for v in row],
-                              b.numerator * (scale // b.denominator), scale))
+            for (coeffs, lcm), b in zip(self.row_integers(), self.rhs):
+                scale = math.lcm(lcm, b.denominator)
+                if scale != lcm:
+                    coeffs = [v * (scale // lcm) for v in coeffs]
+                image.append((coeffs, b.numerator * (scale // b.denominator), scale))
             self._cache["Z"] = image
         return self._cache["Z"]
 
     def with_bounds(self, lower, upper) -> "LpProblem":
-        return LpProblem(self.objective, self.rows, self.rhs,
-                         list(lower), list(upper), self._cache)
+        return LpProblem(self.objective, self.rows, self.rhs, list(lower), list(upper),
+                         self._cache, self._row_cache)
+
+    def with_rhs(self, rhs, lower, upper) -> "LpProblem":
+        """The same objective and rows over another rhs and box."""
+        return LpProblem(self.objective, self.rows, list(rhs), list(lower), list(upper),
+                         _row_cache=self._row_cache)
 
     def with_extra_rows(self, rows, rhs) -> "LpProblem":
         return LpProblem(self.objective, self.rows + [list(r) for r in rows],
@@ -257,18 +293,19 @@ def dual_bound(problem: LpProblem, y, integer=(), objective: bool = True,
 
 
 def _cost_image(problem: LpProblem, integer):
-    """(costs times cden, cden, lattice step) of the objective, cached per
-    problem and integer set: cden is the LCM of the costs' denominators, and
+    """(costs times cden, cden, lattice step) of the objective, cached with
+    the rows per integer set: cden is the LCM of the costs' denominators, and
     the step is the gcd of the integer costs when every column with a cost
     is in ``integer``, else 0."""
     key = "c", integer
-    if key not in problem._cache:
+    cache = problem._row_cache
+    if key not in cache:
         obj = problem.objective
         cden = math.lcm(*(v.denominator for v in obj))
         cost = [v.numerator * (cden // v.denominator) for v in obj]
         on_lattice = all(j in integer for j, c in enumerate(cost) if c)
-        problem._cache[key] = cost, cden, math.gcd(*cost) if on_lattice else 0
-    return problem._cache[key]
+        cache[key] = cost, cden, math.gcd(*cost) if on_lattice else 0
+    return cache[key]
 
 
 def _basis_solve(problem: LpProblem, header, target):

@@ -297,12 +297,21 @@ def mixed_leader_instance(seed: int):
 
 def mixed_bilevel_optimum(inst, lower=None, upper=None):
     """Optimal value of an instance with one continuous leader variable
-    outside the follower rows, or None when it is infeasible: every integer
-    leader part is enumerated, the follower's best responses at it are found
-    on its integer grid, and the continuous variable takes the best end of
-    the interval that the leader rows leave it.  A box ``lower``, ``upper``
-    restricts the points to it, while the follower's best responses stay
-    those over the instance's own follower box."""
+    outside the follower rows, or None when it is infeasible, over the
+    points of ``mixed_bilevel_points``."""
+    return min((value for value, _ in mixed_bilevel_points(inst, lower, upper)),
+               default=None)
+
+
+def mixed_bilevel_points(inst, lower=None, upper=None):
+    """(leader value, joint point) per integer part of a bilevel-feasible
+    point of an instance with one continuous leader variable outside the
+    follower rows: every integer leader part is enumerated, the follower's
+    best responses at it are found on its integer grid, and the continuous
+    variable takes the best end of the interval that the leader rows leave
+    it.  A box ``lower``, ``upper`` restricts the points to it, while the
+    follower's best responses stay those over the instance's own follower
+    box."""
     lower, upper = lower or inst.lower, upper or inst.upper
     (c,) = range(inst.r1, inst.n1)
     ints = range(inst.r1)
@@ -313,7 +322,6 @@ def mixed_bilevel_optimum(inst, lower=None, upper=None):
     d2 = [int(v) for v in inst.d2]
     activity = [tuple(sum(r * v for r, v in zip(row[inst.n1:], y)) for row in rows2)
                 for y in grid]
-    best = None
     for xi in itertools.product(*(range(int(lower[j]), int(upper[j]) + 1)
                                   for j in ints)):
         need = [b - sum(r * v for r, v in zip(row, xi)) for row, b in zip(rows2, b2)]
@@ -339,8 +347,6 @@ def mixed_bilevel_optimum(inst, lower=None, upper=None):
                     lo, hi = 1, 0
             if lo > hi:
                 continue
-            value = (dot(inst.c[:inst.r1], xi) + inst.c[c] * (lo if inst.c[c] >= 0 else hi)
-                     + dot(inst.d1, y))
-            if best is None or value < best:
-                best = value
-    return best
+            xc = lo if inst.c[c] >= 0 else hi
+            yield (dot(inst.c[:inst.r1], xi) + inst.c[c] * xc + dot(inst.d1, y),
+                   tuple(xi) + (xc,) + tuple(y))

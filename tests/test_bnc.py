@@ -17,7 +17,8 @@ from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
 from miblp.oracle import DirectionMethod, OracleConfig, OracleInconclusive, OutcomeKind
 
-from helpers import bench_corpus, mixed_bilevel_optimum, mixed_leader_instance
+from helpers import (bench_corpus, mixed_bilevel_optimum, mixed_bilevel_points,
+                     mixed_leader_instance)
 
 LS2 = OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)
 
@@ -510,29 +511,54 @@ def test_limit_bound_counts_nodes_whose_lp_failed(monkeypatch):
 # seeds 5, 10, 11, 13, 14, 18, 19, 27, 29, 33 and 36 ended LIMIT_REACHED before
 # a proven, fully fixed integer box was pruned whatever its continuous leaders
 @pytest.mark.parametrize("seed", range(2, 41))
-def test_fixed_integer_box_closes_whatever_its_continuous_leaders(monkeypatch, seed):
-    """Every box settles, and the answer is right.  A cost on the
-    continuous leader leaves c . z off the integer lattice, so no cutoff
-    row is built; seeds 3 and 8 give that leader no cost and do get one."""
+def test_fixed_integer_box_closes_whatever_its_continuous_leaders(seed):
+    """Every box settles, and the answer is right.  The cutoff row runs
+    over the integer columns, with the continuous leader's cost at its
+    least over the instance's box, so every seed with an incumbent has
+    one, whether or not that leader has a cost."""
     inst = mixed_leader_instance(seed)
     assert not inst.is_pure_integer()
     solver = BranchAndCut(inst, SolverConfig(trace=True))
-    cutoff, rows = solver._cutoff, []
-
-    def recorded_cutoff():
-        rows.append(cutoff())
-        return rows[-1]
-
-    monkeypatch.setattr(solver, "_cutoff", recorded_cutoff)
     res = solver.run()
     assert res.stats.unsettled == 0
-    assert any(row is not None for row in rows) is (seed in (3, 8))
+    assert (solver._cutoff() is None) is (res.incumbent is None)
     value = mixed_bilevel_optimum(inst)
     if value is None:
         assert res.status is SolveStatus.INFEASIBLE
     else:
         assert res.status is SolveStatus.OPTIMAL and res.value == value
         assert inst.in_relaxation(res.incumbent)
+
+
+def test_no_mixed_cutoff_row_excludes_a_better_optimum(monkeypatch):
+    """Each cutoff row built during a mixed-leader solve, while the
+    enumerated optimum beats the incumbent, holds at every optimal point:
+    the continuous leader's cost is bounded by its least over the box, not
+    dropped."""
+    checked = 0
+    for seed in range(2, 41):
+        inst = mixed_leader_instance(seed)
+        points = list(mixed_bilevel_points(inst))
+        if not points:
+            continue
+        best = min(value for value, _ in points)
+        optima = [z for value, z in points if value == best]
+        solver = BranchAndCut(inst, SolverConfig())
+        cutoff = solver._cutoff
+
+        def checked_cutoff():
+            nonlocal checked
+            row = cutoff()
+            if row is not None and best < solver.value:
+                terms, rhs = row
+                for z in optima:
+                    assert sum(a * z[j] for j, a in terms) >= rhs, inst.name
+                checked += 1
+            return row
+
+        monkeypatch.setattr(solver, "_cutoff", checked_cutoff)
+        assert solver.run().value == best
+    assert checked > 0
 
 
 @functools.cache
@@ -606,28 +632,39 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
     answer rests on an unfinished MILP.  When the MILPs fail at the first
     such box that still has a free integer column, the LP bounds and
     branches it, and every solve ends with the enumerated optimum.  When
-    they fail at every box, a box whose integer columns are all fixed and
-    which its LP cannot settle is set aside and the search goes on: a solve
-    then ends LIMIT_REACHED, with a bound at or below the optimum, and few
-    such solves end without an incumbent (6 of these 30 when the first
-    set-aside box ended the search), or ends with the enumerated answer."""
+    they fail at every box, a box whose integer columns are all fixed
+    closes at its integral vertex: as incumbent where no step improves the
+    follower, pruned as refuted where one does, and every solve still ends
+    with the enumerated answer.  Only when the direction search fails in
+    such a box too is the box set aside and the search goes on: a solve then
+    ends LIMIT_REACHED, with a bound at or below the optimum and any
+    incumbent in F, or ends with the enumerated answer."""
     solve_milp = milp.solve_milp
-    for fail_all in (False, True):
-        fallbacks = limited = no_incumbent = 0
+    for fail in ("first", "all", "all-and-oracle"):
+        fallbacks = limited = refuted = 0
         for seed in range(2, 32):
             inst, feasible = _enumerated((2, 3, 2, 4, 4), seed)
             solver = BranchAndCut(inst, SolverConfig(trace=True))
-            close, failing_box, current = solver._close_fixed_linking, [], []
+            close, bound_node = solver._close_fixed_linking, solver.bound_node
+            failing_box, current = [], []
 
             def closing(node):
                 free = any(node.lower[j] < node.upper[j] for j in solver.integer)
-                if fail_all or free and not failing_box:
+                if fail != "first" or free and not failing_box:
                     failing_box.append(node.id)
                 current[:] = [node.id]
                 closed = close(node)
                 current.clear()
                 assert closed is (node.id not in failing_box), inst.name
                 return closed
+
+            def bounding(node):
+                fixed = all(node.lower[j] == node.upper[j] for j in solver.integer)
+                current[:] = [node.id] if fixed and fail == "all-and-oracle" else []
+                try:
+                    return bound_node(node)
+                finally:
+                    current.clear()
 
             def failing(problem, node_limit=None, time_limit=None):
                 if current and current[0] in failing_box:
@@ -637,18 +674,17 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
 
             monkeypatch.setattr(solver, "_close_fixed_linking", closing)
+            monkeypatch.setattr(solver, "bound_node", bounding)
             monkeypatch.setattr(milp, "solve_milp", failing)
             res = solver.run()
             monkeypatch.setattr(milp, "solve_milp", solve_milp)
             fallbacks += len(failing_box)
+            refuted += sum(line.endswith(" pruned-refuted") for line in res.trace)
             if res.status is SolveStatus.LIMIT_REACHED:
-                assert fail_all and res.stats.unsettled > 0, inst.name
+                assert fail == "all-and-oracle" and res.stats.unsettled > 0, inst.name
                 assert any(line.endswith(" unsettled") for line in res.trace), inst.name
                 assert not feasible or res.bound <= min(feasible.values()), inst.name
-                if res.incumbent is None:
-                    no_incumbent += 1
-                else:
-                    assert res.incumbent.joint() in feasible, inst.name
+                assert res.incumbent is None or res.incumbent.joint() in feasible, inst.name
                 limited += 1
             elif not feasible:
                 assert res.status is SolveStatus.INFEASIBLE, inst.name
@@ -657,8 +693,39 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 assert res.value == min(feasible.values()), inst.name
                 assert res.incumbent.joint() in feasible, inst.name
         assert fallbacks > 0
-        assert limited > 0 or not fail_all
-        assert no_incumbent < 6
+        assert (refuted > 0) is (fail != "first")
+        assert (limited > 0) is (fail == "all-and-oracle")
+
+
+def test_a_refuted_box_with_every_integer_column_fixed_closes(monkeypatch):
+    """With a MilpError in every fixed-linking MILP, corpus-range seed 29,
+    which is infeasible, reaches hundreds of boxes with every integer
+    column fixed at a refuted integral vertex.  Each is pruned as refuted,
+    and the solve ends INFEASIBLE, where it once set them all aside and
+    ended LIMIT_REACHED."""
+    inst = generate_random_instance(29, 2, 3, 2, 4, bound=8)
+    assert optimal_by_enumeration(inst) is None
+    solver = BranchAndCut(inst, SolverConfig(trace=True))
+    close, solve_milp, current = solver._close_fixed_linking, milp.solve_milp, []
+
+    def closing(node):
+        current.append(node.id)
+        try:
+            return close(node)
+        finally:
+            current.clear()
+
+    def failing(problem, node_limit=None, time_limit=None):
+        if current:
+            raise milp.MilpError("injected")
+        return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+
+    monkeypatch.setattr(solver, "_close_fixed_linking", closing)
+    monkeypatch.setattr(milp, "solve_milp", failing)
+    res = solver.run()
+    assert res.status is SolveStatus.INFEASIBLE
+    assert res.stats.unsettled == 0 and res.stats.linking_closed == 0
+    assert sum(line.endswith(" pruned-refuted") for line in res.trace) > 100
 
 
 def test_cut_log(moore_bard):

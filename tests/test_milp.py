@@ -274,3 +274,68 @@ def test_mixed_integer_against_grid_enumeration():
         for row, b in zip(lp.rows, lp.rhs):
             assert sum(c * v for c, v in zip(row, sol.x)) >= b
     assert optimal > 60 and propagated > 60
+
+
+# rows with denominators: row 0 has LCM 6, row 1 LCM 1
+TEMPLATE = LpProblem([1, 2, 0], [[Fraction(1, 2), Fraction(1, 3), 0], [1, -1, 1]], [1, 0],
+                     [0, 0, 0], [4, 4, 4])
+
+
+def _fresh(lp):
+    """The same problem with no cache entry shared."""
+    return LpProblem(list(lp.objective), [list(r) for r in lp.rows], list(lp.rhs),
+                     list(lp.lower), list(lp.upper))
+
+
+def test_problems_from_one_template_keep_their_own_rhs():
+    """Two ``with_rhs`` copies of one template, read in interleaved order,
+    share the row-level entries and keep their own rhs-level ones: float
+    rhs, integer rhs and scale, and propagation rows."""
+    a = TEMPLATE.with_rhs([2, -3], [0, 1, 0], [3, 4, 2])
+    b = TEMPLATE.with_rhs([Fraction(1, 4), 5], [1, 0, 0], [4, 3, 4])
+    reads = [lambda p: p.float_data(), lambda p: p.integer_rows(),
+             lambda p: propagation_rows(p, (0, 1, 2))[:2]]
+    for read in reads:
+        for p in (a, b, a):
+            assert read(p) == read(_fresh(p))
+    assert a._row_cache is b._row_cache is TEMPLATE._row_cache
+    assert a._cache is not b._cache
+    assert a.float_data()[1] is b.float_data()[1]       # the float rows
+    assert a.float_data()[3] != b.float_data()[3]
+    for p in (a, b):
+        assert solve_milp(MilpProblem(p, (0, 1, 2))) == solve_milp(MilpProblem(_fresh(p), (0, 1, 2)))
+
+
+def test_an_rhs_off_the_rows_lcm_rescales_its_row():
+    """An rhs whose denominator does not divide its row's LCM gives that
+    row a larger scale, and its integer image and propagation terms match
+    a fresh build's; the other rows keep the template's coefficient lists."""
+    TEMPLATE.integer_rows()
+    p = TEMPLATE.with_rhs([Fraction(1, 4), Fraction(7)], TEMPLATE.lower, TEMPLATE.upper)
+    image = p.integer_rows()
+    assert image == _fresh(p).integer_rows()
+    assert image[0] == ([6, 4, 0], 3, 12)
+    assert image[1][0] is TEMPLATE.row_integers()[1][0]
+    assert propagation_rows(p, (0, 1, 2))[:2] == propagation_rows(_fresh(p), (0, 1, 2))[:2]
+
+
+def test_copies_share_what_their_rows_decide():
+    """``with_bounds`` shares both cache parts, ``with_rhs`` the row-level
+    one, and ``with_extra_rows`` and ``with_objective`` neither."""
+    lp = _fresh(TEMPLATE)
+    MilpProblem(lp, (0, 1, 2))
+    propagation_rows(lp, (0, 1, 2))
+    simplex.dual_bound(lp, [0.0, 1.0], (0, 1, 2))
+    assert lp._row_cache and lp._cache
+    bounded = lp.with_bounds([0, 0, 1], [1, 1, 1])
+    assert bounded._cache is lp._cache and bounded._row_cache is lp._row_cache
+    moved = lp.with_rhs([0, 1], lp.lower, lp.upper)
+    assert moved._row_cache is lp._row_cache and not moved._cache
+    for other in (lp.with_extra_rows([[1, 0, 0]], [1]), lp.with_objective([0, 0, 1])):
+        assert not other._row_cache and not other._cache
+        other.float_data()
+        other.integer_rows()
+        propagation_rows(other, (0, 1, 2))
+        simplex.dual_bound(other, [0.0] * other.m, (0, 1, 2))
+        assert not any(v is w for v in other._row_cache.values()
+                       for w in lp._row_cache.values())

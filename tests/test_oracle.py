@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from miblp import milp
+from miblp import bnc, milp, simplex
 from miblp.bruteforce import follower_points
 from miblp.instance import Point, dot, generate_random_instance
 from miblp.milp import MilpSolution, MilpStatus, solve_milp
@@ -17,7 +17,7 @@ from miblp.oracle import (Direction, DirectionMethod, DirectionObjective,
                           certify_bilevel_feasible, decode_direction,
                           evaluate_phi, find_improving_direction,
                           legacy_feasibility_check, local_search_neighbors,
-                          step_image)
+                          solve_phi, step_image)
 from miblp.simplex import LpProblem, LpStatus, exact_primal, solve_lp
 
 EXACT = OracleConfig(method=DirectionMethod.EXACT_MILP)
@@ -365,3 +365,92 @@ def test_outcome_counts_the_nodes_of_its_direction_milps(monkeypatch):
             assert out == replace(out, nodes=out.nodes + 1)
             escalated += len(spent) == 2 and all(spent)
     assert escalated > 0
+
+
+def _fresh(lp):
+    """The same LP with no cache entry shared."""
+    return LpProblem(list(lp.objective), [list(r) for r in lp.rows], list(lp.rhs),
+                     list(lp.lower), list(lp.upper))
+
+
+def test_template_built_problems_read_as_fresh_ones():
+    """On corpus-family seeds 2-40, at a few points each, every subsolver
+    MILP built from the instance's template reads as one built from the
+    same lists with fresh caches: float and integer images, propagation
+    rows, the LP solution and the dual bound of its multipliers."""
+    forms = [lambda inst, p: build_id_milp(inst, p),
+             lambda inst, p: build_k_id_milp(inst, p, 2),
+             lambda inst, p: build_id_milp(inst, p, DirectionObjective.IDIC_FRIENDLY),
+             lambda inst, p: build_id_milp(inst, p, DirectionObjective.STEEPEST)]
+    rng = random.Random(29)
+    checked = 0
+    for seed in range(2, 41):
+        inst = generate_random_instance(seed, 2, 3, 2, 4, bound=8)
+        for _ in range(3):
+            x = [rng.randint(int(lo), int(hi)) for lo, hi in
+                 zip(inst.lower[:inst.n1], inst.upper[:inst.n1])]
+            y = [Fraction(rng.randint(0, 16), rng.choice((1, 2))) for _ in range(inst.n2)]
+            point = Point.make(x, y)
+            for form in forms:
+                problem = form(inst, point)
+                lp, fresh = problem.lp, _fresh(problem.lp)
+                ints = problem.integer_indices
+                assert lp.float_data() == fresh.float_data()
+                assert lp.integer_rows() == fresh.integer_rows()
+                assert milp.propagation_rows(lp, ints) == milp.propagation_rows(fresh, ints)
+                sol, sol_fresh = solve_lp(lp), solve_lp(fresh)
+                assert (sol.status, sol.x, sol.y) == (sol_fresh.status, sol_fresh.x, sol_fresh.y)
+                if sol.status is LpStatus.OPTIMAL:
+                    assert simplex.dual_bound(lp, sol.y, ints) == \
+                        simplex.dual_bound(fresh, sol.y, ints)
+                    checked += 1
+    assert checked > 100
+
+
+def test_a_query_repeats_after_another_point():
+    """At one instance, a query at A, then at B, then at A again, gives the
+    same outcome and node count at A both times: B's rhs and box stay in
+    its own problem."""
+    inst = generate_random_instance(5, 2, 3, 2, 4, bound=8)      # a corpus seed
+    a, b = Point.make((3, 4), (0, 0, 0)), Point.make((6, 2), (5, 1, 2))
+    for cfg in (EXACT, OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1)):
+        first = find_improving_direction(inst, a, 0, cfg)
+        find_improving_direction(inst, b, 0, cfg)
+        again = find_improving_direction(inst, a, 0, cfg)
+        assert (again.kind, again.direction, again.nodes) == \
+            (first.kind, first.direction, first.nodes)
+    assert inst.lp_templates
+
+
+def test_every_subsolver_call_goes_through_its_module(monkeypatch):
+    """A direction query, ``solve_phi`` and a solve that closes a box with
+    fixed linking variables reach ``milp.solve_milp`` and
+    ``simplex.solve_lp`` through those module bindings, which the
+    benchmark's node counter and tracer replace: every node LP of every
+    MILP is counted by the wrappers."""
+    counts = Counter()
+    solve_milp_, solve_lp_ = milp.solve_milp, simplex.solve_lp
+
+    def counting_milp(*args, **kwargs):
+        sol = solve_milp_(*args, **kwargs)
+        counts["milp"] += 1
+        counts["milp nodes"] += sol.nodes
+        return sol
+
+    def counting_lp(*args, **kwargs):
+        counts["lp"] += 1
+        return solve_lp_(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve_milp", counting_milp)
+    monkeypatch.setattr(simplex, "solve_lp", counting_lp)
+    inst = generate_random_instance(2, 2, 3, 2, 4, bound=8)      # a corpus seed
+    out = find_improving_direction(inst, Point.make((0, 6), (0, 0, 0)), 0, EXACT)
+    assert counts["milp"] == 1 and counts["milp nodes"] == counts["lp"] == out.nodes > 0
+    counts.clear()
+    sol = solve_phi(inst, (0, 6))
+    assert counts["milp"] == 1 and counts["milp nodes"] == counts["lp"] == sol.nodes > 0
+    counts.clear()
+    stats = bnc.solve(generate_random_instance(9, 2, 3, 2, 4, bound=8)).stats
+    assert stats.linking_closed > 0 and stats.oracle_nodes > 0
+    assert counts["milp nodes"] == stats.oracle_nodes + stats.linking_nodes
+    assert counts["lp"] == stats.lp_solves + counts["milp nodes"]
