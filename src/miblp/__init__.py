@@ -19,8 +19,8 @@ from .kopt import (KoptContext, compute_k_bar, enumerate_Fk, make_context,
 from .oracle import (Direction, DirectionMethod, DirectionObjective,
                      OracleConfig, OracleInconclusive, OracleOutcome,
                      OutcomeKind, build_id_milp, build_k_id_milp,
-                     certify_bilevel_feasible, evaluate_phi,
-                     find_improving_direction, legacy_feasibility_check)
+                     certify_bilevel_feasible, find_improving_direction,
+                     legacy_feasibility_check, solve_phi)
 
 __version__ = "0.1.0"
 

@@ -73,11 +73,13 @@ and the vertex's cone rests on root bounds, see below), or at an integral
 vertex that no direction from the solve's pool refutes.  A certificate of "no
 improving direction" at an integral vertex makes it the incumbent, a found
 direction feeds intersection-cut generation where it can, and anything else
-branches.
+branches.  Every subsolver MILP, direction searches included, gets the
+time left in the solve (``_time_left``); a query that runs out branches.
 
 In legacy mode integral vertices are instead checked by comparing the
 follower value against the value function, before any separation; a failed
-check escalates to the exact direction search only where a cut can follow.
+check escalates to the exact (ID) search, whatever the configured method,
+only where a cut can follow.  No fractional vertex is queried, nor the pool.
 
 Cuts are pooled globally, so a cut is only generated from cones resting on
 globally valid constraints: when the cone's tight set uses a variable bound
@@ -293,6 +295,9 @@ class BranchAndCut:
         self.value: Fraction | None = None
         self.phi_cache: dict = {}      # linking values -> phi there, None for +inf
         self.directions = DirectionPool(inst)
+        # legacy mode searches directions only to cut from, by the exact (ID)
+        self.oracle_cfg = cfg.oracle if cfg.oracle_mode is OracleMode.IMPROVING_DIRECTION \
+            else replace(cfg.oracle, method=DirectionMethod.EXACT_MILP)
         self._deadline = None
 
     # -- plumbing -------------------------------------------------------
@@ -373,34 +378,27 @@ class BranchAndCut:
             self.incumbent, self.value = point, value
         self._trace(node, bound, f"incumbent value {value}")
 
-    def _time_limit(self, cfg: OracleConfig) -> float | None:
-        """The time left in the solve, or the oracle's own limit when that is
-        smaller."""
+    def _time_left(self) -> float | None:
+        """The seconds left in the solve, the limit of each subsolver MILP it
+        runs; None when the solve has no time limit."""
         if self._deadline is None:
-            return cfg.time_limit
-        left = max(0.0, self._deadline - time.monotonic())
-        return left if cfg.time_limit is None else min(left, cfg.time_limit)
+            return None
+        return max(0.0, self._deadline - time.monotonic())
 
-    def _oracle(self, point: Point, depth: int, oracle_cfg: OracleConfig | None = None):
+    def _oracle(self, point: Point, depth: int):
         """The direction search, held to the solve's deadline; every direction
         it finds joins the pool."""
-        cfg = oracle_cfg or self.cfg.oracle
-        cfg = replace(cfg, time_limit=self._time_limit(cfg))
         self.stats.oracle_calls += 1
         t0 = time.perf_counter()
         try:
-            outcome = oracle_mod.find_improving_direction(self.inst, point, depth, cfg)
+            outcome = oracle_mod.find_improving_direction(self.inst, point, depth,
+                                                          self.oracle_cfg, self._time_left())
         finally:
             self.stats.oracle_time += time.perf_counter() - t0
         self.stats.oracle_nodes += outcome.nodes
         if outcome.kind is OutcomeKind.FOUND:
             self.directions.add(outcome.direction.w)
         return outcome
-
-    def _exact_direction(self, point: Point):
-        """Exact (ID), used by legacy mode to source cuts at infeasible points."""
-        return self._oracle(point, 0, replace(self.cfg.oracle,
-                                              method=DirectionMethod.EXACT_MILP))
 
     def _phi(self, x):
         """(phi(x), node LPs its MILP took): phi is None for +inf and is
@@ -409,7 +407,7 @@ class BranchAndCut:
         key = tuple(x[j] for j in self.linking)
         if key in self.phi_cache:
             return self.phi_cache[key], 0
-        sol = oracle_mod.solve_phi(self.inst, x, self._time_limit(self.cfg.oracle))
+        sol = oracle_mod.solve_phi(self.inst, x, self._time_left())
         self.phi_cache[key] = sol.objective
         return sol.objective, sol.nodes
 
@@ -430,7 +428,7 @@ class BranchAndCut:
             phi, spent = self._phi(node.lower[:n1])
             self.stats.linking_nodes += spent
             sol = None if phi is None else milp.solve_milp(
-                self._leader_milp(node, phi), time_limit=self._time_limit(self.cfg.oracle))
+                self._leader_milp(node, phi), time_limit=self._time_left())
         except (OracleInconclusive, milp.MilpError):
             return False
         if sol is not None:
@@ -575,7 +573,7 @@ class BranchAndCut:
                 if not can_cut:
                     return self._branch(node, point, bound, refuted)
                 try:
-                    outcome = self._exact_direction(point)
+                    outcome = self._oracle(point, node.depth)
                 except OracleInconclusive:
                     return self._branch(node, point, bound, refuted)
             else:
@@ -624,8 +622,7 @@ class BranchAndCut:
 
     def run(self) -> SolveResult:
         cfg = self.cfg
-        deadline = self._deadline = \
-            None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
+        self._deadline = None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
         next_id = itertools.count()
         seq = itertools.count()
         root = _Node(next(next_id), 0, -math.inf,
@@ -636,7 +633,7 @@ class BranchAndCut:
 
         while queue:
             if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit or \
-                    deadline is not None and time.monotonic() > deadline:
+                    self._time_left() == 0:
                 limited = True
                 break
             node = heapq.heappop(queue)[2]

@@ -16,7 +16,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +114,9 @@ def _solver_config(parser: argparse.ArgumentParser, args) -> SolverConfig:
     bad = set(families) - {"idic", "isic"}
     if bad or not families:
         parser.error("--cuts takes a non-empty subset of idic,isic")
+    if args.oracle == "legacy" and args.direction_method != "milp":
+        parser.error("--oracle legacy searches by the exact MILP only: no "
+                     "--direction-method, --k or --ls-depth-lb/--ls-depth-ub")
     return SolverConfig(
         oracle_mode=OracleMode(args.oracle),
         oracle=_oracle_config(parser, args),
@@ -298,8 +300,7 @@ def agreement_failures(inst: MiblpInstance, ks=(1, 2, 3), *,
         for k in k_list:
             # a feasibility question: with no objective the first integral
             # vertex closes the tree
-            prob = oracle_mod.build_k_id_milp(inst, point, k)
-            sol = solve_milp(replace(prob, lp=prob.lp.with_objective([0] * prob.lp.n)))
+            sol = solve_milp(oracle_mod.build_k_id_milp(inst, point, k, objective=None))
             kid_feasible = sol.x is not None
             norm_le = level is not None and level <= k
             not_in_fk = not (level is None or level > k)

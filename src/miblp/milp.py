@@ -136,9 +136,7 @@ class _Node:
     branched: int | None = field(default=None, compare=False)  # None at the root
 
 
-def solve_milp(problem: MilpProblem,
-               node_limit: int | None = None,
-               time_limit: float | None = None) -> MilpSolution:
+def solve_milp(problem: MilpProblem, time_limit: float | None = None) -> MilpSolution:
     lp = problem.lp
     int_set = tuple(sorted(set(problem.integer_indices)))
     deadline = None if time_limit is None else time.monotonic() + time_limit
@@ -163,8 +161,7 @@ def solve_milp(problem: MilpProblem,
     limited = False
 
     while dive or frontier:
-        if node_limit is not None and nodes >= node_limit or \
-                deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             limited = True
             break
         diving = diving and bool(dive)

@@ -16,19 +16,19 @@ are heuristics: a failed search is only a certificate when the radius covers
 the whole follower box, so the dispatcher escalates a failed heuristic to the
 exact MILP whenever a certificate is required (point in S).
 
-The step rows [−d2; G2] are the instance's: only the rhs ceil(rho) and the
-box move from one point to the next.  So each MILP form, the (ID)/(k-ID)
-split problem per (k, objective) and the plain problems of Steepest,
-``certify_bilevel_feasible`` and ``solve_phi``, has its LP built once per
+Every MILP question about steps is the one split form, (ID) or (k-ID) over
+w = w+ − w−, under an objective or, for a certificate, none.  Its rows
+[−d2; G2] are the instance's: only the rhs ceil(rho) and the box move from
+one point to the next.  So the split problem per (k, objective), and the
+follower's problem that ``solve_phi`` solves, has its LP built once per
 instance, on its first query, and held in ``MiblpInstance.lp_templates``;
 every query shares its row-level caches through ``LpProblem.with_rhs``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from operator import ge, mul
 
 from . import milp
@@ -105,7 +105,6 @@ class OracleConfig:
     depth_lb: float = 0
     depth_ub: float = math.inf
     objective: DirectionObjective = DirectionObjective.NORM1
-    time_limit: float | None = None
 
     def __post_init__(self):
         if self.depth_lb > self.depth_ub:
@@ -160,15 +159,16 @@ def step_image(inst: MiblpInstance, point: Point) -> StepImage:
 
 
 def _split_problem(inst: MiblpInstance, image: StepImage, k: int | None,
-                   objective: DirectionObjective) -> MilpProblem:
+                   objective: DirectionObjective | None) -> MilpProblem:
     """(ID)/(k-ID) over split variables w = w+ − w−, plus aux s for IdicFriendly.
 
     Each pair (w+_j, w−_j) is complementary (see ``milp``): every row reads
     the step only through w+ − w−, except the radius row, which has −1 on
-    both; and both cost 1 under Norm1 and IdicFriendly, and d_j and −d_j
-    under Steepest.  So no step needs both halves nonzero, and a branch with
-    w+_j >= 1 fixes w−_j = 0.  The rows and costs are the instance's, built
-    once per (k, objective); only the rhs and the box are the point's.
+    both; and both cost 1 under Norm1 and IdicFriendly, d_j and −d_j under
+    Steepest, and 0 with no objective (None: does a step exist?).  So no step
+    needs both halves nonzero, and a branch with w+_j >= 1 fixes w−_j = 0.
+    The rows and costs are the instance's, built once per (k, objective);
+    only the rhs and the box are the point's.
     """
     n2 = len(image.box)
     with_s = objective is DirectionObjective.IDIC_FRIENDLY
@@ -189,51 +189,31 @@ def _split_problem(inst: MiblpInstance, image: StepImage, k: int | None,
         if objective is DirectionObjective.STEEPEST:
             obj = [-v for v in image.rows[0]] + list(image.rows[0])
         else:
-            obj = [1] * (2 * n2 + ns)
+            obj = [0 if objective is None else 1] * (2 * n2 + ns)
         template = inst.lp_templates[key] = LpProblem(obj, rows, rhs, lower, upper)
     return MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(2 * n2)),
                        tuple((j, n2 + j) for j in range(n2)))
 
 
-def _plain_problem(inst: MiblpInstance, form: str, image: StepImage,
-                   objective) -> MilpProblem:
-    """The MILP over the image's rows and box with the given objective,
-    whose rows and costs are built once per ``form``."""
-    rhs, lower, upper = image.rhs, [lo for lo, _ in image.box], [hi for _, hi in image.box]
-    key = "plain", form
-    template = inst.lp_templates.get(key)
-    if template is None:
-        template = inst.lp_templates[key] = LpProblem(
-            list(objective), [list(row) for row in image.rows], list(rhs), lower, upper)
-    return MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(len(image.box))))
-
-
 def build_id_milp(inst: MiblpInstance, point: Point,
-                  objective: DirectionObjective = DirectionObjective.NORM1) -> MilpProblem:
+                  objective: DirectionObjective | None = DirectionObjective.NORM1) -> MilpProblem:
     """Exact improving-direction search over the full follower box."""
-    image = step_image(inst, point)
-    if objective is DirectionObjective.STEEPEST:
-        return _plain_problem(inst, "steepest", image, [-v for v in image.rows[0]])
-    return _split_problem(inst, image, None, objective)
+    return _split_problem(inst, step_image(inst, point), None, objective)
 
 
 def build_k_id_milp(inst: MiblpInstance, point: Point, k: int,
-                    objective: DirectionObjective = DirectionObjective.NORM1) -> MilpProblem:
+                    objective: DirectionObjective | None = DirectionObjective.NORM1) -> MilpProblem:
     """Improving-direction search restricted to 1-norm radius k."""
     if k < 0:
         raise ValueError("radius k must be nonnegative")
     return _split_problem(inst, step_image(inst, point), k, objective)
 
 
-def decode_direction(inst: MiblpInstance, objective: DirectionObjective,
-                     x: list) -> Direction:
-    """Map a solution vector of build_id_milp/build_k_id_milp back to w."""
+def decode_direction(inst: MiblpInstance, x: list) -> Direction:
+    """The step w = w+ − w− of a solution vector of build_id_milp or
+    build_k_id_milp, whose first 2 n2 columns are w+ and w−."""
     n2 = inst.n2
-    if objective is DirectionObjective.STEEPEST and len(x) == n2:
-        w = x[:n2]
-    else:
-        w = [x[i] - x[n2 + i] for i in range(n2)]
-    return Direction.from_w(inst, w)
+    return Direction.from_w(inst, [x[i] - x[n2 + i] for i in range(n2)])
 
 
 def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
@@ -248,15 +228,15 @@ def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
     return sol
 
 
-def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, cfg: OracleConfig,
+def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, time_limit: float | None,
                           infeasible: OutcomeKind, spent: int = 0) -> OracleOutcome:
     """The step found, or ``infeasible``, which names what that certifies;
     either counts the MILP's nodes on top of the ``spent`` ones."""
-    sol = _solve(problem, "direction search", cfg.time_limit)
+    sol = _solve(problem, "direction search", time_limit)
     nodes = spent + sol.nodes
     if sol.status is MilpStatus.INFEASIBLE:
         return OracleOutcome(infeasible, nodes=nodes)
-    return OracleOutcome(OutcomeKind.FOUND, decode_direction(inst, cfg.objective, sol.x), nodes)
+    return OracleOutcome(OutcomeKind.FOUND, decode_direction(inst, sol.x), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +301,14 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
 
 
 def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
-                             cfg: OracleConfig) -> OracleOutcome:
+                             cfg: OracleConfig, time_limit: float | None = None) -> OracleOutcome:
     """Heuristic-then-exact dispatch.
 
     A heuristic runs only when the node depth lies in the configured window;
     a failed heuristic escalates to the exact search when the point is in S
     (a certificate is required there), and otherwise reports exhaustion so
-    the caller can branch.
+    the caller can branch.  Each direction MILP gets at most ``time_limit``
+    seconds; one that hits it raises OracleInconclusive.
     """
     method = cfg.method
     in_window = cfg.depth_lb <= depth <= cfg.depth_ub
@@ -337,22 +318,22 @@ def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
             outcome = local_search_neighbors(inst, cfg.k, point, cfg.objective)
         else:
             problem = build_k_id_milp(inst, point, cfg.k, cfg.objective)
-            outcome = _solve_direction_milp(inst, problem, cfg,
+            outcome = _solve_direction_milp(inst, problem, time_limit,
                                             OutcomeKind.HEURISTIC_EXHAUSTED)
-        if outcome.kind is OutcomeKind.FOUND:
-            return outcome
-        if not inst.in_s(point):
+        if outcome.kind is OutcomeKind.FOUND or not inst.in_s(point):
             return outcome
         spent = outcome.nodes
     problem = build_id_milp(inst, point, cfg.objective)
-    return _solve_direction_milp(inst, problem, cfg, OutcomeKind.NO_IMPROVING_DIRECTION, spent)
+    return _solve_direction_milp(inst, problem, time_limit,
+                                 OutcomeKind.NO_IMPROVING_DIRECTION, spent)
 
 
 def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
-    """True iff no improving feasible direction exists (exact search)."""
+    """True iff no improving feasible direction exists: the exact search
+    with no objective, which stops at the first step it finds."""
     if not inst.in_s(point):
         raise ValueError("point not in S")
-    problem = _plain_problem(inst, "certify", step_image(inst, point), [0] * inst.n2)
+    problem = build_id_milp(inst, point, objective=None)
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
@@ -362,24 +343,22 @@ def solve_phi(inst: MiblpInstance, x,
     value function at x, None when the problem is infeasible, and its
     ``nodes`` the node LPs it took."""
     # a step from y = 0 is y itself: the image's follower rows, with
-    # rhs ceil(b2 - A2 x), and its box are the follower's problem at x
+    # rhs ceil(b2 - A2 x), and its box are the follower's problem at x,
+    # whose rows and costs are built once per instance
     image = step_image(inst, Point.make(x, [0] * inst.n2))
-    follower = replace(image, rows=image.rows[1:], rhs=image.rhs[1:])
-    return _solve(_plain_problem(inst, "phi", follower, [-v for v in image.rows[0]]),
+    rhs, lower, upper = image.rhs[1:], [lo for lo, _ in image.box], [hi for _, hi in image.box]
+    template = inst.lp_templates.get("phi")
+    if template is None:
+        template = inst.lp_templates["phi"] = LpProblem(
+            [-v for v in image.rows[0]], [list(row) for row in image.rows[1:]],
+            list(rhs), lower, upper)
+    return _solve(MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(inst.n2))),
                   "value function solve", time_limit)
-
-
-def evaluate_phi(inst: MiblpInstance, x,
-                 time_limit: float | None = None) -> Fraction | None:
-    """Follower's optimal value at x; None encodes +infinity."""
-    return solve_phi(inst, x, time_limit).objective
 
 
 def legacy_feasibility_check(inst: MiblpInstance, point: Point) -> bool:
     """True iff the point's follower value attains the value function."""
     if not inst.in_s(point):
         raise ValueError("point not in S")
-    phi = evaluate_phi(inst, point.x)
-    if phi is None:
-        return False
-    return inst.follower_value(point.y) <= phi
+    phi = solve_phi(inst, point.x).objective
+    return phi is not None and inst.follower_value(point.y) <= phi

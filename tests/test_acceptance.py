@@ -13,7 +13,7 @@ one file.
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,10 +172,8 @@ def test_criterion_3_oracle_value_function_and_enumeration_agree_on_200_instance
                                    cert, legacy, member))
             norm = kopt.min_ifd_norm(ctx, point)
             for k in radii:
-                problem = build_k_id_milp(inst, point, k)
                 # a feasibility question: no objective
-                problem = replace(problem, lp=problem.lp.with_objective([0] * problem.lp.n))
-                search_found = solve_milp(problem).x is not None
+                search_found = solve_milp(build_k_id_milp(inst, point, k, None)).x is not None
                 within_k = norm is not None and norm <= k
                 outside_fk = point not in _fk(entry, k)
                 if not (search_found == within_k == outside_fk):

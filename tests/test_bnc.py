@@ -202,9 +202,9 @@ def test_oracle_runs_only_where_its_answer_counts(monkeypatch, seed, cfg):
         last[:] = [can_cut(*args)]
         return last[0]
 
-    def checked_find(inst, point, depth, ocfg):
+    def checked_find(inst, point, depth, ocfg, time_limit=None):
         assert inst.is_integral(point) or last == [True]
-        return find(inst, point, depth, ocfg)
+        return find(inst, point, depth, ocfg, time_limit)
 
     def checked_refute(point):
         assert last == [False] and solver.inst.is_integral(point)
@@ -289,16 +289,16 @@ def test_pool_moves_hits_to_front_and_deduplicates():
 
 @pytest.mark.parametrize("cfg, cap", [
     (SolverConfig(time_limit=600.0), 600.0),
-    (SolverConfig(time_limit=600.0, oracle=OracleConfig(time_limit=5.0)), 5.0),
+    (SolverConfig(time_limit=600.0,
+                  oracle=OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1)), 600.0),
     (SolverConfig(time_limit=600.0, oracle=LS2), 600.0),
     (SolverConfig(time_limit=600.0, oracle_mode=OracleMode.LEGACY), 600.0),
     (SolverConfig(), None),
 ])
 def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
-    """Every direction MILP, and in legacy mode every MILP the solve runs,
-    value-function MILPs included, gets the time left in the solve, or the
-    oracle's own limit when that is smaller; with no solve limit nothing
-    changes."""
+    """Every direction MILP, a failed radius-k search's included, and in
+    legacy mode every MILP the solve runs, value-function MILPs included,
+    gets the time left in the solve; with no solve limit nothing changes."""
     # seed 19 is the corpus seed where legacy mode sources a cut
     solver = BranchAndCut(generate_random_instance(19, 2, 3, 2, 4, bound=8), cfg)
     direction_search, solve_milp = solver._oracle, milp.solve_milp
@@ -311,10 +311,10 @@ def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
         finally:
             inside.pop()
 
-    def recording_milp(problem, node_limit=None, time_limit=None):
+    def recording_milp(problem, time_limit=None):
         if inside or cfg.oracle_mode is OracleMode.LEGACY:
             limits.append(time_limit)
-        return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+        return solve_milp(problem, time_limit=time_limit)
 
     monkeypatch.setattr(solver, "_oracle", tracked_oracle)
     monkeypatch.setattr(milp, "solve_milp", recording_milp)
@@ -666,12 +666,12 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 finally:
                     current.clear()
 
-            def failing(problem, node_limit=None, time_limit=None):
+            def failing(problem, time_limit=None):
                 if current and current[0] in failing_box:
                     if failure == "error":
                         raise milp.MilpError("injected")
                     return milp.MilpSolution(milp.MilpStatus.LIMIT_REACHED)
-                return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+                return solve_milp(problem, time_limit=time_limit)
 
             monkeypatch.setattr(solver, "_close_fixed_linking", closing)
             monkeypatch.setattr(solver, "bound_node", bounding)
@@ -715,10 +715,10 @@ def test_a_refuted_box_with_every_integer_column_fixed_closes(monkeypatch):
         finally:
             current.clear()
 
-    def failing(problem, node_limit=None, time_limit=None):
+    def failing(problem, time_limit=None):
         if current:
             raise milp.MilpError("injected")
-        return solve_milp(problem, node_limit=node_limit, time_limit=time_limit)
+        return solve_milp(problem, time_limit=time_limit)
 
     monkeypatch.setattr(solver, "_close_fixed_linking", closing)
     monkeypatch.setattr(milp, "solve_milp", failing)

@@ -65,14 +65,14 @@ def test_solve_reports_cut_rejects(capsys, tmp_path):
 
 def test_solve_flags_and_trace(capsys, tmp_path):
     trace = tmp_path / "trace.txt"
-    rc = main(["solve", MB, "--oracle", "legacy", "--cuts", "idic,isic",
-               "--direction-method", "local-search",
-               "--k", "2", "--trace", str(trace)])
-    assert rc == 0
-    kv = result_kv(capsys.readouterr().out, "solve")
-    assert kv["value"] == "-22"
-    text = trace.read_text().splitlines()
-    assert text and text[0].startswith("node 0 depth 0")
+    for flags in (["--oracle", "legacy"],
+                  ["--direction-method", "local-search", "--k", "2"]):
+        rc = main(["solve", MB, *flags, "--cuts", "idic,isic", "--trace", str(trace)])
+        assert rc == 0
+        kv = result_kv(capsys.readouterr().out, "solve")
+        assert kv["value"] == "-22"
+        text = trace.read_text().splitlines()
+        assert text and text[0].startswith("node 0 depth 0")
 
 
 def test_solve_limit_exit_code(capsys):
@@ -93,6 +93,10 @@ def test_solve_usage_errors(tmp_path):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["solve", MB, "--branch", "fractional"])    # one branching rule
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:              # legacy searches by the exact MILP
+        main(["solve", TD, "--oracle", "legacy", "--direction-method", "local-search",
+              "--k", "1", "--ls-depth-lb", "3"])
     assert exc.value.code == 2
     assert main(["solve", str(tmp_path / "missing.miblp")]) == 2
 
@@ -179,8 +183,9 @@ def test_kopt_slice(capsys, tmp_path, three_d):
     assert "y0,y1,in_slice,level" in out
 
 
-def test_verify_examples(capsys):
-    assert main(["verify", MB]) == 0
+@pytest.mark.parametrize("path", [MB, TD], ids=["moore_bard", "three_d"])
+def test_verify_examples(capsys, path):
+    assert main(["verify", path]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert result_kv(out, "verify")["failures"] == "0"

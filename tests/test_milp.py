@@ -77,12 +77,11 @@ def test_zero_objective_stops_at_the_first_integral_vertex():
     assert tuple(sol.x) == (2, 0, 0)
 
 
-def test_node_limit():
+def test_time_limit():
     lp = LpProblem([-1, -1, -1], [[2, 2, 2]], [3], [0, 0, 0], [9, 9, 9])
-    sol = solve_milp(MilpProblem(lp, (0, 1, 2)), node_limit=1)
-    assert sol.status in (MilpStatus.LIMIT_REACHED, MilpStatus.OPTIMAL)
-    sol0 = solve_milp(MilpProblem(lp, (0, 1, 2)), node_limit=0)
-    assert sol0.status is MilpStatus.LIMIT_REACHED
+    sol = solve_milp(MilpProblem(lp, (0, 1, 2)), time_limit=0)
+    assert sol.status is MilpStatus.LIMIT_REACHED and sol.nodes == 0
+    assert solve_milp(MilpProblem(lp, (0, 1, 2)), time_limit=60).status is MilpStatus.OPTIMAL
 
 
 def test_validation():

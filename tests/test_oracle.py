@@ -15,9 +15,8 @@ from miblp.oracle import (Direction, DirectionMethod, DirectionObjective,
                           OracleConfig, OracleInconclusive, OutcomeKind,
                           build_id_milp, build_k_id_milp,
                           certify_bilevel_feasible, decode_direction,
-                          evaluate_phi, find_improving_direction,
-                          legacy_feasibility_check, local_search_neighbors,
-                          solve_phi, step_image)
+                          find_improving_direction, legacy_feasibility_check,
+                          local_search_neighbors, solve_phi, step_image)
 from miblp.simplex import LpProblem, LpStatus, exact_primal, solve_lp
 
 EXACT = OracleConfig(method=DirectionMethod.EXACT_MILP)
@@ -45,7 +44,7 @@ def test_idic_friendly_objective_finds_valid_step(moore_bard):
     prob = build_id_milp(moore_bard, p, DirectionObjective.IDIC_FRIENDLY)
     sol = solve_milp(prob)
     assert sol.status is MilpStatus.OPTIMAL
-    d = decode_direction(moore_bard, DirectionObjective.IDIC_FRIENDLY, sol.x)
+    d = decode_direction(moore_bard, sol.x)
     assert d.improvement <= -1
     y2 = tuple(a + b for a, b in zip(p.y, d.w))
     assert moore_bard.follower_feasible(p.x, y2)
@@ -77,7 +76,7 @@ def test_k_id_milp_radius(moore_bard):
         is MilpStatus.INFEASIBLE
     sol = solve_milp(build_k_id_milp(moore_bard, p, 1))
     assert sol.status is MilpStatus.OPTIMAL
-    d = decode_direction(moore_bard, DirectionObjective.NORM1, sol.x)
+    d = decode_direction(moore_bard, sol.x)
     assert d.w == (Fraction(-1),)
     with pytest.raises(ValueError):
         build_k_id_milp(moore_bard, p, -1)
@@ -188,9 +187,9 @@ def test_config_validation():
 
 
 def test_evaluate_phi(moore_bard):
-    assert evaluate_phi(moore_bard, (2,)) == 2
-    assert evaluate_phi(moore_bard, (8,)) == 1
-    assert evaluate_phi(moore_bard, (0,)) is None
+    assert solve_phi(moore_bard, (2,)).objective == 2
+    assert solve_phi(moore_bard, (8,)).objective == 1
+    assert solve_phi(moore_bard, (0,)).objective is None
 
 
 def test_checks_require_s_membership(moore_bard):
@@ -206,6 +205,17 @@ def test_subsolver_limit_raises(moore_bard, monkeypatch):
                         MilpSolution(MilpStatus.LIMIT_REACHED))
     with pytest.raises(OracleInconclusive):
         find_improving_direction(moore_bard, Point.make((2,), (4,)), 0, EXACT)
+
+
+@pytest.mark.parametrize("cfg", [EXACT, OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1)])
+def test_a_spent_time_limit_leaves_the_query_inconclusive(moore_bard, cfg):
+    """With no time left, the direction MILP at a point of S stops before its
+    first node, so the query can neither find a step nor certify that none
+    exists."""
+    point = Point.make((2,), (4,))
+    assert moore_bard.in_s(point)
+    with pytest.raises(OracleInconclusive):
+        find_improving_direction(moore_bard, point, 0, cfg, time_limit=0.0)
 
 
 def test_agreement_with_level_table(three_d):
@@ -290,7 +300,7 @@ def test_every_objective_under_every_method_matches_brute_force():
                 check(out.direction, least(math.inf), what + ("exact",))
                 sol = solve_milp(build_k_id_milp(inst, point, 2, objective))
                 check(None if sol.status is MilpStatus.INFEASIBLE
-                      else decode_direction(inst, objective, sol.x), least(2), what + ("milp-k",))
+                      else decode_direction(inst, sol.x), least(2), what + ("milp-k",))
                 out = local_search_neighbors(inst, 2, point, objective)
                 assert out.kind is not OutcomeKind.NO_IMPROVING_DIRECTION
                 check(out.direction, least(2), what + ("local search",))
@@ -309,6 +319,10 @@ def _int_data(lp):
 
 
 def test_direction_problems_hold_only_ints(three_d, monkeypatch):
+    """Every direction problem, the certificate's and the value function's,
+    holds ints only, and every template behind them is the split form of
+    (ID)/(k-ID) per (k, objective), None for the certificate, or the
+    follower's problem."""
     built = []
     solve = milp.solve_milp
 
@@ -324,9 +338,12 @@ def test_direction_problems_hold_only_ints(three_d, monkeypatch):
             built.append(build_id_milp(three_d, p, objective).lp)
             built.append(build_k_id_milp(three_d, p, 2, objective).lp)
     certify_bilevel_feasible(three_d, point)
-    evaluate_phi(three_d, (Fraction(5, 2),))
+    solve_phi(three_d, (Fraction(5, 2),))
     assert len(built) == 14
     assert all(map(_int_data, built))
+    split = {("split", k, objective) for k in (None, 2) for objective in DirectionObjective}
+    assert split | {("split", None, None), "phi"} <= set(three_d.lp_templates)
+    assert all(key == "phi" or key[0] == "split" for key in three_d.lp_templates)
 
 
 def test_direction_from_w_refuses_a_fractional_step(moore_bard):
