@@ -39,8 +39,8 @@ is offered as the incumbent.  The leader MILP's rows are built once per
 pool size and cutoff presence, and each box shares them through
 ``LpProblem.with_rhs``.  The box then closes
 (``SolveStats.linking_closed``, trace action ``pruned-linking-fixed``;
-``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs get the
-time left in the solve; a limit or a failure in either leaves the box to
+``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs stop at
+the solve's deadline; a limit or a failure in either leaves the box to
 the node LP.  Each branch splits the most fractional unfixed linking
 variable, so only such a box branches on another integer column.  One
 with every integer column fixed closes at its LP's integral vertex: as
@@ -73,13 +73,16 @@ and the vertex's cone rests on root bounds, see below), or at an integral
 vertex that no direction from the solve's pool refutes.  A certificate of "no
 improving direction" at an integral vertex makes it the incumbent, a found
 direction feeds intersection-cut generation where it can, and anything else
-branches.  Every subsolver MILP, direction searches included, gets the
-time left in the solve (``_time_left``); a query that runs out branches.
+branches.  Every subsolver MILP, direction searches included, stops at the
+solve's one deadline, the ``time.monotonic()`` value at which its time limit
+runs out; a query that reaches it branches.
 
-In legacy mode integral vertices are instead checked by comparing the
-follower value against the value function, before any separation; a failed
-check escalates to the exact (ID) search, whatever the configured method,
-only where a cut can follow.  No fractional vertex is queried, nor the pool.
+Legacy mode, the value-function baseline, takes the same path with two
+differences: every fractional vertex branches without a query (both modes
+count these in ``SolveStats.oracle_skipped``), and at an integral vertex the
+follower value compared against the value function, not the pool or the
+direction search, gives the verdict.  A refuted vertex is then searched by
+the exact (ID), whatever the configured method, only where a cut can follow.
 
 Cuts are pooled globally, so a cut is only generated from cones resting on
 globally valid constraints: when the cone's tight set uses a variable bound
@@ -298,7 +301,7 @@ class BranchAndCut:
         # legacy mode searches directions only to cut from, by the exact (ID)
         self.oracle_cfg = cfg.oracle if cfg.oracle_mode is OracleMode.IMPROVING_DIRECTION \
             else replace(cfg.oracle, method=DirectionMethod.EXACT_MILP)
-        self._deadline = None
+        self._deadline = None           # time.monotonic() at the time limit, set by run()
 
     # -- plumbing -------------------------------------------------------
 
@@ -378,13 +381,6 @@ class BranchAndCut:
             self.incumbent, self.value = point, value
         self._trace(node, bound, f"incumbent value {value}")
 
-    def _time_left(self) -> float | None:
-        """The seconds left in the solve, the limit of each subsolver MILP it
-        runs; None when the solve has no time limit."""
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - time.monotonic())
-
     def _oracle(self, point: Point, depth: int):
         """The direction search, held to the solve's deadline; every direction
         it finds joins the pool."""
@@ -392,7 +388,7 @@ class BranchAndCut:
         t0 = time.perf_counter()
         try:
             outcome = oracle_mod.find_improving_direction(self.inst, point, depth,
-                                                          self.oracle_cfg, self._time_left())
+                                                          self.oracle_cfg, self._deadline)
         finally:
             self.stats.oracle_time += time.perf_counter() - t0
         self.stats.oracle_nodes += outcome.nodes
@@ -407,7 +403,7 @@ class BranchAndCut:
         key = tuple(x[j] for j in self.linking)
         if key in self.phi_cache:
             return self.phi_cache[key], 0
-        sol = oracle_mod.solve_phi(self.inst, x, self._time_left())
+        sol = oracle_mod.solve_phi(self.inst, x, self._deadline)
         self.phi_cache[key] = sol.objective
         return sol.objective, sol.nodes
 
@@ -428,7 +424,7 @@ class BranchAndCut:
             phi, spent = self._phi(node.lower[:n1])
             self.stats.linking_nodes += spent
             sol = None if phi is None else milp.solve_milp(
-                self._leader_milp(node, phi), time_limit=self._time_left())
+                self._leader_milp(node, phi), deadline=self._deadline)
         except (OracleInconclusive, milp.MilpError):
             return False
         if sol is not None:
@@ -436,7 +432,7 @@ class BranchAndCut:
             if sol.status is MilpStatus.LIMIT_REACHED:
                 return False
         self.stats.linking_closed += 1
-        self._trace(node, None, "pruned-linking-fixed")
+        self._prune(node, "linking-fixed")
         if sol is not None and sol.status is MilpStatus.OPTIMAL:
             self._accept(node, Point(tuple(sol.x[:n1]), tuple(sol.x[n1:])), sol.objective)
         return True
@@ -462,20 +458,22 @@ class BranchAndCut:
         return MilpProblem(self._leader_lp[1].with_rhs(rhs, node.lower, node.upper),
                            self.integer)
 
-    def _cone_is_global(self, bound_supports) -> bool:
+    def _cone_is_global(self, bound_supports, node: _Node) -> bool:
+        """Whether every bound the cone rests on in the node's box is a
+        root bound."""
         for j, at_upper in bound_supports:
             if at_upper:
-                if self._current_upper[j] != self.root_upper[j]:
+                if node.upper[j] != self.root_upper[j]:
                     return False
-            elif self._current_lower[j] != self.root_lower[j]:
+            elif node.lower[j] != self.root_lower[j]:
                 return False
         return True
 
-    def _can_cut(self, prob: LpProblem, sol, rounds: int, tail: int) -> bool:
-        """Whether a direction found at the solved vertex could become a
-        pooled cut; uses the cached recovery, so computes no ray."""
+    def _can_cut(self, prob: LpProblem, sol, node: _Node, rounds: int, tail: int) -> bool:
+        """Whether a direction found at the node's solved vertex could become
+        a pooled cut; uses the cached recovery, so computes no ray."""
         return (rounds < MAX_CUT_ROUNDS and tail < TAILING_OFF_ROUNDS
-                and self._cone_is_global(simplex.tight_bound_supports(prob, sol)))
+                and self._cone_is_global(simplex.tight_bound_supports(prob, sol), node))
 
     def _make_cuts(self, cone, point: Point, direction) -> int:
         """Generate enabled cuts from the direction; returns cuts added.
@@ -521,17 +519,19 @@ class BranchAndCut:
     # -- node processing --------------------------------------------------
 
     def bound_node(self, node: _Node):
-        """Bound the node with the LP + cut loop.
+        """Bound the node with the LP + cut loop, and close it where it can.
 
-        Returns (action, payload): ("prune", reason) | ("incumbent", (point,
-        bound)) | ("branch", (point, or None on a numerical failure, bound)).
-        A box that fixes every integer column and whose vertex a step
-        refutes is pruned as "refuted": its points share the vertex's
-        integer part, and continuous leaders stay out of the follower rows,
-        so the step improves the follower at every point of the box.
+        Returns None once the node is closed: pruned (trace action
+        ``pruned-<reason>``) or its vertex taken as incumbent.  Otherwise
+        returns (point, bound) to branch on, point None on a numerical
+        failure.  Legacy mode differs in the two conditions that read
+        ``legacy``.  A box that fixes every integer column and whose
+        vertex is refuted is pruned as "refuted": its points share the
+        vertex's integer part, and continuous leaders stay out of the
+        follower rows, so the step improves the follower at every point of
+        the box.
         """
-        self._current_lower = node.lower
-        self._current_upper = node.upper
+        legacy = self.cfg.oracle_mode is OracleMode.LEGACY
         rounds = 0
         tail = 0
         bound = None
@@ -541,62 +541,52 @@ class BranchAndCut:
             node.start = sol.basis      # the next round's and the children's start
             self.stats.lp_solves += 1
             if sol.status is LpStatus.INFEASIBLE:
-                return "prune", "infeasible"
+                return self._prune(node, "infeasible")
             if sol.status is LpStatus.UNSTABLE:
-                return "branch", (None, bound)
+                return None, bound
             prev = bound
             bound = simplex.dual_bound(prob, sol.y, self.integer, basis=sol.basis)
             if prev is not None:
                 tail = tail + 1 if bound <= prev else 0
             if self.value is not None and bound >= self.value:
-                return "prune", "bound"
+                return self._prune(node, "bound")
             exact = simplex.exact_primal(prob, sol)
             if exact is None:
-                return "branch", (None, bound)
+                return None, bound
             point = Point(tuple(exact[:self.inst.n1]), tuple(exact[self.inst.n1:]))
             integral = self.inst.is_integral(point)
-            can_cut = self._can_cut(prob, sol, rounds, tail)
+            can_cut = self._can_cut(prob, sol, node, rounds, tail)
+            if not integral and (legacy or not can_cut):
+                # every oracle outcome at such a vertex branches
+                self.stats.oracle_skipped += 1
+                return point, bound
 
-            if self.cfg.oracle_mode is OracleMode.LEGACY:
-                if not integral:
-                    return "branch", (point, bound)
+            refuted = False
+            if integral and legacy:
                 try:
                     feasible = self._legacy_check(point)
                 except OracleInconclusive:
-                    return "branch", (point, bound)
+                    return point, bound
                 if feasible:
-                    self.stats.certificates += 1
-                    return "incumbent", (point, bound)
-                # the value function already proved infeasibility; a direction
-                # is needed only to build cuts from
+                    return self._certified(node, point, bound)
                 refuted = True
-                if not can_cut:
-                    return self._branch(node, point, bound, refuted)
-                try:
-                    outcome = self._oracle(point, node.depth)
-                except OracleInconclusive:
-                    return self._branch(node, point, bound, refuted)
-            else:
-                if not can_cut:
-                    # every oracle outcome at a fractional vertex branches; at
-                    # an integral one any exactly checked direction refutes it
-                    if not integral:
-                        self.stats.oracle_skipped += 1
-                        return "branch", (point, bound)
-                    if self.directions.refute(point) is not None:
-                        self.stats.pool_refutations += 1
-                        return self._branch(node, point, bound, refuted=True)
-                try:
-                    outcome = self._oracle(point, node.depth)
-                except OracleInconclusive:
-                    return "branch", (point, bound)
-                if outcome.kind is OutcomeKind.NO_IMPROVING_DIRECTION and integral:
-                    self.stats.certificates += 1
-                    return "incumbent", (point, bound)
-                refuted = integral and outcome.kind is OutcomeKind.FOUND
+            elif integral and not can_cut and self.directions.refute(point) is not None:
+                self.stats.pool_refutations += 1
+                refuted = True
+            # a refuted vertex is queried only for a direction to cut from
+            if refuted and not can_cut:
+                return self._branch(node, point, bound, refuted)
+            try:
+                outcome = self._oracle(point, node.depth)
+            except OracleInconclusive:
+                return self._branch(node, point, bound, refuted)
+            if outcome.kind is OutcomeKind.NO_IMPROVING_DIRECTION and integral and not refuted:
+                return self._certified(node, point, bound)
+            found = outcome.kind is OutcomeKind.FOUND
+            refuted = refuted or integral and found
 
             # anything but a direction to cut from branches
-            if outcome.kind is not OutcomeKind.FOUND or not can_cut:
+            if not found or not can_cut:
                 return self._branch(node, point, bound, refuted)
             try:
                 cone = simplex.extract_cone(prob, sol)
@@ -605,18 +595,29 @@ class BranchAndCut:
             try:
                 added = self._make_cuts(cone, point, outcome.direction)
             except ConeContainedError:
-                return "prune", "cone-contained"
+                return self._prune(node, "cone-contained")
             if added == 0:
                 return self._branch(node, point, bound, refuted)
             rounds += 1
             self.stats.cut_rounds += 1
 
+    def _prune(self, node: _Node, reason: str):
+        """Trace the node as pruned for ``reason``; returns None, as
+        ``bound_node`` does for a closed node."""
+        self._trace(node, None, f"pruned-{reason}")
+
+    def _certified(self, node: _Node, point: Point, bound):
+        """Take an integral vertex that a check certified bilevel feasible."""
+        self.stats.certificates += 1
+        self._accept(node, point, bound)
+
     def _branch(self, node: _Node, point: Point, bound, refuted: bool):
-        """A branch at the vertex, or a prune where a step ``refuted`` it and
-        the box fixes every integer column (see ``bound_node``)."""
+        """(point, bound) to branch on, or a prune where a step ``refuted``
+        the vertex and the box fixes every integer column (see
+        ``bound_node``)."""
         if refuted and all(node.lower[j] == node.upper[j] for j in self.integer):
-            return "prune", "refuted"
-        return "branch", (point, bound)
+            return self._prune(node, "refuted")
+        return point, bound
 
     # -- main loop --------------------------------------------------------
 
@@ -633,7 +634,7 @@ class BranchAndCut:
 
         while queue:
             if cfg.node_limit is not None and self.stats.nodes >= cfg.node_limit or \
-                    self._time_left() == 0:
+                    self._deadline is not None and time.monotonic() >= self._deadline:
                 limited = True
                 break
             node = heapq.heappop(queue)[2]
@@ -641,7 +642,7 @@ class BranchAndCut:
                 continue
             if not self._tighten(node):
                 self.stats.propagated += 1
-                self._trace(node, None, "pruned-propagated")
+                self._prune(node, "propagated")
                 continue
             if node.id == 0:
                 # the root's box follows from the rows and the instance's box
@@ -651,18 +652,12 @@ class BranchAndCut:
             if all(node.lower[j] == node.upper[j] for j in self.linking) and \
                     self._close_fixed_linking(node):
                 continue
-            action, payload = self.bound_node(node)
-
-            if action == "prune":
-                self._trace(node, None, f"pruned-{payload}")
-                continue
-            if action == "incumbent":
-                point, bound = payload
-                self._accept(node, point, bound)
+            branch = self.bound_node(node)
+            if branch is None:
                 continue
 
-            # branch; the children, or a set-aside box, keep the best bound known
-            point, bound = payload
+            # the children, or a set-aside box, keep the best bound known
+            point, bound = branch
             child_bound = node.parent_bound if bound is None else bound
             if point is not None:
                 decision = choose_branch_variable(self.inst, point, node)

@@ -16,6 +16,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,17 +33,12 @@ from .oracle import (DirectionMethod, DirectionObjective, OracleConfig,
                      OracleInconclusive, OutcomeKind)
 
 BENCH_PRESETS = {
-    "id-milp": lambda: (OracleMode.IMPROVING_DIRECTION,
-                        OracleConfig(method=DirectionMethod.EXACT_MILP)),
-    "id-milp-k2": lambda: (OracleMode.IMPROVING_DIRECTION,
-                           OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=2)),
-    "id-ls-k2": lambda: (OracleMode.IMPROVING_DIRECTION,
-                         OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)),
-    "id-ls-k2-w10": lambda: (OracleMode.IMPROVING_DIRECTION,
-                             OracleConfig(method=DirectionMethod.LOCAL_SEARCH,
-                                          k=2, depth_lb=10, depth_ub=math.inf)),
-    "legacy": lambda: (OracleMode.LEGACY,
-                       OracleConfig(method=DirectionMethod.EXACT_MILP)),
+    "id-milp": SolverConfig(),
+    "id-milp-k2": SolverConfig(oracle=OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=2)),
+    "id-ls-k2": SolverConfig(oracle=OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)),
+    "id-ls-k2-w10": SolverConfig(oracle=OracleConfig(method=DirectionMethod.LOCAL_SEARCH,
+                                                     k=2, depth_lb=10)),
+    "legacy": SolverConfig(oracle_mode=OracleMode.LEGACY),
 }
 
 
@@ -363,12 +359,8 @@ def _cmd_bench(parser, args) -> int:
     if unknown or not names:
         parser.error(f"unknown configurations {unknown}; "
                      f"choose from {sorted(BENCH_PRESETS)}")
-    configurations = []
-    for name in names:
-        mode, ocfg = BENCH_PRESETS[name]()
-        configurations.append((name, SolverConfig(
-            oracle_mode=mode, oracle=ocfg,
-            node_limit=args.node_limit, time_limit=args.time_limit)))
+    configurations = [(name, replace(BENCH_PRESETS[name], node_limit=args.node_limit,
+                                     time_limit=args.time_limit)) for name in names]
     instances = []
     for path in args.files:
         inst = _load(path)

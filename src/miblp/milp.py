@@ -136,10 +136,11 @@ class _Node:
     branched: int | None = field(default=None, compare=False)  # None at the root
 
 
-def solve_milp(problem: MilpProblem, time_limit: float | None = None) -> MilpSolution:
+def solve_milp(problem: MilpProblem, deadline: float | None = None) -> MilpSolution:
+    """Solve the MILP, stopping with LIMIT_REACHED once ``time.monotonic()``
+    reaches ``deadline``; None sets no deadline."""
     lp = problem.lp
     int_set = tuple(sorted(set(problem.integer_indices)))
-    deadline = None if time_limit is None else time.monotonic() + time_limit
 
     rows, by_col, visits = propagation_rows(lp, int_set)
     partner = {}
@@ -161,7 +162,7 @@ def solve_milp(problem: MilpProblem, time_limit: float | None = None) -> MilpSol
     limited = False
 
     while dive or frontier:
-        if deadline is not None and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             limited = True
             break
         diving = diving and bool(dive)

@@ -216,11 +216,11 @@ def decode_direction(inst: MiblpInstance, x: list) -> Direction:
     return Direction.from_w(inst, [x[i] - x[n2 + i] for i in range(n2)])
 
 
-def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
-    """``milp.solve_milp``; a subsolver limit or failure leaves the answer
-    unknown, so both raise OracleInconclusive."""
+def _solve(problem: MilpProblem, what: str, deadline: float | None = None):
+    """``milp.solve_milp`` held to ``deadline``; a subsolver limit or failure
+    leaves the answer unknown, so both raise OracleInconclusive."""
     try:
-        sol = milp.solve_milp(problem, time_limit=time_limit)
+        sol = milp.solve_milp(problem, deadline=deadline)
     except milp.MilpError as exc:
         raise OracleInconclusive(f"{what} failed: {exc}") from exc
     if sol.status is MilpStatus.LIMIT_REACHED:
@@ -228,11 +228,11 @@ def _solve(problem: MilpProblem, what: str, time_limit: float | None = None):
     return sol
 
 
-def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, time_limit: float | None,
+def _solve_direction_milp(inst: MiblpInstance, problem: MilpProblem, deadline: float | None,
                           infeasible: OutcomeKind, spent: int = 0) -> OracleOutcome:
     """The step found, or ``infeasible``, which names what that certifies;
     either counts the MILP's nodes on top of the ``spent`` ones."""
-    sol = _solve(problem, "direction search", time_limit)
+    sol = _solve(problem, "direction search", deadline)
     nodes = spent + sol.nodes
     if sol.status is MilpStatus.INFEASIBLE:
         return OracleOutcome(infeasible, nodes=nodes)
@@ -301,14 +301,15 @@ def local_search_neighbors(inst: MiblpInstance, k: int, point: Point,
 
 
 def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
-                             cfg: OracleConfig, time_limit: float | None = None) -> OracleOutcome:
+                             cfg: OracleConfig, deadline: float | None = None) -> OracleOutcome:
     """Heuristic-then-exact dispatch.
 
     A heuristic runs only when the node depth lies in the configured window;
     a failed heuristic escalates to the exact search when the point is in S
     (a certificate is required there), and otherwise reports exhaustion so
-    the caller can branch.  Each direction MILP gets at most ``time_limit``
-    seconds; one that hits it raises OracleInconclusive.
+    the caller can branch.  Every direction MILP of the query, an escalated
+    one included, stops at the one ``deadline``, a ``time.monotonic()``
+    value; one that reaches it raises OracleInconclusive.
     """
     method = cfg.method
     in_window = cfg.depth_lb <= depth <= cfg.depth_ub
@@ -318,13 +319,13 @@ def find_improving_direction(inst: MiblpInstance, point: Point, depth: int,
             outcome = local_search_neighbors(inst, cfg.k, point, cfg.objective)
         else:
             problem = build_k_id_milp(inst, point, cfg.k, cfg.objective)
-            outcome = _solve_direction_milp(inst, problem, time_limit,
+            outcome = _solve_direction_milp(inst, problem, deadline,
                                             OutcomeKind.HEURISTIC_EXHAUSTED)
         if outcome.kind is OutcomeKind.FOUND or not inst.in_s(point):
             return outcome
         spent = outcome.nodes
     problem = build_id_milp(inst, point, cfg.objective)
-    return _solve_direction_milp(inst, problem, time_limit,
+    return _solve_direction_milp(inst, problem, deadline,
                                  OutcomeKind.NO_IMPROVING_DIRECTION, spent)
 
 
@@ -337,11 +338,10 @@ def certify_bilevel_feasible(inst: MiblpInstance, point: Point) -> bool:
     return _solve(problem, "certification").status is MilpStatus.INFEASIBLE
 
 
-def solve_phi(inst: MiblpInstance, x,
-              time_limit: float | None = None) -> milp.MilpSolution:
-    """The follower's problem at x, solved exactly: its ``objective`` is the
-    value function at x, None when the problem is infeasible, and its
-    ``nodes`` the node LPs it took."""
+def solve_phi(inst: MiblpInstance, x, deadline: float | None = None) -> milp.MilpSolution:
+    """The follower's problem at x, solved exactly by ``deadline``: its
+    ``objective`` is the value function at x, None when the problem is
+    infeasible, and its ``nodes`` the node LPs it took."""
     # a step from y = 0 is y itself: the image's follower rows, with
     # rhs ceil(b2 - A2 x), and its box are the follower's problem at x,
     # whose rows and costs are built once per instance
@@ -353,7 +353,7 @@ def solve_phi(inst: MiblpInstance, x,
             [-v for v in image.rows[0]], [list(row) for row in image.rows[1:]],
             list(rhs), lower, upper)
     return _solve(MilpProblem(template.with_rhs(rhs, lower, upper), tuple(range(inst.n2))),
-                  "value function solve", time_limit)
+                  "value function solve", deadline)
 
 
 def legacy_feasibility_check(inst: MiblpInstance, point: Point) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -15,7 +16,8 @@ from miblp.bnc import (BranchAndCut, DirectionPool, OracleMode, SolveStatus, Sol
 from miblp.bruteforce import enumerate_F, enumerate_S, optimal_by_enumeration
 from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
-from miblp.oracle import DirectionMethod, OracleConfig, OracleInconclusive, OutcomeKind
+from miblp.oracle import (DirectionMethod, DirectionObjective, OracleConfig,
+                          OracleInconclusive, OutcomeKind)
 
 from helpers import (bench_corpus, mixed_bilevel_optimum, mixed_bilevel_points,
                      mixed_leader_instance)
@@ -106,14 +108,15 @@ def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
     events = []
     is_global, supports = solver._cone_is_global, simplex.tight_bound_supports
     extract, find = simplex.extract_cone, oracle.find_improving_direction
-    vertex = []
+    vertex, box = [], []
 
     def checked_supports(prob, sol):
         vertex[:] = [sol]
         return supports(prob, sol)
 
-    def checked_is_global(bound_supports):
-        events.append(("test", vertex[0], is_global(bound_supports)))
+    def checked_is_global(bound_supports, node):
+        box[:] = [node]
+        events.append(("test", vertex[0], is_global(bound_supports, node)))
         return events[-1][2]
 
     def checked_find(*args):
@@ -129,7 +132,7 @@ def test_rays_only_for_global_cones(monkeypatch, seed, cfg, counts):
         tests = [e for e in events if e[0] == "test"]
         assert tests and tests[-1][1] is sol and tests[-1][2] is True
         cone = extract(prob, sol)
-        assert is_global(cone.bound_supports)
+        assert is_global(cone.bound_supports, box[0])
         events.append(("cone", sol))
         return cone
 
@@ -202,9 +205,9 @@ def test_oracle_runs_only_where_its_answer_counts(monkeypatch, seed, cfg):
         last[:] = [can_cut(*args)]
         return last[0]
 
-    def checked_find(inst, point, depth, ocfg, time_limit=None):
+    def checked_find(inst, point, depth, ocfg, deadline=None):
         assert inst.is_integral(point) or last == [True]
-        return find(inst, point, depth, ocfg, time_limit)
+        return find(inst, point, depth, ocfg, deadline)
 
     def checked_refute(point):
         assert last == [False] and solver.inst.is_integral(point)
@@ -216,6 +219,22 @@ def test_oracle_runs_only_where_its_answer_counts(monkeypatch, seed, cfg):
     res = solver.run()
     assert res.status is SolveStatus.OPTIMAL
     assert res.stats.oracle_skipped > 0 and res.stats.pool_refutations > 0
+
+
+@pytest.mark.parametrize("cfg, nodes, cuts", [
+    (SolverConfig(oracle_mode=OracleMode.LEGACY), 333, 1),
+    (SolverConfig(use_isic=True), 203, 31),
+    (SolverConfig(oracle=OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1)), 276, 15),
+    (SolverConfig(oracle=OracleConfig(objective=DirectionObjective.STEEPEST)), 320, 33),
+], ids=["legacy", "isic", "milp-k1", "steepest"])
+def test_corpus_trees_of_the_ungated_configurations(cfg, nodes, cuts):
+    """The benchmark records the corpus trees of the default and the
+    local-search configurations only; these are the B&C nodes and pooled
+    cuts of four others over the same seeds, the same on every Python."""
+    corpus = bench_corpus()
+    results = [solve(corpus.generate(seed), cfg) for seed in corpus.CORPUS_SEEDS]
+    assert sum(r.stats.nodes for r in results) == nodes
+    assert sum(len(r.cut_log) for r in results) == cuts
 
 
 def test_pool_hits_are_improving_directions():
@@ -298,7 +317,8 @@ def test_pool_moves_hits_to_front_and_deduplicates():
 def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
     """Every direction MILP, a failed radius-k search's included, and in
     legacy mode every MILP the solve runs, value-function MILPs included,
-    gets the time left in the solve; with no solve limit nothing changes."""
+    gets the solve's own deadline, ``cap`` seconds after its start; with no
+    solve limit nothing changes."""
     # seed 19 is the corpus seed where legacy mode sources a cut
     solver = BranchAndCut(generate_random_instance(19, 2, 3, 2, 4, bound=8), cfg)
     direction_search, solve_milp = solver._oracle, milp.solve_milp
@@ -311,19 +331,56 @@ def test_direction_search_held_to_the_deadline(monkeypatch, cfg, cap):
         finally:
             inside.pop()
 
-    def recording_milp(problem, time_limit=None):
+    def recording_milp(problem, deadline=None):
         if inside or cfg.oracle_mode is OracleMode.LEGACY:
-            limits.append(time_limit)
-        return solve_milp(problem, time_limit=time_limit)
+            limits.append(deadline)
+        return solve_milp(problem, deadline=deadline)
 
     monkeypatch.setattr(solver, "_oracle", tracked_oracle)
     monkeypatch.setattr(milp, "solve_milp", recording_milp)
+    start = time.monotonic()
     assert solver.run().status is SolveStatus.OPTIMAL
     assert limits
     if cap is None:
-        assert all(t is None for t in limits)
+        assert solver._deadline is None
     else:
-        assert all(t is not None and t <= cap for t in limits)
+        assert start + cap <= solver._deadline <= time.monotonic() + cap
+    assert all(t == solver._deadline for t in limits)
+
+
+def test_an_escalated_direction_search_keeps_the_solve_deadline(monkeypatch):
+    """Under milp-k, a radius-k MILP at a point of S that finds no step
+    escalates to the exact MILP, which stops at the solve's deadline: with
+    the clock moved past it while the radius-k MILP ran, the exact MILP
+    reaches its limit at once, and the solve ends LIMIT_REACHED."""
+    now = [time.monotonic()]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    build_k, solve_milp = oracle.build_k_id_milp, milp.solve_milp
+    radius_k, escalated = [], []
+
+    def building_k(inst, point, *args):
+        problem = build_k(inst, point, *args)
+        if inst.in_s(point):
+            radius_k.append(problem)
+        return problem
+
+    def clocked_milp(problem, **kwargs):
+        sol = solve_milp(problem, **kwargs)
+        if escalated == [None]:
+            escalated[0] = sol.status       # the exact MILP the query escalated to
+        elif not escalated and sol.status is milp.MilpStatus.INFEASIBLE and \
+                any(problem is p for p in radius_k):
+            now[0] += 601.0
+            escalated.append(None)
+        return sol
+
+    monkeypatch.setattr(oracle, "build_k_id_milp", building_k)
+    monkeypatch.setattr(milp, "solve_milp", clocked_milp)
+    cfg = SolverConfig(time_limit=600.0,
+                       oracle=OracleConfig(method=DirectionMethod.EXACT_MILP_K, k=1))
+    res = solve(generate_random_instance(19, 2, 3, 2, 4, bound=8), cfg)
+    assert escalated == [milp.MilpStatus.LIMIT_REACHED]
+    assert res.status is SolveStatus.LIMIT_REACHED
 
 
 # With cuts of coefficients near 1e11 pooled, a float phase 1 calls node LPs
@@ -666,12 +723,12 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 finally:
                     current.clear()
 
-            def failing(problem, time_limit=None):
+            def failing(problem, deadline=None):
                 if current and current[0] in failing_box:
                     if failure == "error":
                         raise milp.MilpError("injected")
                     return milp.MilpSolution(milp.MilpStatus.LIMIT_REACHED)
-                return solve_milp(problem, time_limit=time_limit)
+                return solve_milp(problem, deadline=deadline)
 
             monkeypatch.setattr(solver, "_close_fixed_linking", closing)
             monkeypatch.setattr(solver, "bound_node", bounding)
@@ -715,10 +772,10 @@ def test_a_refuted_box_with_every_integer_column_fixed_closes(monkeypatch):
         finally:
             current.clear()
 
-    def failing(problem, time_limit=None):
+    def failing(problem, deadline=None):
         if current:
             raise milp.MilpError("injected")
-        return solve_milp(problem, time_limit=time_limit)
+        return solve_milp(problem, deadline=deadline)
 
     monkeypatch.setattr(solver, "_close_fixed_linking", closing)
     monkeypatch.setattr(milp, "solve_milp", failing)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,9 +80,10 @@ def test_zero_objective_stops_at_the_first_integral_vertex():
 
 def test_time_limit():
     lp = LpProblem([-1, -1, -1], [[2, 2, 2]], [3], [0, 0, 0], [9, 9, 9])
-    sol = solve_milp(MilpProblem(lp, (0, 1, 2)), time_limit=0)
+    sol = solve_milp(MilpProblem(lp, (0, 1, 2)), deadline=time.monotonic())
     assert sol.status is MilpStatus.LIMIT_REACHED and sol.nodes == 0
-    assert solve_milp(MilpProblem(lp, (0, 1, 2)), time_limit=60).status is MilpStatus.OPTIMAL
+    assert solve_milp(MilpProblem(lp, (0, 1, 2)),
+                      deadline=time.monotonic() + 60).status is MilpStatus.OPTIMAL
 
 
 def test_validation():

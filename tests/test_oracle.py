@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -215,7 +216,7 @@ def test_a_spent_time_limit_leaves_the_query_inconclusive(moore_bard, cfg):
     point = Point.make((2,), (4,))
     assert moore_bard.in_s(point)
     with pytest.raises(OracleInconclusive):
-        find_improving_direction(moore_bard, point, 0, cfg, time_limit=0.0)
+        find_improving_direction(moore_bard, point, 0, cfg, deadline=time.monotonic())
 
 
 def test_agreement_with_level_table(three_d):
