@@ -13,14 +13,14 @@ reach over the instance's box, every point better than the incumbent's
 value v has cost_int . z < v cden - low, a multiple of step, so it meets
 cost_int . z <= step (ceil((v cden - low) / step) - 1); on a pure integer
 instance that is cost . z <= v cden - step.  No row is built when no
-integer column has a cost or a continuous cost points at an open bound,
-and it is a propagation row only: the node LP never holds it.  The rows are rebuilt
-when the pool has grown or the incumbent has improved.  As in the direction
-MILP, the root propagates from every integer column and a child from its
-branched column only.  A box left with no integer point better than the
-incumbent closes without an LP (``SolveStats.propagated``, trace action
-``pruned-propagated``) and is not counted in ``SolveStats.nodes``, which
-counts the other popped nodes.  The root is popped before any
+integer column has a cost, and it is a propagation row only: the node LP
+never holds it.  Pooling a cut or improving the incumbent drops the
+propagation rows, and the next box to propagate rebuilds them.  As in the
+direction MILP, the root propagates from every integer column and a child
+from its branched column only.  A box left with no integer point better
+than the incumbent closes without an LP (``SolveStats.propagated``, trace
+action ``pruned-propagated``) and is not counted in ``SolveStats.nodes``,
+which counts the other popped nodes.  The root is popped before any
 incumbent exists, so its propagated box follows from the rows and the
 instance's box alone, and it becomes the root box of the globality test
 below; a bound the cutoff moved is not a root bound, so no pooled cut rests
@@ -35,9 +35,10 @@ box (Tahernejad, Ralphs and DeNegre, Math. Prog. Comp. 12, 2020): phi(x)
 over the instance's follower box, cached by the linking values and shared
 with legacy mode's checks, and the leader's problem over the box, the
 pooled rows, that row and the incumbent's cutoff, whose optimum, if any,
-is offered as the incumbent.  The leader MILP's rows are built once per
-pool size and cutoff presence, and each box shares them through
-``LpProblem.with_rhs``.  The box then closes
+is offered as the incumbent.  The leader MILP's rows are dropped when the
+pool grows or the first incumbent arrives, as a better one moves only the
+cutoff's rhs; the next such box rebuilds them, and each box shares them
+through ``LpProblem.with_rhs``.  The box then closes
 (``SolveStats.linking_closed``, trace action ``pruned-linking-fixed``;
 ``linking_nodes`` counts the two MILPs' node LPs).  Both MILPs stop at
 the solve's deadline; a limit or a failure in either leaves the box to
@@ -165,14 +166,6 @@ class SolveStats:
         ("not-separable", "duplicate", "coefficient-cap"), 0))
 
 
-@dataclass(frozen=True)
-class CutRecord:
-    """One pooled cut with the free set and LP vertex it came from."""
-    cut: object
-    free_set: object
-    vertex: tuple
-
-
 @dataclass
 class SolveResult:
     status: SolveStatus
@@ -182,7 +175,7 @@ class SolveResult:
     gap: float
     stats: SolveStats
     trace: tuple = ()
-    cut_log: tuple = ()
+    cut_log: tuple = ()     # the pooled Cuts, in pooling order
 
 
 @dataclass
@@ -232,39 +225,28 @@ def choose_branch_variable(inst: MiblpInstance, point: Point, node):
 
     The most fractional unfixed linking variable, integral values allowed.
     A box with every linking variable fixed reaches its LP only when its
-    fixed-linking MILPs failed; it takes the integer variable with
-    fractional part closest to 1/2, ties by lowest index, or if all are
-    integral, the lowest-index unfixed one.
+    fixed-linking MILPs failed; it takes the most fractional integer
+    variable, or if all are integral, the lowest-index unfixed one.  Ties
+    go to the lowest index.
     """
     z = point.joint()
 
-    def unfixed(j):
-        return node.lower[j] < node.upper[j]
+    def distance(j):
+        """z_j = p / q's distance min(r, q - r) / q, r = p mod q, to the
+        nearest integer."""
+        q = z[j].denominator
+        r = z[j].numerator % q
+        return Fraction(min(r, q - r), q)
 
-    def most_fractional(candidates):
-        """The first j whose distance min(r, q - r) / q to the nearest
-        integer is largest, z_j = p / q and r = p mod q, compared by
-        cross-multiplication; (None, 0) for no candidate."""
-        best_j, best_d, best_q = None, -1, 1
-        for j in candidates:
-            q = z[j].denominator
-            r = z[j].numerator % q
-            d = min(r, q - r)
-            if d * best_q > best_d * q:
-                best_j, best_d, best_q = j, d, q
-        return best_j, best_d
-
-    j, _ = most_fractional(j for j in inst.linking_indices() if unfixed(j))
-    if j is not None:
-        return j, z[j]
-
-    j, d = most_fractional(inst.integer_indices())
-    if d > 0:
-        return j, z[j]
-    for j in inst.integer_indices():
-        if unfixed(j):
-            return j, z[j]
-    return None
+    candidates = [j for j in inst.linking_indices() if node.lower[j] < node.upper[j]]
+    if not candidates:
+        candidates = inst.integer_indices()
+        if all(z[j].denominator == 1 for j in candidates):
+            candidates = [j for j in candidates if node.lower[j] < node.upper[j]][:1]
+    if not candidates:
+        return None
+    j = max(candidates, key=distance)
+    return j, z[j]
 
 
 class BranchAndCut:
@@ -275,7 +257,6 @@ class BranchAndCut:
         self.trace_lines = []
         self.pool = []               # list[Cut]
         self.pool_keys = set()
-        self.cut_log = []
         self.integer = inst.integer_indices()
         self.linking = inst.linking_indices()
         # integer columns' bounds are ints, rounded inward; the root's
@@ -283,16 +264,15 @@ class BranchAndCut:
         integer = set(self.integer)
         self.root_lower = [math.ceil(v) if j in integer else v
                            for j, v in enumerate(inst.lower)]
-        self.root_upper = [math.floor(v) if j in integer and v is not None else v
+        self.root_upper = [math.floor(v) if j in integer else v
                            for j, v in enumerate(inst.upper)]
         obj = list(inst.c) + list(inst.d1)
         rows = [list(co) for co, _ in inst.all_rows()]
         rhs = [b for _, b in inst.all_rows()]
-        self.base = LpProblem(obj, rows, rhs, self.root_lower, self.root_upper)
-        self._pooled_lp = self.base
-        self._pooled_size = 0
-        self._propagated_for = None     # (pool size, incumbent value) of the rows
-        self._leader_lp = None          # ((pool size, cutoff?), the leader MILP's LP)
+        # the instance rows, then the pool; derived rows are None until used
+        self.lp = LpProblem(obj, rows, rhs, self.root_lower, self.root_upper)
+        self._propagation = None        # the propagation rows, cutoff last
+        self._leader_lp = None          # the leader MILP's LP
         self._cutoff_image = self._cutoff_terms()
         self.incumbent: Point | None = None
         self.value: Fraction | None = None
@@ -305,41 +285,19 @@ class BranchAndCut:
 
     # -- plumbing -------------------------------------------------------
 
-    def _pooled(self) -> LpProblem:
-        """The LP over the instance rows and the pool, rebuilt only when the
-        pool has grown.  Its propagation rows, followed by the incumbent's
-        objective cutoff, are rebuilt when the pool has grown or the
-        incumbent has improved."""
-        if self._pooled_size != len(self.pool):
-            rows = [c.row() for c in self.pool]
-            rhs = [c.beta for c in self.pool]
-            self._pooled_lp = self.base.with_extra_rows(rows, rhs)
-            self._pooled_size = len(self.pool)
-        if self._propagated_for != (self._pooled_size, self.value):
-            self._propagated_for = (self._pooled_size, self.value)
-            cutoff = self._cutoff()
-            self._propagation = propagation_rows(
-                self._pooled_lp, self.integer, () if cutoff is None else (cutoff,))
-        return self._pooled_lp
-
     def _cutoff_terms(self):
         """(terms, cden, step, low) of the objective cutoff, or None when no
-        row is built: the integer columns' costs times cden as ``propagate``
-        terms, negated; step, their gcd; and low, the least cost times cden
-        of the continuous columns over the instance's box.  None when no
-        integer column has a cost, or a continuous cost points at an open
-        bound."""
-        cost, cden, _ = simplex._cost_image(self.base, self.integer)
+        integer column has a cost: the integer columns' costs times cden as
+        ``propagate`` terms, negated; step, their gcd; and low, the least
+        cost times cden of the continuous columns over the instance's box."""
+        cost, cden, _ = simplex._cost_image(self.lp, self.integer)
         step = math.gcd(*(cost[j] for j in self.integer))
         if not step:
             return None
         integer, low = set(self.integer), 0
         for j, c in enumerate(cost):
             if c and j not in integer:
-                bound = self.inst.lower[j] if c > 0 else self.inst.upper[j]
-                if bound is None:
-                    return None
-                low += c * bound
+                low += c * (self.inst.lower[j] if c > 0 else self.inst.upper[j])
         return [(j, -cost[j]) for j in self.integer if cost[j]], cden, step, low
 
     def _cutoff(self):
@@ -356,14 +314,17 @@ class BranchAndCut:
         return terms, step * (1 - -(-gap.numerator // (gap.denominator * step)))
 
     def _node_lp(self, node: _Node) -> LpProblem:
-        return self._pooled().with_bounds(node.lower, node.upper)
+        return self.lp.with_bounds(node.lower, node.upper)
 
     def _tighten(self, node: _Node) -> bool:
         """Propagate the node's integer bounds in place over the instance
         rows, the pool and the incumbent's cutoff; False when its box holds
         no integer point better than the incumbent.  The root starts from
         every integer column, a child from its branched column."""
-        self._pooled()
+        if self._propagation is None:
+            cutoff = self._cutoff()
+            self._propagation = propagation_rows(
+                self.lp, self.integer, () if cutoff is None else (cutoff,))
         moved = self.integer if node.branched is None else (node.branched,)
         rows, by_col, visits = self._propagation
         return propagate(rows, by_col, node.lower, node.upper, moved, visits)
@@ -378,7 +339,10 @@ class BranchAndCut:
         """Record a certified bilevel feasible point as incumbent if better."""
         value = self.inst.leader_value(point)
         if self.value is None or value < self.value:
+            if self.value is None:
+                self._leader_lp = None      # it gains the cutoff row
             self.incumbent, self.value = point, value
+            self._propagation = None
         self._trace(node, bound, f"incumbent value {value}")
 
     def _oracle(self, point: Point, depth: int):
@@ -439,13 +403,12 @@ class BranchAndCut:
 
     def _leader_milp(self, node: _Node, phi) -> MilpProblem:
         """The leader's MILP over the node's box, the pooled rows, -d2 . y >=
-        -phi and, with an incumbent, the cutoff row.  Its rows are built
-        once per pool size and cutoff presence; only -phi, the cutoff's rhs
-        and the box change from one box to the next."""
-        pooled = self._pooled()
+        -phi and, with an incumbent, the cutoff row.  Its rows are rebuilt
+        here once the pool has grown or the first incumbent has arrived;
+        only -phi, the cutoff's rhs and the box change from one box to the
+        next."""
         cutoff = self._cutoff()
-        key = self._pooled_size, cutoff is not None
-        if self._leader_lp is None or self._leader_lp[0] != key:
+        if self._leader_lp is None:
             n1, n = self.inst.n1, self.inst.num_vars
             rows = [[0] * n1 + [-d for d in self.inst.d2]]
             if cutoff is not None:
@@ -453,9 +416,9 @@ class BranchAndCut:
                 for j, a in cutoff[0]:
                     row[j] = a
                 rows.append(row)
-            self._leader_lp = key, pooled.with_extra_rows(rows, [0] * len(rows))
-        rhs = pooled.rhs + [-phi] + ([] if cutoff is None else [cutoff[1]])
-        return MilpProblem(self._leader_lp[1].with_rhs(rhs, node.lower, node.upper),
+            self._leader_lp = self.lp.with_extra_rows(rows, [0] * len(rows))
+        rhs = self.lp.rhs + [-phi] + ([] if cutoff is None else [cutoff[1]])
+        return MilpProblem(self._leader_lp.with_rhs(rhs, node.lower, node.upper),
                            self.integer)
 
     def _cone_is_global(self, bound_supports, node: _Node) -> bool:
@@ -482,8 +445,9 @@ class BranchAndCut:
         bits than a float's mantissa: the node LP's float image of a row
         that fits is exact, as its row scaling is by a power of two.  The
         cut needs no violation test, since the point is the cone's vertex,
-        which every cut computed there cuts off."""
-        added = 0
+        which every cut computed there cuts off.  The round's pooled cuts
+        join ``self.lp`` and drop the rows derived from it, also when a
+        later free set swallows the cone."""
         free_sets = []
         if self.cfg.use_idic:
             free_sets.append(("idic", cuts_mod.bfs_from_direction(self.inst, direction)))
@@ -492,29 +456,35 @@ class BranchAndCut:
             if all(v.denominator == 1 for v in y_star):
                 free_sets.append(("isic", cuts_mod.bfs_from_solution(self.inst, y_star)))
         rejects = self.stats.cut_rejects
-        for family, fs in free_sets:
-            try:
-                cut = cuts_mod.intersection_cut(cone, fs, self.inst.n1)
-            except NotSeparableError:
-                rejects["not-separable"] += 1
-                continue
-            row = cut.row() + [cut.beta]
-            reject = ("duplicate" if cut.key() in self.pool_keys else
-                      "coefficient-cap"
-                      if max(map(abs, row)).bit_length() > sys.float_info.mant_dig
-                      else None)
-            if reject:
-                rejects[reject] += 1
-                continue
-            self.pool.append(cut)
-            self.pool_keys.add(cut.key())
-            self.cut_log.append(CutRecord(cut, fs, cone.vertex))
-            if family == "idic":
-                self.stats.cuts_idic += 1
-            else:
-                self.stats.cuts_isic += 1
-            added += 1
-        return added
+        start = len(self.pool)
+        try:
+            for family, fs in free_sets:
+                try:
+                    cut = cuts_mod.intersection_cut(cone, fs, self.inst.n1)
+                except NotSeparableError:
+                    rejects["not-separable"] += 1
+                    continue
+                row = cut.row() + [cut.beta]
+                reject = ("duplicate" if cut.key() in self.pool_keys else
+                          "coefficient-cap"
+                          if max(map(abs, row)).bit_length() > sys.float_info.mant_dig
+                          else None)
+                if reject:
+                    rejects[reject] += 1
+                    continue
+                self.pool.append(cut)
+                self.pool_keys.add(cut.key())
+                if family == "idic":
+                    self.stats.cuts_idic += 1
+                else:
+                    self.stats.cuts_isic += 1
+        finally:
+            new = self.pool[start:]
+            if new:
+                self.lp = self.lp.with_extra_rows([c.row() for c in new],
+                                                  [c.beta for c in new])
+                self._propagation = self._leader_lp = None
+        return len(new)
 
     # -- node processing --------------------------------------------------
 
@@ -699,4 +669,4 @@ class BranchAndCut:
         else:
             status, lb, gap = SolveStatus.OPTIMAL, value, 0.0
         return SolveResult(status, self.incumbent, self.value, lb, gap, self.stats,
-                           tuple(self.trace_lines), tuple(self.cut_log))
+                           tuple(self.trace_lines), tuple(self.pool))

@@ -21,7 +21,7 @@ coprime integer coefficients deduplicate identical cuts by equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .instance import MiblpInstance, Point
@@ -92,12 +92,14 @@ def bfs_from_solution(inst: MiblpInstance, y_star) -> BilevelFreeSet:
 
 @dataclass(frozen=True)
 class Cut:
-    """alpha_x x + alpha_y y >= beta, coefficients coprime Python ints."""
+    """alpha_x x + alpha_y y >= beta, coefficients coprime Python ints, with
+    the free set and the cone vertex it was computed from."""
 
     alpha_x: tuple
     alpha_y: tuple
     beta: int
-    origin: tuple = ()
+    free_set: BilevelFreeSet | None = field(default=None, compare=False, repr=False)
+    vertex: tuple = field(default=(), compare=False, repr=False)
 
     def row(self):
         return list(self.alpha_x) + list(self.alpha_y)
@@ -151,4 +153,4 @@ def intersection_cut(cone: SimplicialCone, free_set: BilevelFreeSet,
     g = math.gcd(*row)
     row = [v // g for v in row]
     return Cut(alpha_x=tuple(row[:n1]), alpha_y=tuple(row[n1:-1]), beta=row[-1],
-               origin=(free_set.origin, tuple(cone.vertex)))
+               free_set=free_set, vertex=tuple(cone.vertex))

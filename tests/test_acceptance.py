@@ -199,20 +199,19 @@ def test_criterion_4_every_generated_cut_is_valid_and_free_sets_exclude_feasible
     direction_sets = 0
     violations = []
     for idx, entry in enumerate(suite200.entries):
-        records = []
+        pooled = []
         for cfg in _cut_harvest_configs():
-            records.extend(solve(entry.inst, cfg).cut_log)
-        cuts_seen += len(records)
-        for record in records:
-            cut = record.cut
+            pooled.extend(solve(entry.inst, cfg).cut_log)
+        cuts_seen += len(pooled)
+        for cut in pooled:
             for point in entry.F:
                 if cut_violation(cut, point) > 0:
                     violations.append(("cuts-off-feasible", idx, cut.key(),
                                        point.joint()))
-            source_violation = cut.beta - dot(cut.row(), record.vertex)
+            source_violation = cut.beta - dot(cut.row(), cut.vertex)
             if source_violation < min_source_violation:
                 violations.append(("weak-at-source", idx, cut.key()))
-            kind, payload = record.free_set.origin
+            kind, payload = cut.free_set.origin
             if kind != "direction":
                 continue
             direction_sets += 1
@@ -221,7 +220,7 @@ def test_criterion_4_every_generated_cut_is_valid_and_free_sets_exclude_feasible
                 if w_norm > k:
                     continue
                 for point in _fk(entry, k):
-                    if record.free_set.strictly_contains(point):
+                    if cut.free_set.strictly_contains(point):
                         violations.append(("feasible-point-interior", idx, k,
                                            cut.key(), point.joint()))
     assert violations == [], violations[:10]

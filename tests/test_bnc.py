@@ -179,7 +179,7 @@ def test_no_prune_or_queue_decision_reads_the_float_objective(monkeypatch):
         solves = [solve(i, cfg) for i in instances for cfg in configs]
         milps = [milp.solve_milp(q) for q in queries]
         return ([(r.status, r.value, r.incumbent, r.stats.nodes,
-                  [rec.cut.key() for rec in r.cut_log]) for r in solves],
+                  [cut.key() for cut in r.cut_log]) for r in solves],
                 [(m.status, m.x, m.objective, m.nodes, m.propagated) for m in milps])
 
     before = run()
@@ -490,21 +490,28 @@ def test_the_node_lp_never_holds_the_cutoff(monkeypatch):
     the cutoff once there is one."""
     seen = []
     for seed in (10, 13, 14, 19):
-        solver = BranchAndCut(generate_random_instance(seed, 2, 3, 2, 4, bound=8),
-                              SolverConfig())
-        node_lp = solver._node_lp
+        inst = generate_random_instance(seed, 2, 3, 2, 4, bound=8)
+        solver = BranchAndCut(inst, SolverConfig())
+        rows = [list(co) for co, _ in inst.all_rows()]
+        rhs = [b for _, b in inst.all_rows()]
+        node_lp, tighten = solver._node_lp, solver._tighten
 
         def checked_node_lp(node):
             prob = node_lp(node)
-            assert prob.rows == solver.base.rows + [c.row() for c in solver.pool]
-            assert prob.rhs == solver.base.rhs + [c.beta for c in solver.pool]
+            assert prob.rows == rows + [c.row() for c in solver.pool]
+            assert prob.rhs == rhs + [c.beta for c in solver.pool]
             assert (prob.lower, prob.upper) == (node.lower, node.upper)
-            cutoff = solver._cutoff()
-            assert (solver._propagation[0][-1] == cutoff) is (cutoff is not None)
-            seen.append((cutoff is not None, len(solver.pool)))
+            seen.append((solver._cutoff() is not None, len(solver.pool)))
             return prob
 
+        def checked_tighten(node):
+            feasible = tighten(node)
+            cutoff = solver._cutoff()
+            assert (solver._propagation[0][-1] == cutoff) is (cutoff is not None)
+            return feasible
+
         monkeypatch.setattr(solver, "_node_lp", checked_node_lp)
+        monkeypatch.setattr(solver, "_tighten", checked_tighten)
         assert solver.run().status is SolveStatus.OPTIMAL
     assert any(has_cutoff and pool for has_cutoff, pool in seen)
 
@@ -790,19 +797,19 @@ def test_cut_log(moore_bard):
     assert res.status is SolveStatus.OPTIMAL
     assert len(res.cut_log) == res.stats.cuts_idic + res.stats.cuts_isic
     assert res.cut_log
-    keys = [rec.cut.key() for rec in res.cut_log]
+    keys = [cut.key() for cut in res.cut_log]
     assert len(keys) == len(set(keys))
     f_points = enumerate_F(moore_bard)
-    for rec in res.cut_log:
-        src = Point(tuple(rec.vertex[:moore_bard.n1]),
-                    tuple(rec.vertex[moore_bard.n1:]))
-        assert cut_violation(rec.cut, src) > 0
-        assert rec.free_set.strictly_contains(src)
+    for cut in res.cut_log:
+        src = Point(tuple(cut.vertex[:moore_bard.n1]),
+                    tuple(cut.vertex[moore_bard.n1:]))
+        assert cut_violation(cut, src) > 0
+        assert cut.free_set.strictly_contains(src)
         # pooled rows must survive the float image used by the node LPs
         assert all(abs(c).bit_length() <= sys.float_info.mant_dig
-                   for c in rec.cut.row() + [rec.cut.beta])
+                   for c in cut.row() + [cut.beta])
         for p in f_points:
-            assert cut_violation(rec.cut, p) <= 0
+            assert cut_violation(cut, p) <= 0
 
 
 @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(oracle=LS2)])
@@ -826,8 +833,8 @@ def test_corpus_cuts_are_primitive_int_rows_and_every_reject_is_counted(monkeypa
     pooled = rejects = 0
     for seed in bench_corpus().CORPUS_SEEDS:
         res = solve(bench_corpus().generate(seed), cfg)
-        for rec in res.cut_log:
-            row = rec.cut.row() + [rec.cut.beta]
+        for cut in res.cut_log:
+            row = cut.row() + [cut.beta]
             assert all(type(v) is int for v in row) and math.gcd(*row) == 1
             assert all(float(v) == v for v in row)
         pooled += len(res.cut_log)
@@ -852,12 +859,61 @@ def test_a_cut_is_pooled_when_a_float_holds_each_of_its_ints(moore_bard, monkeyp
                                         "coefficient-cap": 1}
 
 
+def test_a_cut_pooled_before_the_cone_is_found_contained_joins_the_lp(moore_bard, monkeypatch):
+    """A round that pools its direction cut and then finds the cone inside
+    the solution free set still adds the cut to the LP rows, and drops
+    the propagation rows derived from them."""
+    solver = BranchAndCut(moore_bard, SolverConfig(use_isic=True))
+    root = bnc._Node(0, 0, -math.inf, list(solver.root_lower), list(solver.root_upper))
+    assert solver._tighten(root) and solver._propagation is not None
+    cut = cuts.Cut(alpha_x=(-37,), alpha_y=(-214,), beta=-510)
+
+    def contained_after_the_first(cone, fs, n1):
+        if fs.origin[0] == "solution":
+            raise cuts.ConeContainedError("forced")
+        return cut
+    monkeypatch.setattr(cuts, "intersection_cut", contained_after_the_first)
+    with pytest.raises(cuts.ConeContainedError):
+        solver._make_cuts(None, Point.make((2,), (4,)), SimpleNamespace(w=(-1,)))
+    assert solver.pool == [cut]
+    assert (solver.lp.rows[-1], solver.lp.rhs[-1]) == (cut.row(), cut.beta)
+    assert solver._propagation is None
+
+
 def test_cut_rounds_disabled(moore_bard, monkeypatch):
     monkeypatch.setattr(bnc, "MAX_CUT_ROUNDS", 0)
     res = solve(moore_bard, SolverConfig())
     assert res.status is SolveStatus.OPTIMAL
     assert res.value == -22
     assert res.stats.cut_rounds == 0 and res.cut_log == ()
+
+
+def _raising(error):
+    def fail(*args):
+        raise error("forced")
+    return fail
+
+
+def test_a_vertex_the_free_set_cannot_separate_is_counted_and_branched(moore_bard, monkeypatch):
+    monkeypatch.setattr(cuts, "intersection_cut", _raising(cuts.NotSeparableError))
+    res = solve(moore_bard, SolverConfig())
+    assert res.stats.cut_rejects["not-separable"] > 0
+    assert res.cut_log == () and res.stats.cut_rounds == 0
+    assert res.status is SolveStatus.OPTIMAL and res.value == -22
+
+
+def test_a_degenerate_cone_branches(moore_bard, monkeypatch):
+    monkeypatch.setattr(simplex, "extract_cone", _raising(simplex.DegenerateConeError))
+    res = solve(moore_bard, SolverConfig())
+    assert res.cut_log == () and res.stats.cut_rounds == 0
+    assert res.status is SolveStatus.OPTIMAL and res.value == -22
+
+
+def test_a_cone_inside_the_free_set_prunes_its_node(moore_bard, monkeypatch):
+    monkeypatch.setattr(cuts, "intersection_cut", _raising(cuts.ConeContainedError))
+    res = solve(moore_bard, SolverConfig(trace=True))
+    assert any(line.endswith(" pruned-cone-contained") for line in res.trace)
+    assert res.cut_log == ()
 
 
 def test_inconclusive_oracle_stalls_soundly(moore_bard, monkeypatch):

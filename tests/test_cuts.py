@@ -73,7 +73,7 @@ def test_root_intersection_cut(moore_bard):
     assert cut.alpha_x == (-37,)
     assert cut.alpha_y == (-214,)
     assert cut.beta == -510
-    assert cut.origin == (fs.origin, (2, 4))
+    assert cut.free_set is fs and cut.vertex == (2, 4)
     assert cut_violation(cut, Point.make((2,), (4,))) > 0
     for p in enumerate_F(moore_bard):
         assert cut_violation(cut, p) <= 0

@@ -82,14 +82,41 @@ def test_write_parse_round_trip(moore_bard, three_d):
         assert again.lower == inst.lower and again.upper == inst.upper
 
 
-def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_instance("NOPE 1\n")
+def _mutated(old, new):
+    assert MOORE_BARD.count(old) == 1
+    return MOORE_BARD.replace(old, new)
+
+
+# moore_bard.miblp: a comment, then the header on line 2, VARS on 3,
+# OBJ_UPPER 4, OBJ_LOWER 5, BOUNDS 6, UPPER 7, LOWER 8 and its rows 9-12
+@pytest.mark.parametrize("text, lineno, message", [
+    ("NOPE 1\n", 1, "expected header 'MIBLP 1'"),
+    ("MIBLP 1\nVARS 1 2 1 1\n", 2, "inconsistent variable counts"),     # r1 > n1
+    (MOORE_BARD[:MOORE_BARD.index("UPPER 0")], 6, "missing section: expected UPPER"),
+    (_mutated("VARS 1 1 1 1", "VAR 1 1 1 1"), 3, "expected VARS"),
+    (_mutated("VARS 1 1 1 1", "VARS 1 1 1"), 3, "VARS takes 4 value(s), got 3"),
+    (_mutated("OBJ_UPPER -1 -10", "OBJ_UP -1 -10"), 4, "expected OBJ_UPPER"),
+    (_mutated("OBJ_UPPER -1 -10", "OBJ_UPPER -1"), 4, "OBJ_UPPER needs 2 coefficients"),
+    (_mutated("OBJ_UPPER -1 -10", "OBJ_UPPER -1 ten"), 4, "not a number: 'ten'"),
+    (_mutated("OBJ_LOWER 1", "OBJ_LO 1"), 5, "expected OBJ_LOWER"),
+    (_mutated("OBJ_LOWER 1", "OBJ_LOWER 1 2"), 5, "OBJ_LOWER needs 1 coefficients"),
+    (_mutated("BOUNDS 0 8 0 5", "BOUND 0 8 0 5"), 6, "expected BOUNDS"),
+    (_mutated("BOUNDS 0 8 0 5", "BOUNDS 0 8 0"), 6, "BOUNDS needs 2 lo/hi pairs"),
+    (_mutated("BOUNDS 0 8 0 5", "BOUNDS 0 8 6 5"), 6, "empty bound interval for variable 1"),
+    (_mutated("UPPER 0", "UPPER -1"), 7, "UPPER count must be nonnegative"),
+    (_mutated("LOWER 4", "LOWER 0"), 8, "missing section: LOWER needs at least one row"),
+    (_mutated("1 2 <= 10", "1 2 < 10"), 10, "unknown sense '<'"),
+    (_mutated("2 10 >= 15", "2 10 >="), 12, "row needs 2 coefficients, a sense and a rhs"),
+    (MOORE_BARD + "1 1 >= 0\n", 13, "trailing content after LOWER block"),
+], ids=["header", "counts", "truncated", "keyword", "count", "obj-upper-keyword",
+        "obj-upper-width", "number", "obj-lower-keyword", "obj-lower-width",
+        "bounds-keyword", "bounds-width", "empty-interval", "negative-block",
+        "lower-empty", "sense", "row-width", "trailing"])
+def test_parse_errors(text, lineno, message):
     with pytest.raises(ParseError) as err:
-        parse_instance(MOORE_BARD.replace("2 10 >= 15", "2 10 >="))
-    assert err.value.lineno > 0
-    with pytest.raises(ParseError):
-        parse_instance("MIBLP 1\nVARS 1 2 1 1\n")   # r1 > n1
+        parse_instance(text)
+    assert str(err.value) == f"line {lineno}: {message}"
+    assert err.value.lineno == lineno
 
 
 @pytest.mark.parametrize("old, new", [("VARS 1 1 1 1", "VARS --1 1 1 1"),
