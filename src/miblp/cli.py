@@ -232,7 +232,7 @@ def _cmd_kopt(parser, args) -> int:
         _result_line("kopt", kbar=ctx.k_bar, slice=_fmt_vec(x))
         return 0
     fk = kopt.enumerate_Fk(ctx, args.k)
-    f_exact = kopt.enumerate_Fk(ctx, ctx.k_bar)
+    f_exact = bruteforce.enumerate_F(inst)
     for point in sorted(fk, key=lambda p: p.joint()):
         tag = "" if point in f_exact else "  [in F(k) but not bilevel feasible]"
         print(f"x={_fmt_vec(point.x)} y={_fmt_vec(point.y)}{tag}")
@@ -245,45 +245,34 @@ def _cmd_kopt(parser, args) -> int:
 
 # -- verify ------------------------------------------------------------------
 
-def agreement_failures(inst: MiblpInstance, ks=(1, 2, 3), *,
-                       check_hierarchy: bool = True,
-                       check_solver: bool = True) -> list:
+def agreement_failures(inst: MiblpInstance) -> list:
     """Cross-check oracle, value-function, and level machinery against
     enumeration on one pure-integer instance; returns mismatch descriptions.
 
-    Per point of the relaxation's integer set: the exact direction oracle's
+    The level-k sets must descend from the relaxation's integer set at k = 0
+    to the enumerated bilevel feasible set at the hierarchy cap.  Per point
+    of the relaxation's integer set: the exact direction oracle's
     feasibility certificate, the value-function comparison, and enumerated
     membership in the bilevel feasible set must agree; and for each radius k
-    (the given ks plus the hierarchy cap) the radius-limited direction
-    search, the minimum improving-direction norm, and level-k membership
-    must tell one story.  The solver, in each oracle mode, must reach the
-    enumerated optimum.
+    in {1, 2, 3} and the hierarchy cap, the radius-limited direction search,
+    the minimum improving-direction norm, and level-k membership must tell
+    one story.  The solver, in each oracle mode, must reach the enumerated
+    optimum.
     """
     failures = []
     ctx = kopt.make_context(inst)
     k_bar = ctx.k_bar
     s_points = bruteforce.enumerate_S(inst)
     f_points = bruteforce.enumerate_F(inst)
-    tables = {}
-    for point in s_points:
-        tables.setdefault(point.x, kopt.level_table(ctx, point.x))
+    levels = [kopt.enumerate_Fk(ctx, k) for k in range(k_bar + 1)]
+    if levels[0] != s_points:
+        failures.append("level-0 set differs from the integer relaxation")
+    for k in range(1, k_bar + 1):
+        if not levels[k] <= levels[k - 1]:
+            failures.append(f"level {k} set is not contained in level {k - 1}")
+    if levels[-1] != f_points:
+        failures.append("level k-bar set differs from enumerated bilevel feasible set")
 
-    if check_hierarchy:
-        prev = None
-        for k in range(k_bar + 1):
-            fk = {Point(x, y) for x, table in tables.items()
-                  for y, lvl in table.items()
-                  if (lvl is None or lvl > k) and inst.in_relaxation(Point(x, y))}
-            if k == 0 and fk != s_points:
-                failures.append("level-0 set differs from the integer relaxation")
-            if prev is not None and not fk <= prev:
-                failures.append(f"level {k} set is not contained in level {k - 1}")
-            prev = fk
-        if prev != f_points:
-            failures.append("level k-bar set differs from enumerated "
-                            "bilevel feasible set")
-
-    k_list = sorted(set(ks) | {k_bar})
     for point in sorted(s_points, key=lambda p: p.joint()):
         cert = oracle_mod.certify_bilevel_feasible(inst, point)
         legacy = oracle_mod.legacy_feasibility_check(inst, point)
@@ -292,8 +281,8 @@ def agreement_failures(inst: MiblpInstance, ks=(1, 2, 3), *,
             failures.append(f"feasibility disagreement at {point.joint()}: "
                             f"certificate {cert}, value-function {legacy}, "
                             f"enumeration {enum_f}")
-        level = tables[point.x].get(point.y)
-        for k in k_list:
+        level = kopt.level_table(ctx, point.x).get(point.y)
+        for k in sorted({1, 2, 3, k_bar}):
             # a feasibility question: with no objective the first integral
             # vertex closes the tree
             sol = solve_milp(oracle_mod.build_k_id_milp(inst, point, k, objective=None))
@@ -305,17 +294,16 @@ def agreement_failures(inst: MiblpInstance, ks=(1, 2, 3), *,
                     f"radius-{k} disagreement at {point.joint()}: "
                     f"search {kid_feasible}, norm {norm_le}, level {not_in_fk}")
 
-    if check_solver:
-        best = bruteforce.optimal_by_enumeration(inst)
-        for mode in OracleMode:
-            res = solve(inst, SolverConfig(oracle_mode=mode))
-            if best is None:
-                if res.status is not SolveStatus.INFEASIBLE:
-                    failures.append(f"{mode.value} solver found a solution on an "
-                                    "instance with no bilevel feasible point")
-            elif res.status is not SolveStatus.OPTIMAL or res.value != best[1]:
-                failures.append(f"{mode.value} solver value {res.value} differs "
-                                f"from enumerated optimum {best[1]}")
+    best = bruteforce.optimal_by_enumeration(inst)
+    for mode in OracleMode:
+        res = solve(inst, SolverConfig(oracle_mode=mode))
+        if best is None:
+            if res.status is not SolveStatus.INFEASIBLE:
+                failures.append(f"{mode.value} solver found a solution on an "
+                                "instance with no bilevel feasible point")
+        elif res.status is not SolveStatus.OPTIMAL or res.value != best[1]:
+            failures.append(f"{mode.value} solver value {res.value} differs "
+                            f"from enumerated optimum {best[1]}")
     return failures
 
 

@@ -8,16 +8,16 @@ means y is already a best response.  The k-optimal reaction set keeps the
 points of level > k, so k = 0 accepts everything and k = k_bar accepts only
 true best responses.
 
-All set computations here are exhaustive integer enumeration (pure-integer
-instances only, budget-guarded).  The one LP routine is ``region_extrema``,
-the exact per-variable extrema over a region of rows and a box; the scope
-gate (``instance.validate_assumptions``) uses it too, to close ``inf``
-bounds.  The radius cap takes it over the follower rows alone: follower
-improvement steps only respect the follower's own constraints, so a cap
-taken over the jointly-feasible region can undershoot when leader rows
-pinch the follower variables.  Parsing has already made every follower
-variable integer and every bound finite, so the cap is the sum of the
-integer widths of those extrema.
+All set computations here read ``bruteforce.follower_slices``, exhaustive
+integer enumeration (pure-integer instances only, budget-guarded).  The one
+LP routine is ``region_extrema``, the exact per-variable extrema over a
+region of rows and a box; the scope gate (``instance.validate_assumptions``)
+uses it too, to close ``inf`` bounds.  The radius cap takes it over the
+follower rows alone: follower improvement steps only respect the follower's
+own constraints, so a cap taken over the jointly-feasible region can
+undershoot when leader rows pinch the follower variables.  Parsing has
+already made every follower variable integer and every bound finite, so the
+cap is the sum of the integer widths of those extrema.
 """
 from __future__ import annotations
 
@@ -114,6 +114,11 @@ def compute_k_bar(inst: MiblpInstance) -> int:
     return make_context(inst).k_bar
 
 
+def _slice(inst: MiblpInstance, x) -> list:
+    """The follower slice at x as (y, d2 . y) pairs, in grid order."""
+    return next(bruteforce.follower_slices(inst, [x]))[1]
+
+
 def level_table(ctx: KoptContext, x) -> dict:
     """Level of every follower-feasible y at this x (None = best response).
 
@@ -123,31 +128,21 @@ def level_table(ctx: KoptContext, x) -> dict:
     cached = ctx._tables.get(x)
     if cached is not None:
         return cached
-    inst = ctx.inst
-    slice_pts = bruteforce.follower_points(inst, x)
-    values = [inst.follower_value(y) for y in slice_pts]
+    slice_ = [(y, tuple(map(int, y)), v) for y, v in _slice(ctx.inst, x)]
     table = {}
-    for y, v in zip(slice_pts, values):
-        best = None
-        for y2, v2 in zip(slice_pts, values):
-            if v2 > v - 1:
-                continue
-            norm = sum(abs(a - b) for a, b in zip(y2, y))
-            if best is None or norm < best:
-                best = norm
-        table[y] = None if best is None else int(best)
+    for y, yi, v in slice_:
+        # the distance to the nearest point that improves by at least one unit
+        table[y] = min((sum(abs(a - b) for a, b in zip(z, yi))
+                        for _, z, w in slice_ if w < v), default=None)
     ctx._tables[x] = table
     return table
 
 
 def reaction_set(ctx: KoptContext, x) -> set:
     """Best responses at x, by direct enumeration of the follower slice."""
-    inst = ctx.inst
-    slice_pts = bruteforce.follower_points(inst, x)
-    if not slice_pts:
-        return set()
-    phi = min(inst.follower_value(y) for y in slice_pts)
-    return {y for y in slice_pts if inst.follower_value(y) == phi}
+    slice_ = _slice(ctx.inst, x)
+    phi = min((v for _, v in slice_), default=None)
+    return {y for y, v in slice_ if v == phi}
 
 
 def reaction_set_k(ctx: KoptContext, x, k: int) -> set:
@@ -159,21 +154,16 @@ def reaction_set_k(ctx: KoptContext, x, k: int) -> set:
 
 
 def enumerate_Fk(ctx: KoptContext, k: int) -> set:
+    """The points of S above level k: S itself at k = 0, F at k_bar."""
     inst = ctx.inst
     bruteforce.check_enumeration_budget(inst)
-    out = set()
-    for x in bruteforce.leader_grid(inst):
-        for y in reaction_set_k(ctx, x, k):
-            p = Point(x, y)
-            if inst.in_relaxation(p):
-                out.add(p)
-    return out
+    return {Point(x, y) for x in bruteforce.leader_grid(inst)
+            for y in reaction_set_k(ctx, x, k) if inst.in_relaxation(Point(x, y))}
 
 
 def min_ifd_norm(ctx: KoptContext, point: Point):
     """Smallest 1-norm over improving feasible directions; None when optimal."""
-    inst = ctx.inst
-    if not inst.in_relaxation(point):
+    if not ctx.inst.in_relaxation(point):
         raise ValueError("point is not in the relaxation")
     return level_table(ctx, point.x).get(point.y)
 
@@ -185,13 +175,9 @@ def minimal_ifds(ctx: KoptContext, point: Point) -> list:
     if level is None:
         return []
     v = inst.follower_value(point.y)
-    out = []
-    for y2 in bruteforce.follower_points(inst, point.x):
-        if inst.follower_value(y2) <= v - 1:
-            w = tuple(b - a for a, b in zip(point.y, y2))
-            if sum(abs(c) for c in w) == level:
-                out.append(w)
-    return sorted(out)
+    steps = (tuple(b - a for a, b in zip(point.y, y2))
+             for y2, v2 in _slice(inst, point.x) if v2 < v)
+    return sorted(w for w in steps if sum(map(abs, w)) == level)
 
 
 def slice_csv(ctx: KoptContext, x) -> str:

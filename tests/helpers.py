@@ -293,60 +293,3 @@ def mixed_leader_instance(seed: int):
         a2=tuple(a + (Fraction(0),) for a in base.a2),
         lower=base.lower[:2] + (Fraction(0),) + base.lower[2:],
         upper=base.upper[:2] + (Fraction(17, 2),) + base.upper[2:]))
-
-
-def mixed_bilevel_optimum(inst, lower=None, upper=None):
-    """Optimal value of an instance with one continuous leader variable
-    outside the follower rows, or None when it is infeasible, over the
-    points of ``mixed_bilevel_points``."""
-    return min((value for value, _ in mixed_bilevel_points(inst, lower, upper)),
-               default=None)
-
-
-def mixed_bilevel_points(inst, lower=None, upper=None):
-    """(leader value, joint point) per integer part of a bilevel-feasible
-    point of an instance with one continuous leader variable outside the
-    follower rows: every integer leader part is enumerated, the follower's
-    best responses at it are found on its integer grid, and the continuous
-    variable takes the best end of the interval that the leader rows leave
-    it.  A box ``lower``, ``upper`` restricts the points to it, while the
-    follower's best responses stay those over the instance's own follower
-    box."""
-    lower, upper = lower or inst.lower, upper or inst.upper
-    (c,) = range(inst.r1, inst.n1)
-    ints = range(inst.r1)
-    grid = list(itertools.product(*(range(int(inst.lower[inst.n1 + i]),
-                                          int(inst.upper[inst.n1 + i]) + 1)
-                                    for i in range(inst.n2))))
-    rows2, b2 = inst.follower_ints
-    d2 = [int(v) for v in inst.d2]
-    activity = [tuple(sum(r * v for r, v in zip(row[inst.n1:], y)) for row in rows2)
-                for y in grid]
-    for xi in itertools.product(*(range(int(lower[j]), int(upper[j]) + 1)
-                                  for j in ints)):
-        need = [b - sum(r * v for r, v in zip(row, xi)) for row, b in zip(rows2, b2)]
-        slice_ = [y for y, act in zip(grid, activity)
-                  if all(v >= n for v, n in zip(act, need))]
-        if not slice_:
-            continue
-        values = [sum(d * v for d, v in zip(d2, y)) for y in slice_]
-        phi = min(values)
-        for y, v in zip(slice_, values):
-            if v != phi or any(not lower[inst.n1 + i] <= w <= upper[inst.n1 + i]
-                               for i, w in enumerate(y)):
-                continue
-            lo, hi = lower[c], upper[c]
-            for a, g, b in zip(inst.a1, inst.g1, inst.b1):
-                # a[c] * x_c >= the rest of the row
-                rest = b - dot(a[:inst.r1], xi) - dot(g, y)
-                if a[c] > 0:
-                    lo = max(lo, rest / a[c])
-                elif a[c] < 0:
-                    hi = min(hi, rest / a[c])
-                elif rest > 0:
-                    lo, hi = 1, 0
-            if lo > hi:
-                continue
-            xc = lo if inst.c[c] >= 0 else hi
-            yield (dot(inst.c[:inst.r1], xi) + inst.c[c] * xc + dot(inst.d1, y),
-                   tuple(xi) + (xc,) + tuple(y))

@@ -13,14 +13,14 @@ import pytest
 from miblp import bnc, cuts, milp, oracle, simplex
 from miblp.bnc import (BranchAndCut, DirectionPool, OracleMode, SolveStatus, SolverConfig,
                        choose_branch_variable, solve)
-from miblp.bruteforce import enumerate_F, enumerate_S, optimal_by_enumeration
+from miblp.bruteforce import (bilevel_points, enumerate_F, enumerate_S,
+                              optimal_by_enumeration)
 from miblp.cuts import cut_violation
 from miblp.instance import Point, generate_random_instance, parse_instance
 from miblp.oracle import (DirectionMethod, DirectionObjective, OracleConfig,
                           OracleInconclusive, OutcomeKind)
 
-from helpers import (bench_corpus, mixed_bilevel_optimum, mixed_bilevel_points,
-                     mixed_leader_instance)
+from helpers import bench_corpus, mixed_leader_instance
 
 LS2 = OracleConfig(method=DirectionMethod.LOCAL_SEARCH, k=2)
 
@@ -436,8 +436,41 @@ def test_root_box_without_an_integer_point_needs_no_lp():
         assert res.trace == ("node 0 depth 0 bound inf pruned-propagated",)
 
 
+def test_no_integer_cost_builds_no_cutoff():
+    """With no cost on an integer column the objective cutoff has no row:
+    the solve reaches the enumerated optimum without one."""
+    from conftest import MOORE_BARD
+    inst = parse_instance(MOORE_BARD.replace("OBJ_UPPER -1 -10", "OBJ_UPPER 0 0"))
+    assert optimal_by_enumeration(inst)[1] == 0
+    solver = BranchAndCut(inst, SolverConfig())
+    res = solver.run()
+    assert res.status is SolveStatus.OPTIMAL and res.value == 0
+    assert solver._cutoff_image is None and solver._cutoff() is None
+
+
+@pytest.mark.parametrize("name, optimum", [("moore_bard", -22), ("three_d", -21)])
+def test_an_inconclusive_value_function_in_legacy_mode_sets_boxes_aside(
+        monkeypatch, request, name, optimum):
+    """With phi(x) inconclusive everywhere, legacy mode can neither certify
+    nor refute an integral vertex: each box with every integer column fixed
+    is set aside, and the solve ends LIMIT_REACHED with no incumbent and a
+    bound at or below the optimum."""
+    inst = request.getfixturevalue(name)
+
+    def inconclusive(*args, **kwargs):
+        raise OracleInconclusive("injected")
+
+    monkeypatch.setattr(oracle, "solve_phi", inconclusive)
+    res = solve(inst, SolverConfig(oracle_mode=OracleMode.LEGACY, trace=True))
+    assert res.status is SolveStatus.LIMIT_REACHED
+    assert res.incumbent is None and res.bound <= optimum
+    assert res.stats.unsettled > 0 and res.stats.linking_closed == 0
+    assert sum(line.endswith(" unsettled") for line in res.trace) == res.stats.unsettled
+
+
 @pytest.mark.parametrize("family, seeds", [((2, 3, 2, 4, 4), range(2, 32)),
-                                           ((3, 3, 2, 5, 3), range(2, 12))])
+                                           ((3, 3, 2, 5, 3), range(2, 12)),
+                                           ((2, 3, 2, 4, 6), range(2, 61))])
 def test_propagated_trees_match_enumeration(monkeypatch, family, seeds):
     """Node propagation keeps every answer, under the exact direction MILP
     and under local search of radius 2, and closes boxes on the way.  Once
@@ -586,11 +619,11 @@ def test_fixed_integer_box_closes_whatever_its_continuous_leaders(seed):
     res = solver.run()
     assert res.stats.unsettled == 0
     assert (solver._cutoff() is None) is (res.incumbent is None)
-    value = mixed_bilevel_optimum(inst)
-    if value is None:
+    best = optimal_by_enumeration(inst)
+    if best is None:
         assert res.status is SolveStatus.INFEASIBLE
     else:
-        assert res.status is SolveStatus.OPTIMAL and res.value == value
+        assert res.status is SolveStatus.OPTIMAL and res.value == best[1]
         assert inst.in_relaxation(res.incumbent)
 
 
@@ -602,11 +635,11 @@ def test_no_mixed_cutoff_row_excludes_a_better_optimum(monkeypatch):
     checked = 0
     for seed in range(2, 41):
         inst = mixed_leader_instance(seed)
-        points = list(mixed_bilevel_points(inst))
+        points = list(bilevel_points(inst))
         if not points:
             continue
         best = min(value for value, _ in points)
-        optima = [z for value, z in points if value == best]
+        optima = [p.joint() for value, p in points if value == best]
         solver = BranchAndCut(inst, SolverConfig())
         cutoff = solver._cutoff
 
@@ -630,6 +663,11 @@ def _enumerated(family, seed):
     """The instance and its feasible set F, as {joint point: leader value}."""
     inst = generate_random_instance(seed, *family[:4], bound=family[4])
     return inst, {p.joint(): inst.leader_value(p) for p in enumerate_F(inst)}
+
+
+def _best_in_box(inst, lower, upper):
+    """The least leader value of a bilevel-feasible point in the box, or None."""
+    return min((value for value, _ in bilevel_points(inst, lower, upper)), default=None)
 
 
 def _in_box(z, lower, upper):
@@ -664,7 +702,7 @@ def test_boxes_closed_with_fixed_linking_keep_their_best_point(monkeypatch, fami
             accepted.clear()
             assert close(node), inst.name
             if feasible is None:
-                best = mixed_bilevel_optimum(inst, lower, upper)
+                best = _best_in_box(inst, lower, upper)
             else:
                 best = min((v for z, v in feasible.items() if _in_box(z, lower, upper)),
                            default=None)
@@ -674,7 +712,7 @@ def test_boxes_closed_with_fixed_linking_keep_their_best_point(monkeypatch, fami
                 assert _in_box(z, lower, upper), inst.name
                 assert inst.leader_value(point) == best, inst.name
                 if feasible is None:
-                    assert mixed_bilevel_optimum(inst, z, z) == best, inst.name
+                    assert _best_in_box(inst, z, z) == best, inst.name
                 else:
                     assert z in feasible, inst.name
                 accepted_boxes += 1
@@ -695,26 +733,28 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
     with fixed linking variables leaves that box to the node LP, so no
     answer rests on an unfinished MILP.  When the MILPs fail at the first
     such box that still has a free integer column, the LP bounds and
-    branches it, and every solve ends with the enumerated optimum.  When
-    they fail at every box, a box whose integer columns are all fixed
-    closes at its integral vertex: as incumbent where no step improves the
-    follower, pruned as refuted where one does, and every solve still ends
-    with the enumerated answer.  Only when the direction search fails in
-    such a box too is the box set aside and the search goes on: a solve then
-    ends LIMIT_REACHED, with a bound at or below the optimum and any
-    incumbent in F, or ends with the enumerated answer."""
+    branches it, and every solve ends with the enumerated optimum; so it
+    does when only the leader MILP fails, at every box where phi(x) is
+    finite.  When they fail at every box, a box whose integer columns are
+    all fixed closes at its integral vertex: as incumbent where no step
+    improves the follower, pruned as refuted where one does, and every solve
+    still ends with the enumerated answer.  Only when the direction search
+    fails in such a box too is the box set aside and the search goes on: a
+    solve then ends LIMIT_REACHED, with a bound at or below the optimum and
+    any incumbent in F, or ends with the enumerated answer."""
     solve_milp = milp.solve_milp
-    for fail in ("first", "all", "all-and-oracle"):
+    for fail in ("first", "all", "all-and-oracle", "leader"):
         fallbacks = limited = refuted = 0
         for seed in range(2, 32):
             inst, feasible = _enumerated((2, 3, 2, 4, 4), seed)
             solver = BranchAndCut(inst, SolverConfig(trace=True))
             close, bound_node = solver._close_fixed_linking, solver.bound_node
+            leader_milp = solver._leader_milp
             failing_box, current = [], []
 
             def closing(node):
                 free = any(node.lower[j] < node.upper[j] for j in solver.integer)
-                if fail != "first" or free and not failing_box:
+                if fail.startswith("all") or fail == "first" and free and not failing_box:
                     failing_box.append(node.id)
                 current[:] = [node.id]
                 closed = close(node)
@@ -730,6 +770,12 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
                 finally:
                     current.clear()
 
+            def failing_leader_milp(node, phi):
+                # phi(x) has been solved: only the leader MILP is to fail
+                if fail == "leader":
+                    failing_box.append(node.id)
+                return leader_milp(node, phi)
+
             def failing(problem, deadline=None):
                 if current and current[0] in failing_box:
                     if failure == "error":
@@ -739,6 +785,7 @@ def test_a_failed_fixed_linking_milp_leaves_the_box_to_the_lp(monkeypatch, failu
 
             monkeypatch.setattr(solver, "_close_fixed_linking", closing)
             monkeypatch.setattr(solver, "bound_node", bounding)
+            monkeypatch.setattr(solver, "_leader_milp", failing_leader_milp)
             monkeypatch.setattr(milp, "solve_milp", failing)
             res = solver.run()
             monkeypatch.setattr(milp, "solve_milp", solve_milp)

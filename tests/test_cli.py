@@ -202,7 +202,7 @@ def test_verify_rejects_mixed(tmp_path, capsys):
 
 
 def test_agreement_failures_clean(moore_bard):
-    assert agreement_failures(moore_bard, ks=(1, 2)) == []
+    assert agreement_failures(moore_bard) == []
 
 
 def test_agreement_failures_check_legacy_mode(monkeypatch, moore_bard):
@@ -215,7 +215,7 @@ def test_agreement_failures_check_legacy_mode(monkeypatch, moore_bard):
         return res
 
     monkeypatch.setattr(cli, "solve", legacy_off_by_one)
-    assert agreement_failures(moore_bard, check_hierarchy=False) == [
+    assert agreement_failures(moore_bard) == [
         "legacy solver value -21 differs from enumerated optimum -22"]
 
 
