@@ -3,8 +3,9 @@
 Everything here is exhaustive search in exact arithmetic with no reliance on
 the simplex, MILP, or oracle modules, so agreement tests against those modules
 are meaningful.  One routine, ``follower_slices``, enumerates the follower's
-slice at each leader point, in ints; every other enumeration here and in
-``kopt`` reads it.  A grid over ``ENUMERATION_BUDGET`` points is refused.
+slice at each leader point, in ints, from one grid of activities per call;
+every other enumeration here reads it, and ``kopt`` reads its grid once per
+context.  A grid over ``ENUMERATION_BUDGET`` points is refused.
 
 Reaction sets follow the optimistic convention: the follower's value function
 is minimized over the follower-feasible slice (follower rows plus the y box),
@@ -68,33 +69,43 @@ def follower_grid(inst: MiblpInstance):
 def follower_slices(inst: MiblpInstance, xs):
     """Yield (x, [(y, d2 . y), ...]) for each leader point x of ``xs``: the
     integer points y of the follower-feasible slice S(x), in grid order, with
-    their follower values as ints.  The grid's activities G2 y and values are
-    computed once per call from the instance's integer follower data, and y
-    is in S(x) when G2 y >= ceil(b2 - A2 x) row by row, which is exact for
-    any rational x, as the activities are ints.  Only x's leading coordinates
-    enter A2 x, so x may stop before a continuous leader."""
+    their follower values as ints, all read from one grid (``_slicer``)."""
+    slice_at = _slicer(inst)
+    for x in xs:
+        yield x, slice_at(x)
+
+
+def _slicer(inst: MiblpInstance):
+    """The function x -> S(x) of ``follower_slices``.  The grid's
+    activities G2 y and values are computed here, once, from the instance's
+    integer follower data, and y is in S(x) when G2 y >= ceil(b2 - A2 x) row
+    by row, which is exact for any rational x, as the activities are ints.
+    Only x's leading coordinates enter A2 x, so x may stop before a
+    continuous leader."""
     (rows, b2), (neg_d2, *g2) = inst.follower_ints, inst.step_rows
     entries = [(tuple(map(Fraction, y)), -sum(a * v for a, v in zip(neg_d2, y)),
                 [sum(a * v for a, v in zip(g, y)) for g in g2])
                for y in _grid(inst.lower, inst.upper, range(inst.n1, inst.num_vars))]
-    for x in xs:
+
+    def slice_at(x):
         points = entries
         for i, (row, b) in enumerate(zip(rows, b2)):
             need = math.ceil(b - sum(a * v for a, v in zip(row, x)))
             points = [e for e in points if e[2][i] >= need]
-        yield x, [(y, v) for y, v, _ in points]
+        return [(y, v) for y, v, _ in points]
+    return slice_at
 
 
 def follower_points(inst: MiblpInstance, x) -> list:
     """Integer points of the follower-feasible slice S(x), in grid order."""
     _require_pure_integer(inst)
-    return [y for y, _ in next(follower_slices(inst, [x]))[1]]
+    return [y for y, _ in _slicer(inst)(x)]
 
 
 def phi_by_enumeration(inst: MiblpInstance, x) -> Fraction | None:
     """Follower value function at x; None encodes +infinity (empty slice)."""
     _require_pure_integer(inst)
-    phi = min((v for _, v in next(follower_slices(inst, [x]))[1]), default=None)
+    phi = min((v for _, v in _slicer(inst)(x)), default=None)
     return None if phi is None else Fraction(phi)
 
 

@@ -224,6 +224,18 @@ class _Cursor:
         self._pos += 1
         return tokens
 
+    def section(self, keyword: str, count: int, miscount: str = "") -> list[str]:
+        """The tokens after ``keyword`` on the next line, which must hold
+        ``count`` of them; ``miscount`` words a wrong count, by default as
+        "<keyword> takes <count> value(s), got <k>"."""
+        tokens = self.next(keyword)
+        if tokens[0] != keyword:
+            raise ParseError(self.lineno, f"expected {keyword}")
+        if len(tokens) != count + 1:
+            raise ParseError(self.lineno, miscount or
+                             f"{keyword} takes {count} value(s), got {len(tokens) - 1}")
+        return tokens[1:]
+
     def exhausted(self) -> bool:
         return self._pos >= len(self._lines)
 
@@ -250,17 +262,10 @@ def _numbers():
     return number
 
 
-def _parse_header_counts(tokens, lineno, keyword, count) -> list[int]:
-    if not tokens or tokens[0] != keyword:
-        raise ParseError(lineno, f"expected {keyword}")
-    if len(tokens) != count + 1:
-        raise ParseError(lineno, f"{keyword} takes {count} value(s), got {len(tokens) - 1}")
-    out = []
-    for tok in tokens[1:]:
-        if not tok.removeprefix("-").isdecimal():
-            raise ParseError(lineno, f"not an integer: {tok!r}")
-        out.append(int(tok))
-    return out
+def _integer(token: str, lineno: int) -> int:
+    if not token.removeprefix("-").isdecimal():
+        raise ParseError(lineno, f"not an integer: {token!r}")
+    return int(token)
 
 
 def _parse_row(tokens, lineno, width, number):
@@ -289,100 +294,69 @@ def _parse_raw(text: str, name: str) -> MiblpInstance:
     cur = _Cursor(text)
     number = _numbers()
 
-    tokens = cur.next("header")
-    if tokens != [FORMAT_TAG, FORMAT_VERSION]:
+    if cur.next("header") != [FORMAT_TAG, FORMAT_VERSION]:
         raise ParseError(cur.lineno, f"expected header '{FORMAT_TAG} {FORMAT_VERSION}'")
-
-    n1, r1, n2, r2 = _parse_header_counts(cur.next("VARS"), cur.lineno, "VARS", 4)
+    n1, r1, n2, r2 = (_integer(t, cur.lineno) for t in cur.section("VARS", 4))
     if n1 < 0 or n2 <= 0 or not (0 <= r1 <= n1) or not (0 <= r2 <= n2):
         raise ParseError(cur.lineno, "inconsistent variable counts")
     n = n1 + n2
-
-    tokens = cur.next("OBJ_UPPER")
-    if tokens[0] != "OBJ_UPPER":
-        raise ParseError(cur.lineno, "expected OBJ_UPPER")
-    if len(tokens) != n + 1:
-        raise ParseError(cur.lineno, f"OBJ_UPPER needs {n} coefficients")
-    upper_obj = [number(t, cur.lineno) for t in tokens[1:]]
-
-    tokens = cur.next("OBJ_LOWER")
-    if tokens[0] != "OBJ_LOWER":
-        raise ParseError(cur.lineno, "expected OBJ_LOWER")
-    if len(tokens) != n2 + 1:
-        raise ParseError(cur.lineno, f"OBJ_LOWER needs {n2} coefficients")
-    d2 = [number(t, cur.lineno) for t in tokens[1:]]
-
-    tokens = cur.next("BOUNDS")
-    if tokens[0] != "BOUNDS":
-        raise ParseError(cur.lineno, "expected BOUNDS")
-    if len(tokens) != 2 * n + 1:
-        raise ParseError(cur.lineno, f"BOUNDS needs {n} lo/hi pairs")
+    objective = [number(t, cur.lineno)
+                 for t in cur.section("OBJ_UPPER", n, f"OBJ_UPPER needs {n} coefficients")]
+    d2 = [number(t, cur.lineno)
+          for t in cur.section("OBJ_LOWER", n2, f"OBJ_LOWER needs {n2} coefficients")]
+    tokens = cur.section("BOUNDS", 2 * n, f"BOUNDS needs {n} lo/hi pairs")
     lower, upper = [], []
     for j in range(n):
-        lo = number(tokens[1 + 2 * j], cur.lineno)
-        hi = tokens[2 + 2 * j]
+        lo, hi = number(tokens[2 * j], cur.lineno), tokens[2 * j + 1]
         hi = None if hi.lower() in ("inf", "+inf") else number(hi, cur.lineno)
         if hi is not None and lo > hi:
             raise ParseError(cur.lineno, f"empty bound interval for variable {j}")
         lower.append(lo)
         upper.append(hi)
 
-    def read_block(keyword):
-        count = _parse_header_counts(cur.next(keyword), cur.lineno, keyword, 1)[0]
+    blocks = []
+    for keyword in ("UPPER", "LOWER"):
+        count = _integer(*cur.section(keyword, 1), cur.lineno)
         if count < 0:
             raise ParseError(cur.lineno, f"{keyword} count must be nonnegative")
         rows = []
         for _ in range(count):
-            tokens = cur.next(f"{keyword} row")
-            rows.extend(_parse_row(tokens, cur.lineno, n, number))
-        return rows
-
-    upper_rows = read_block("UPPER")
-    lower_rows = read_block("LOWER")
-    if not lower_rows:
+            rows.extend(_parse_row(cur.next(f"{keyword} row"), cur.lineno, n, number))
+        blocks.append(rows)
+    if not blocks[1]:
         raise ParseError(cur.lineno, "missing section: LOWER needs at least one row")
     if not cur.exhausted():
         cur.next("")
         raise ParseError(cur.lineno, "trailing content after LOWER block")
+    return _build(n1, r1, n2, r2, objective, d2, lower, upper, blocks, name)
 
-    def split_cols(rows):
-        a = tuple(tuple(row[:n1]) for row, _ in rows)
-        g = tuple(tuple(row[n1:]) for row, _ in rows)
-        b = tuple(rhs for _, rhs in rows)
-        return a, g, b
 
-    a1, g1, b1 = split_cols(upper_rows)
-    a2, g2, b2 = split_cols(lower_rows)
-    return MiblpInstance(
-        n1=n1, r1=r1, n2=n2, r2=r2,
-        c=tuple(upper_obj[:n1]), d1=tuple(upper_obj[n1:]), d2=tuple(d2),
-        a1=a1, g1=g1, b1=tuple(b1), a2=a2, g2=g2, b2=tuple(b2),
-        lower=tuple(lower), upper=tuple(upper), name=name,
-    )
+def _build(n1, r1, n2, r2, objective, d2, lower, upper, blocks, name) -> MiblpInstance:
+    """The instance with objective c then d1 and, in ``blocks``, the leader
+    and the follower rows, each (coefficients over x then y, rhs)."""
+    (a1, g1, b1), (a2, g2, b2) = (
+        (tuple(tuple(row[:n1]) for row, _ in rows), tuple(tuple(row[n1:]) for row, _ in rows),
+         tuple(rhs for _, rhs in rows)) for rows in blocks)
+    return MiblpInstance(n1, r1, n2, r2, tuple(objective[:n1]), tuple(objective[n1:]),
+                         tuple(d2), a1, g1, b1, a2, g2, b2, tuple(lower), tuple(upper), name)
 
 
 def write_instance(inst: MiblpInstance) -> str:
     """Text form of an instance; parse(write(i)) reproduces i exactly."""
-    num = str
-
-    out = []
-    if inst.name:
-        out.append(f"# {inst.name}")
+    out = [f"# {inst.name}"] if inst.name else []
     out.append(f"{FORMAT_TAG} {FORMAT_VERSION}")
     out.append(f"VARS {inst.n1} {inst.r1} {inst.n2} {inst.r2}")
-    out.append("OBJ_UPPER " + " ".join(num(v) for v in inst.c + inst.d1))
-    out.append("OBJ_LOWER " + " ".join(num(v) for v in inst.d2))
+    out.append("OBJ_UPPER " + " ".join(map(str, inst.c + inst.d1)))
+    out.append("OBJ_LOWER " + " ".join(map(str, inst.d2)))
     bounds = []
     for lo, hi in zip(inst.lower, inst.upper):
-        bounds.append(num(lo))
-        bounds.append("inf" if hi is None else num(hi))
+        bounds.append(str(lo))
+        bounds.append("inf" if hi is None else str(hi))
     out.append("BOUNDS " + " ".join(bounds))
-    out.append(f"UPPER {inst.m1}")
-    for coeffs, rhs in inst.leader_rows():
-        out.append(" ".join(num(v) for v in coeffs) + f" >= {num(rhs)}")
-    out.append(f"LOWER {inst.m2}")
-    for coeffs, rhs in inst.follower_rows():
-        out.append(" ".join(num(v) for v in coeffs) + f" >= {num(rhs)}")
+    for keyword, rows in (("UPPER", inst.leader_rows()), ("LOWER", inst.follower_rows())):
+        out.append(f"{keyword} {len(rows)}")
+        for coeffs, rhs in rows:
+            out.append(" ".join(map(str, coeffs)) + " >= " + str(rhs))
     return "\n".join(out) + "\n"
 
 
@@ -504,32 +478,14 @@ def generate_random_instance(seed: int, n1: int, n2: int, m1: int, m2: int,
     rng = random.Random(seed)
     n = n1 + n2
 
+    def draw(count):
+        return [Fraction(rng.randint(lo, hi)) for _ in range(count)]
+
     for _ in range(100):
-        c = [rng.randint(lo, hi) for _ in range(n1)]
-        d1 = [rng.randint(lo, hi) for _ in range(n2)]
-        d2 = [rng.randint(lo, hi) for _ in range(n2)]
-        rows1 = [[rng.randint(lo, hi) for _ in range(n)] + [rng.randint(lo, hi)]
-                 for _ in range(m1)]
-        rows2 = [[rng.randint(lo, hi) for _ in range(n)] + [rng.randint(lo, hi)]
-                 for _ in range(m2)]
-        satisfied = sum(1 for row in rows2 if row[-1] <= 0)
-        if 2 * satisfied < m2:
-            continue
-        frac = Fraction
-        inst = MiblpInstance(
-            n1=n1, r1=n1, n2=n2, r2=n2,
-            c=tuple(frac(v) for v in c),
-            d1=tuple(frac(v) for v in d1),
-            d2=tuple(frac(v) for v in d2),
-            a1=tuple(tuple(frac(v) for v in row[:n1]) for row in rows1),
-            g1=tuple(tuple(frac(v) for v in row[n1:n]) for row in rows1),
-            b1=tuple(frac(row[n]) for row in rows1),
-            a2=tuple(tuple(frac(v) for v in row[:n1]) for row in rows2),
-            g2=tuple(tuple(frac(v) for v in row[n1:n]) for row in rows2),
-            b2=tuple(frac(row[n]) for row in rows2),
-            lower=tuple(frac(0) for _ in range(n)),
-            upper=tuple(frac(bound) for _ in range(n)),
-            name=f"rand-{seed}-{n1}x{n2}",
-        )
-        return validate_assumptions(inst)
+        objective, d2 = draw(n), draw(n2)
+        blocks = [[(draw(n), *draw(1)) for _ in range(m)] for m in (m1, m2)]
+        if 2 * sum(rhs <= 0 for _, rhs in blocks[1]) >= m2:
+            return validate_assumptions(_build(
+                n1, n1, n2, n2, objective, d2, [Fraction(0)] * n, [Fraction(bound)] * n,
+                blocks, f"rand-{seed}-{n1}x{n2}"))
     raise GenerationError("resampling exhausted: could not orient follower rows in 100 draws")

@@ -8,8 +8,9 @@ means y is already a best response.  The k-optimal reaction set keeps the
 points of level > k, so k = 0 accepts everything and k = k_bar accepts only
 true best responses.
 
-All set computations here read ``bruteforce.follower_slices``, exhaustive
-integer enumeration (pure-integer instances only, budget-guarded).  The one
+All set computations here read follower slices from the enumeration behind
+``bruteforce.follower_slices``, exhaustive and in exact ints (pure-integer
+instances only, budget-guarded), over one follower grid per context.  The one
 LP routine is ``region_extrema``, the exact per-variable extrema over a
 region of rows and a box; the scope gate (``instance.validate_assumptions``)
 uses it too, to close ``inf`` bounds.  The radius cap takes it over the
@@ -26,6 +27,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import bruteforce
 from .instance import InstanceError, MiblpInstance, Point
@@ -37,6 +39,12 @@ class KoptContext:
     inst: MiblpInstance
     k_bar: int
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _slice_at(self):
+        """x -> the follower slice at x as (y, d2 . y) pairs, in grid order,
+        over one follower grid built on first use."""
+        return bruteforce._slicer(self.inst)
 
 
 def region_extrema(rows, lower, upper, columns, region):
@@ -114,21 +122,17 @@ def compute_k_bar(inst: MiblpInstance) -> int:
     return make_context(inst).k_bar
 
 
-def _slice(inst: MiblpInstance, x) -> list:
-    """The follower slice at x as (y, d2 . y) pairs, in grid order."""
-    return next(bruteforce.follower_slices(inst, [x]))[1]
-
-
 def level_table(ctx: KoptContext, x) -> dict:
     """Level of every follower-feasible y at this x (None = best response).
 
-    Tables are memoized on the context; callers share one scan per x.
+    Tables are memoized on the context; callers share one scan per x, and
+    every scan reads the context's one follower grid.
     """
     x = tuple(x)
     cached = ctx._tables.get(x)
     if cached is not None:
         return cached
-    slice_ = [(y, tuple(map(int, y)), v) for y, v in _slice(ctx.inst, x)]
+    slice_ = [(y, tuple(map(int, y)), v) for y, v in ctx._slice_at(x)]
     table = {}
     for y, yi, v in slice_:
         # the distance to the nearest point that improves by at least one unit
@@ -140,7 +144,7 @@ def level_table(ctx: KoptContext, x) -> dict:
 
 def reaction_set(ctx: KoptContext, x) -> set:
     """Best responses at x, by direct enumeration of the follower slice."""
-    slice_ = _slice(ctx.inst, x)
+    slice_ = ctx._slice_at(x)
     phi = min((v for _, v in slice_), default=None)
     return {y for y, v in slice_ if v == phi}
 
@@ -176,7 +180,7 @@ def minimal_ifds(ctx: KoptContext, point: Point) -> list:
         return []
     v = inst.follower_value(point.y)
     steps = (tuple(b - a for a, b in zip(point.y, y2))
-             for y2, v2 in _slice(inst, point.x) if v2 < v)
+             for y2, v2 in ctx._slice_at(point.x) if v2 < v)
     return sorted(w for w in steps if sum(map(abs, w)) == level)
 
 

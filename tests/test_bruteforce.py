@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from miblp.bruteforce import (ENUMERATION_BUDGET, EnumerationBudgetError,
-                              enumerate_F, enumerate_S, follower_points,
-                              optimal_by_enumeration, phi_by_enumeration)
+                              bilevel_points, enumerate_F, enumerate_S,
+                              follower_points, optimal_by_enumeration,
+                              phi_by_enumeration)
 from miblp.instance import Point, parse_instance
 
 
@@ -98,3 +99,19 @@ LOWER 1
     assert not inst.is_pure_integer()
     with pytest.raises(ValueError):
         enumerate_S(inst)
+
+
+def test_two_continuous_leaders_are_refused():
+    text = """MIBLP 1
+VARS 2 0 1 1
+OBJ_UPPER 1 1 1
+OBJ_LOWER 1
+BOUNDS 0 2 0 2 0 2
+UPPER 1
+1 1 1 >= 1
+LOWER 1
+0 0 1 >= 1
+"""
+    inst = parse_instance(text)
+    with pytest.raises(ValueError, match="at most one continuous leader"):
+        next(bilevel_points(inst))

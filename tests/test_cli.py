@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA, MOORE_BARD, THREE_D
+from helpers import mixed_leader_instance
 from miblp import cli, kopt
 from miblp.bnc import OracleMode
+from miblp.bruteforce import enumerate_F, enumerate_S
 from miblp.bench import CSV_HEADER, read_records
-from miblp.cli import agreement_failures, main
-from miblp.instance import (InstanceError, generate_random_instance, parse_instance,
-                            write_instance)
+from miblp.cli import agreement_failures, build_parser, main
+from miblp.instance import (InstanceError, Point, generate_random_instance,
+                            parse_instance, write_instance)
+from miblp.oracle import OracleInconclusive
 
 MB = str(DATA / "moore_bard.miblp")
 TD = str(DATA / "three_d.miblp")
@@ -81,7 +84,7 @@ def test_solve_limit_exit_code(capsys):
     assert kv["status"] == "limit-reached"
 
 
-def test_solve_usage_errors(tmp_path):
+def test_solve_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", MB, "--k", "2"])            # needs milp-k/local-search
     assert exc.value.code == 2
@@ -98,6 +101,14 @@ def test_solve_usage_errors(tmp_path):
         main(["solve", TD, "--oracle", "legacy", "--direction-method", "local-search",
               "--k", "1", "--ls-depth-lb", "3"])
     assert exc.value.code == 2
+    for flags, message in ((["--k", "0"], "radius k must be at least 1"),
+                           (["--ls-depth-lb", "5", "--ls-depth-ub", "3"],
+                            "depth window is empty (lb > ub)")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", MB, "--direction-method", "local-search", *flags])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
     assert main(["solve", str(tmp_path / "missing.miblp")]) == 2
 
 
@@ -125,6 +136,13 @@ def test_oracle_heuristic_window(capsys):
     assert rc == 0
     kv = result_kv(capsys.readouterr().out, "oracle")
     assert kv["outcome"] == "found" and kv["nodes"] == "0"     # local search
+    args = build_parser().parse_args(["oracle", MB, "--x", "2", "--y", "4",
+                                      "--direction-method", "local-search",
+                                      "--ls-depth-ub", "4"])
+    assert args.ls_depth_ub == 4 and type(args.ls_depth_ub) is int
+    assert main(["oracle", MB, "--x", "2", "--y", "4", "--direction-method",
+                 "local-search", "--ls-depth-ub", "4"]) == 0
+    assert result_kv(capsys.readouterr().out, "oracle")["outcome"] == "found"
     with pytest.raises(SystemExit):
         main(["oracle", MB, "--x", "2", "--y", "4,4"])   # wrong dimension
 
@@ -181,6 +199,10 @@ def test_kopt_slice(capsys, tmp_path, three_d):
     assert main(["kopt", TD, "--k", "0", "--slice", "1"]) == 0
     out = capsys.readouterr().out
     assert "y0,y1,in_slice,level" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["kopt", MB, "--k", "0", "--slice", "1,2"])
+    assert exc.value.code == 2
+    assert "--slice needs 1 leader coordinates" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", [MB, TD], ids=["moore_bard", "three_d"])
@@ -195,6 +217,12 @@ def test_verify_rejects_mixed(tmp_path, capsys):
     mixed = tmp_path / "mixed.miblp"
     mixed.write_text(MOORE_BARD.replace("VARS 1 1 1 1", "VARS 1 1 1 0"))
     assert main(["verify", str(mixed)]) == 2
+    # a continuous leader outside the follower rows parses, and verify refuses it
+    leader = tmp_path / "leader.miblp"
+    leader.write_text(write_instance(mixed_leader_instance(2)))
+    capsys.readouterr()
+    assert main(["verify", str(leader)]) == 2
+    assert "verify requires a pure-integer instance" in capsys.readouterr().err
     # fractional follower data is scaled to integers at parse time
     frac = tmp_path / "frac.miblp"
     frac.write_text(MOORE_BARD.replace("2 10 >= 15", "2 10 >= 31/2"))
@@ -217,6 +245,39 @@ def test_agreement_failures_check_legacy_mode(monkeypatch, moore_bard):
     monkeypatch.setattr(cli, "solve", legacy_off_by_one)
     assert agreement_failures(moore_bard) == [
         "legacy solver value -21 differs from enumerated optimum -22"]
+
+
+def test_verify_reports_a_lying_check(monkeypatch, capsys, moore_bard):
+    # the certificate calls one bilevel-infeasible point feasible
+    liar = min(enumerate_S(moore_bard) - enumerate_F(moore_bard), key=Point.joint)
+    certify = cli.oracle_mod.certify_bilevel_feasible
+    monkeypatch.setattr(cli.oracle_mod, "certify_bilevel_feasible",
+                        lambda inst, point: point == liar or certify(inst, point))
+    expected = [f"feasibility disagreement at {liar.joint()}: "
+                "certificate True, value-function False, enumeration False"]
+    assert agreement_failures(moore_bard) == expected
+    assert main(["verify", MB]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: {expected[0]}" in out and result_kv(out, "verify")["failures"] == "1"
+
+
+def test_oracle_inconclusive_exits_1(monkeypatch, capsys):
+    def inconclusive(*args):
+        raise OracleInconclusive("direction search hit its limit")
+    monkeypatch.setattr(cli.oracle_mod, "find_improving_direction", inconclusive)
+    assert main(["oracle", MB, "--x", "2", "--y", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "inconclusive: direction search hit its limit" in out
+    assert result_kv(out, "oracle") == {"cmd": "oracle", "outcome": "inconclusive"}
+
+
+def test_enumeration_over_budget_exits_1(tmp_path, capsys):
+    # a 100^4 grid: the level sets refuse it before any scanning starts
+    path = tmp_path / "big.miblp"
+    path.write_text("MIBLP 1\nVARS 2 2 2 2\nOBJ_UPPER 0 0 1 1\nOBJ_LOWER 1 1\n"
+                    "BOUNDS 0 99 0 99 0 99 0 99\nUPPER 0\nLOWER 1\n1 1 1 1 >= 0\n")
+    assert main(["kopt", str(path), "--k", "0"]) == 1
+    assert "exceeds budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, cause", [

@@ -7,8 +7,8 @@ import pytest
 from miblp import kopt
 from miblp.bnc import OracleMode, SolverConfig, SolveStatus, solve
 from miblp.bruteforce import optimal_by_enumeration
-from miblp.instance import (InstanceError, MiblpInstance, ParseError, Point,
-                            generate_random_instance, parse_instance,
+from miblp.instance import (GenerationError, InstanceError, MiblpInstance, ParseError,
+                            Point, generate_random_instance, parse_instance,
                             validate_assumptions, write_instance)
 
 from conftest import DATA, MOORE_BARD, THREE_D
@@ -306,6 +306,17 @@ def test_generator_deterministic_and_valid():
     assert a.m2 == 3 and a.m1 == 2
     c = generate_random_instance(4, 2, 2, 2, 3, bound=4)
     assert write_instance(c) != write_instance(a)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"coeff_range": (1, 0)}, "empty coefficient range"),
+    ({"bound": 0}, "sizes must be positive"),
+    # every follower rhs is positive, so the zero point never holds a row
+    ({"coeff_range": (1, 5)}, "resampling exhausted"),
+])
+def test_generator_refuses(kwargs, message):
+    with pytest.raises(GenerationError, match=message):
+        generate_random_instance(0, 2, 2, 2, 3, **kwargs)
 
 
 def test_fractional_coefficients_parse():

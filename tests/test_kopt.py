@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from miblp import bruteforce
 from miblp.bruteforce import enumerate_F, enumerate_S
 from miblp.instance import InstanceError, Point, parse_instance
 from miblp.kopt import (compute_k_bar, enumerate_Fk, level_table,
@@ -144,6 +145,24 @@ def test_level_table_levels(three_d):
 def test_level_table_memoized(three_d):
     ctx = make_context(three_d)
     assert level_table(ctx, (F1(1),)) is level_table(ctx, (F1(1),))
+
+
+def test_one_follower_grid_per_context(monkeypatch, three_d):
+    """Every level set, level table, reaction set, step list and slice of a
+    context reads one follower grid, built on first use."""
+    built = []
+    slicer = bruteforce._slicer
+    monkeypatch.setattr(bruteforce, "_slicer", lambda inst: built.append(inst) or slicer(inst))
+    ctx = make_context(three_d)
+    assert built == []
+    levels = [enumerate_Fk(ctx, k) for k in range(ctx.k_bar + 1)]
+    for point in sorted(levels[0], key=Point.joint):
+        min_ifd_norm(ctx, point)
+        minimal_ifds(ctx, point)
+        reaction_set(ctx, point.x)
+    slice_csv(ctx, (F1(1),))
+    assert built == [three_d] and len(ctx._tables) > 1
+    assert levels[0] == enumerate_S(three_d) and levels[-1] == enumerate_F(three_d)
 
 
 def test_reaction_set_k_negative(three_d):

@@ -123,6 +123,8 @@ def test_propagate_fixes_the_partner():
     assert upper[2] == 0 and lower == [1, 0, 0, 0]
     lower, upper = [1, 0, 1, 0], [3, 3, 3, 3]
     assert not propagate(rows, by_col, lower, upper, (0,), visits, partner)
+    # a row lifts column 0 to 1 while its partner already is at least 1
+    assert not propagate([([(0, 1)], 1)], [[0], []], [0, 1], [5, 5], (0,), 10, {0: 1, 1: 0})
     # without the pairs the same box propagates as it always did
     lower, upper = [1, 0, 0, 0], [3, 3, 3, 3]
     assert propagate(rows, by_col, lower, upper, (0,), visits)
